@@ -256,9 +256,6 @@ class LcgParams:
     n_paths: int = 20_000
     ks_tol: float = 0.002
     mean_tol: float = 0.01
-    # 1/12 is Var(delta) of a uniform stream; Var(log delta) is 1, so the
-    # var_log_delta check fails by design.
-    var_target: float = 1.0 / 12.0
     var_rel_tol: float = 0.02
     beta_band: list = field(default_factory=lambda: [0.85, 1.15])
 
@@ -279,9 +276,7 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
     checks = {
         "delta_ks_uniform": "pass" if ks < p.ks_tol else "fail",
         "mean_neg_log_delta": "pass" if abs(mean_neg_log - 1.0) <= p.mean_tol else "fail",
-        "var_log_delta": "pass"
-        if abs(var_log - p.var_target) <= p.var_rel_tol * p.var_target
-        else "fail",
+        "var_log_delta": "pass" if abs(var_log - 1.0) <= p.var_rel_tol else "fail",
         "walk_beta_hat_in_band": _band_check(beta_hat, *p.beta_band)
         if math.isfinite(beta_hat)
         else "fail",
@@ -296,7 +291,7 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
     targets = {
         "ks_tol": p.ks_tol,
         "mean_neg_log_delta": 1.0,
-        "var_log_delta": p.var_target,
+        "var_log_delta": 1.0,
         "beta_band": list(p.beta_band),
     }
     columns = ["phi0", "p_hat", "se", "n_survivors"]
@@ -724,7 +719,7 @@ def run(
     params_cls, runner = EXPERIMENTS[config.experiment]
     params = _params_from_dict(params_cls, config.parameters, config.experiment)
     workers = resolve_workers(config.workers)
-    out = Path(out_dir or config.output or f"{config.experiment}_results")
+    out = Path(out_dir or config.output or Path("out") / config.experiment)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     result = runner(params, config.seed, workers)
@@ -760,7 +755,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--workers", type=int, help="override worker count")
     parser.add_argument("--plot", action="store_true", help="also write plot.svg")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", help="output directory (default: out/<experiment>)")
     args = parser.parse_args(argv)
     try:
         if args.config:

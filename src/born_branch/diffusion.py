@@ -91,7 +91,6 @@ def survival_asymptotic(mu: float, sigma: float, d: float, tau: float) -> float:
     carries an extra tilt exp(mu d/sigma^2) and decays like tau^{-3/2}, so
     this form undershoots survival_closed_form by the factor
     (sigma^2/(mu^2 tau)) exp(mu d/sigma^2 - d^2/(2 sigma^2 tau)) inverted.
-    Kept as the documented rare-event screening scale.
     """
     _check_domain(mu, sigma, d, tau)
     prefactor = 2.0 * d / (sigma * math.sqrt(2.0 * math.pi * tau))
@@ -225,9 +224,42 @@ class ConditionedSample:
     ks_exponential_two_beta: float
 
 
-def _default_x0(params: DiffusionParams, log_eps: float) -> float:
-    # a few stationary scales sigma^2/mu above the barrier
-    return log_eps + 3.0 * params.sigma * params.sigma / params.mu
+def _survivor_ys(
+    params: DiffusionParams,
+    epsilon: float,
+    tau: float,
+    n_paths: int,
+    seed: int,
+    x0: float | None,
+    dt: float | None,
+    workers: int | None,
+) -> np.ndarray:
+    """Distances Y_tau above the barrier of the surviving paths, in block order.
+
+    x0 defaults to a few stationary scales sigma^2/mu above the barrier.
+    Requires the closed form to predict at least 1e3 survivors.
+    """
+    if epsilon <= 0.0:
+        raise OutOfRange(f"epsilon={epsilon} must be positive")
+    log_eps = math.log(epsilon)
+    if x0 is None:
+        x0 = log_eps + 3.0 * params.sigma * params.sigma / params.mu
+    if x0 <= log_eps:
+        raise BadStart(f"x0={x0} not above the barrier log eps={log_eps}")
+    dt = default_dt(params) if dt is None else dt
+    d = x0 - log_eps
+    expected = n_paths * survival_closed_form(params.mu, params.sigma, d, tau)
+    if expected < 1e3:
+        raise TooFewSurvivors(
+            f"closed form predicts {expected:.3g} survivors from {n_paths} paths; "
+            "need >= 1000 (raise n_paths or move x0/tau)"
+        )
+
+    def block(i: int, rng: np.random.Generator, size: int) -> np.ndarray:
+        alive, y = batch_survive(params.mu, params.sigma, d, tau, dt, rng, size)
+        return y[alive]
+
+    return np.concatenate(map_blocks(block, n_paths, seed, workers=workers))
 
 
 def conditioned_sample(
@@ -248,28 +280,9 @@ def conditioned_sample(
     """
     from .stats import ks_distance
 
-    if epsilon <= 0.0:
-        raise OutOfRange(f"epsilon={epsilon} must be positive")
     if params.mu <= 0.0:
         raise OutOfRange("conditioned limit law needs downward drift mu > 0")
-    log_eps = math.log(epsilon)
-    x0 = _default_x0(params, log_eps) if x0 is None else x0
-    if x0 <= log_eps:
-        raise BadStart(f"x0={x0} not above the barrier log eps={log_eps}")
-    dt = default_dt(params) if dt is None else dt
-    d = x0 - log_eps
-    expected = n_paths * survival_closed_form(params.mu, params.sigma, d, tau)
-    if expected < 1e3:
-        raise TooFewSurvivors(
-            f"closed form predicts {expected:.3g} survivors from {n_paths} paths; "
-            "need >= 1000 (raise n_paths or move x0/tau)"
-        )
-
-    def block(i: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        alive, y = batch_survive(params.mu, params.sigma, d, tau, dt, rng, size)
-        return y[alive]
-
-    ys = np.sort(np.concatenate(map_blocks(block, n_paths, seed, workers=workers)))
+    ys = np.sort(_survivor_ys(params, epsilon, tau, n_paths, seed, x0, dt, workers))
     n_surv = int(ys.size)
     shift = float(ys[0])
     rate = 1.0 / max(float(ys.mean()) - shift, np.finfo(float).tiny)
@@ -338,26 +351,7 @@ def conditional_mean_ratio(
     beta = params.beta
     if beta <= 1.0:
         raise DivergentRegime(f"beta={beta:.4g} <= 1: conditional mean diverges")
-    if epsilon <= 0.0:
-        raise OutOfRange(f"epsilon={epsilon} must be positive")
-    log_eps = math.log(epsilon)
-    x0 = _default_x0(params, log_eps) if x0 is None else x0
-    if x0 <= log_eps:
-        raise BadStart(f"x0={x0} not above the barrier log eps={log_eps}")
-    dt = default_dt(params) if dt is None else dt
-    d = x0 - log_eps
-    expected = n_paths * survival_closed_form(params.mu, params.sigma, d, tau)
-    if expected < 1e3:
-        raise TooFewSurvivors(
-            f"closed form predicts {expected:.3g} survivors from {n_paths} paths; "
-            "need >= 1000"
-        )
-
-    def block(i: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        alive, y = batch_survive(params.mu, params.sigma, d, tau, dt, rng, size)
-        return y[alive]
-
-    ys = np.concatenate(map_blocks(block, n_paths, seed, workers=workers))
+    ys = _survivor_ys(params, epsilon, tau, n_paths, seed, x0, dt, workers)
     vals = np.exp(ys)
     n_surv = int(vals.size)
     estimate = float(vals.mean())

@@ -13,12 +13,12 @@ carry-free splitting; other moduli fall back to Python integers.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from sympy import factorint
 
 from .errors import OutOfRange, TooLarge
 from .model import Exogenous
@@ -120,6 +120,60 @@ def lcg_children(c: np.ndarray, spec: LcgSpec) -> tuple[np.ndarray, np.ndarray]:
     return base, np.uint64(spec.p - 1) - base
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first 12 prime bases: deterministic for n < 3.3e24."""
+    if n < 2 or any(n % q == 0 for q in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        for _ in range(r):
+            if x in (1, n - 1):
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A nontrivial factor of a composite n with no prime factor <= 37.
+
+    Pollard's rho with Brent's cycle search; a constant c whose cycle
+    closes modulo n itself is replaced by the next one.
+    """
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> set[int]:
+    """Distinct prime factors of n >= 1."""
+    found, rest = set(), [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if _is_prime(m):
+            found.add(m)
+            continue
+        f = next((q for q in _SMALL_PRIMES if m % q == 0), None) or _rho_factor(m)
+        rest += [f, m // f]
+    return found
+
+
 def lcg_full_period(spec: LcgSpec) -> bool:
     """Whether the multiplicative order of a mod p is exactly p - 1.
 
@@ -127,7 +181,7 @@ def lcg_full_period(spec: LcgSpec) -> bool:
     prime factor q. Requires p prime (not verified here).
     """
     n = spec.p - 1
-    return all(pow(spec.a_eff, n // q, spec.p) != 1 for q in factorint(n))
+    return all(pow(spec.a_eff, n // q, spec.p) != 1 for q in _prime_factors(n))
 
 
 def lcg_cycle_length(spec: LcgSpec, limit: int = 10**7) -> int | None:
@@ -195,21 +249,19 @@ def lcg_tree(
 
     exact mode enumerates all 2^t paths (guarded by max_paths); sampled mode
     follows n_paths random-branch paths and estimates the surviving
-    fraction. Amplitude comparisons are plain float >= in log space.
+    fraction (lcg_walk_survival from the single start phi0). Amplitude
+    comparisons are plain float >= in log space.
     """
-    from .rng import rng_stream
-
     if phi0 <= 0.0:
         raise OutOfRange(f"phi0={phi0} must be positive")
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
-    lphi0 = math.log(phi0)
     log_total = t * math.log(2.0)
     if mode == "exact":
         if 2**t > max_paths:
             raise TooLarge(f"2^{t} paths exceed max_paths={max_paths}")
         states = np.array([spec.c0], dtype=np.uint64)
-        amps = np.array([lphi0])
+        amps = np.array([math.log(phi0)])
         for s in range(1, t + 1):
             if states.size == 0:
                 break
@@ -230,24 +282,8 @@ def lcg_tree(
         raise OutOfRange(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if not n_paths or n_paths < 1:
         raise OutOfRange("sampled mode needs n_paths >= 1")
-
-    def block(i: int, rng: np.random.Generator, size: int) -> int:
-        states = np.full(size, spec.c0, dtype=np.uint64)
-        amps = np.full(size, lphi0)
-        alive = np.ones(size, dtype=bool)
-        for s in range(1, t + 1):
-            c2, c1 = lcg_children(states, spec)
-            pick = rng.integers(0, 2, size=size).astype(bool)
-            states = np.where(pick, c1, c2)
-            with np.errstate(divide="ignore"):
-                amps = amps + np.log(states.astype(np.float64) / spec.p)
-            alive &= amps >= sched.log_xi(s)
-        return int(np.count_nonzero(alive))
-
-    survivors = sum(map_blocks(block, n_paths, seed))
-    p_hat = survivors / n_paths
-    se = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)
-    return LcgTreeResult(t, "sampled", n_paths, survivors, p_hat, se, log_total)
+    est = lcg_walk_survival(spec, sched, t, [phi0], n_paths, seed).estimates[0]
+    return LcgTreeResult(t, "sampled", n_paths, est.n_survivors, est.p_hat, est.se, log_total)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
-from .diffusion import batch_survive, log_survival_closed_form
+from .diffusion import batch_survive, default_dt, log_survival_closed_form
 from .errors import OutOfRange, TooFewSurvivors
-from .rng import map_blocks, rng_stream
+from .model import BranchingSpec, DiffusionParams
+from .rng import map_blocks
 from .stats import bootstrap_ci, quantile
 
 #: Minimum expected survivors per outcome arm before the pipeline runs.
@@ -45,22 +45,15 @@ class MeasurementSetup:
     log_deltas: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        deltas = tuple(float(d) for d in self.deltas)
-        if not deltas:
-            raise OutOfRange("need at least one outcome weight")
-        for d in deltas:
-            if not (0.0 < d <= 1.0) or (d == 1.0 and len(deltas) > 1):
-                raise OutOfRange(f"outcome weight {d} outside (0, 1)")
-        if abs(math.fsum(deltas) - 1.0) > 1e-12:
-            raise OutOfRange(f"outcome weights sum to {math.fsum(deltas)!r}, not 1")
+        spec = BranchingSpec(self.deltas)
         if self.sigma <= 0.0:
             raise OutOfRange(f"sigma={self.sigma} must be positive")
         if self.epsilon <= 0.0:
             raise OutOfRange(f"epsilon={self.epsilon} must be positive")
         if self.tau <= 0.0:
             raise OutOfRange(f"tau={self.tau} must be positive")
-        object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "log_deltas", tuple(math.log(d) for d in deltas))
+        object.__setattr__(self, "deltas", spec.deltas)
+        object.__setattr__(self, "log_deltas", spec.log_deltas)
 
     @property
     def K(self) -> int:
@@ -175,8 +168,7 @@ def measurement_pipeline(
             f"n_paths={n_paths}: " + "; ".join(too_few)
         )
     if dt is None:
-        # critical tuning: drift mu = sigma^2, diffusive scale sigma
-        dt = 0.01 * min(1.0, 1.0 / setup.sigma**2)
+        dt = default_dt(DiffusionParams.from_mu(setup.mu, setup.sigma))
     log_eps = math.log(setup.epsilon)
     log_deltas = np.asarray(setup.log_deltas)
 

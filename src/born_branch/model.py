@@ -257,9 +257,6 @@ class FiniteSupportShocks:
         vals = np.asarray(self.values)
         return vals[rng.integers(0, len(vals), size=size)]
 
-    def has_upside(self, threshold: float) -> bool:
-        return max(self.values) > threshold
-
 
 @dataclass(frozen=True)
 class LogUniformShocks:
@@ -270,9 +267,6 @@ class LogUniformShocks:
         np.clip(u, np.finfo(float).tiny, None, out=u)
         return np.log(u) + 1.0
 
-    def has_upside(self, threshold: float) -> bool:
-        return threshold < 1.0
-
 
 @dataclass(frozen=True)
 class GaussianShocks:
@@ -280,9 +274,6 @@ class GaussianShocks:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.standard_normal(size)
-
-    def has_upside(self, threshold: float) -> bool:
-        return True
 
 
 ShockLaw = Union[FiniteSupportShocks, LogUniformShocks, GaussianShocks]
@@ -313,12 +304,6 @@ class WalkParams:
         if self.sigma == 0.0:
             raise DegenerateSpec("beta undefined for a deterministic walk (sigma = 0)")
         return self.mu / (self.sigma * self.sigma)
-
-    def has_survival_upside(self) -> bool:
-        """Whether a single step can gain ground: P(U > mu/sigma) > 0."""
-        if self.sigma == 0.0:
-            return False
-        return self.shocks.has_upside(self.mu / self.sigma)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,8 @@ bit-identical for any worker count.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -18,8 +17,6 @@ _MASK64 = (1 << 64) - 1
 #: Paths per RNG block. Fixed so that partitioning, and therefore every
 #: drawn number, is independent of the worker count.
 BLOCK_SIZE = 1 << 14
-
-WORKERS_ENV = "BORN_BRANCH_WORKERS"
 
 T = TypeVar("T")
 
@@ -43,10 +40,9 @@ def block_sizes(n: int, block: int = BLOCK_SIZE) -> list[int]:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count from the argument, the environment, or 1."""
+    """Worker count from the argument; None means 1."""
     if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        workers = int(env) if env else 1
+        return 1
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
@@ -56,29 +52,22 @@ def map_blocks(
     fn: Callable[[int, np.random.Generator, int], T],
     n_items: int,
     seed: int,
-    base_stream: int = 0,
     workers: int | None = None,
 ) -> list[T]:
     """Run fn(block_index, rng, block_size) over fixed blocks of n_items.
 
-    Block i draws from rng_stream(seed, base_stream + i). Results come back
-    in block order whatever the worker count, so any associative reduction
-    over them is deterministic.
+    Block i draws from rng_stream(seed, i). Results come back in block
+    order whatever the worker count, so any associative reduction over them
+    is deterministic.
     """
     sizes = block_sizes(n_items)
     workers = resolve_workers(workers)
 
     def run(i: int) -> T:
-        return fn(i, rng_stream(seed, base_stream + i), sizes[i])
+        return fn(i, rng_stream(seed, i), sizes[i])
 
     if workers == 1 or len(sizes) <= 1:
         return [run(i) for i in range(len(sizes))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, range(len(sizes))))
 
-
-def concat_blocks(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate per-block arrays, tolerating an all-empty list."""
-    if not parts:
-        return np.empty(0)
-    return np.concatenate(parts)

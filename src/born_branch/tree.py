@@ -17,9 +17,10 @@ are therefore bit-identical across backends.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,18 +113,16 @@ def _zero_tail(record: Sequence[int], start: int, out: dict[int, int]) -> None:
             out[t] = 0
 
 
-def enumerate_brute(
-    spec: BranchingSpec,
-    sched: Exogenous,
-    t: int,
-    phi0: float,
-    max_paths: int = 10**8,
-) -> list[TreeResult]:
-    """Brute-force oracle: N_s for s = 0..t by enumerating all K^s paths.
+def _brute_levels(
+    spec: BranchingSpec, sched: Exogenous, t: int, phi0: float, max_paths: int
+) -> Iterator[np.ndarray]:
+    """Log amplitudes of the surviving paths at each depth 0..t, one array per depth.
 
     Survivors are tracked as branch-count compositions level by level, so a
-    survivor at depth s is structurally the child of a depth s-1 survivor.
-    Guarded by max_paths on K^t.
+    survivor at depth s is structurally the child of a depth s-1 survivor;
+    a composition reached by m distinct paths appears m times. Amplitudes
+    accumulate left to right, ((lphi0 + c0*ld0) + c1*ld1) + ..., the order
+    _decide uses, and guard-band cases fall back to _decide.
     """
     sched = _check_exogenous(sched)
     lphi0 = _log_phi0(phi0)
@@ -132,12 +131,8 @@ def enumerate_brute(
         raise TooLarge(f"K^t = {k}**{t} exceeds max_paths={max_paths}")
     lds = _sorted_log_deltas(spec)
     comps = np.zeros((1, k), dtype=np.int16)
-    series = [TreeResult(0, (1,), 0.0, (0.0,))]
-    logk = math.log(k)
+    yield np.array([lphi0])
     for s in range(1, t + 1):
-        if comps.shape[0] == 0:
-            series.append(TreeResult(s, (0,), s * logk, (-math.inf,)))
-            continue
         children = np.repeat(comps, k, axis=0)
         for branch in range(k):
             children[branch::k, branch] += 1
@@ -150,7 +145,24 @@ def enumerate_brute(
         for idx in np.nonzero(np.abs(diff) <= GUARD_BAND)[0]:
             keep[idx] = _decide(lphi0, children[idx], lds, lxi)
         comps = children[keep]
-        n = comps.shape[0]
+        yield acc[keep]
+
+
+def enumerate_brute(
+    spec: BranchingSpec,
+    sched: Exogenous,
+    t: int,
+    phi0: float,
+    max_paths: int = 10**8,
+) -> list[TreeResult]:
+    """Brute-force oracle: N_s for s = 0..t by enumerating all K^s paths.
+
+    Guarded by max_paths on K^t.
+    """
+    logk = math.log(spec.K)
+    series = []
+    for s, amps in enumerate(_brute_levels(spec, sched, t, phi0, max_paths)):
+        n = amps.size
         series.append(TreeResult(s, (n,), s * logk, (log_bigint(n) - s * logk,)))
     return series
 
@@ -167,34 +179,7 @@ def brute_leaf_log_amplitudes(
     With multiplicity: a composition reached by m distinct paths appears m
     times, so exp of the values sums to the surviving squared amplitude.
     """
-    sched = _check_exogenous(sched)
-    lphi0 = _log_phi0(phi0)
-    k = spec.K
-    if k**t > max_paths:
-        raise TooLarge(f"K^t = {k}**{t} exceeds max_paths={max_paths}")
-    lds = _sorted_log_deltas(spec)
-    comps = np.zeros((1, k), dtype=np.int16)
-    for s in range(1, t + 1):
-        if comps.shape[0] == 0:
-            break
-        children = np.repeat(comps, k, axis=0)
-        for branch in range(k):
-            children[branch::k, branch] += 1
-        lxi = sched.log_xi(s)
-        acc = np.full(children.shape[0], lphi0)
-        for col in range(k):
-            acc = acc + children[:, col].astype(np.float64) * lds[col]
-        diff = acc - lxi
-        keep = diff > GUARD_BAND
-        for idx in np.nonzero(np.abs(diff) <= GUARD_BAND)[0]:
-            keep[idx] = _decide(lphi0, children[idx], lds, lxi)
-        comps = children[keep]
-    if comps.shape[0] == 0:
-        return np.empty(0)
-    acc = np.full(comps.shape[0], lphi0)
-    for col in range(k):
-        acc = acc + comps[:, col].astype(np.float64) * lds[col]
-    return acc
+    return deque(_brute_levels(spec, sched, t, phi0, max_paths), maxlen=1)[0]
 
 
 def _dict_dp(

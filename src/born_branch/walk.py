@@ -155,9 +155,9 @@ def estimate_survival(
 ) -> SurvivalEstimate:
     """Monte Carlo survival probability to horizon t from start x0.
 
-    Deterministic in (seed, n_paths) for any worker count. When the
-    Gaussian tail asymptotic predicts survival below 1e-8 the op refuses
-    naive MC and points to the closed form instead.
+    Deterministic in (seed, n_paths) for any worker count. When the exact
+    diffusion survival (diffusion.survival_closed_form) is below 1e-8 the
+    op refuses naive MC and points to the closed form instead.
     """
     log_eps, noise_sd = _barrier_params(barrier)
     if x0 < log_eps:
@@ -165,9 +165,9 @@ def estimate_survival(
     if n_paths < 1:
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")
     if params.sigma > 0.0 and t > 0:
-        from .diffusion import survival_asymptotic
+        from .diffusion import survival_closed_form
 
-        predicted = survival_asymptotic(params.mu, params.sigma, x0 - log_eps, float(t))
+        predicted = survival_closed_form(params.mu, params.sigma, x0 - log_eps, float(t))
         if predicted < RARE_EVENT_FLOOR:
             raise RareEventRegime(
                 f"predicted survival {predicted:.3e} < {RARE_EVENT_FLOOR}; naive "

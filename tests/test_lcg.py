@@ -1,10 +1,14 @@
 """Tests for the congruential branching model: arithmetic, period, walks."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import sympy
+
+import born_branch
 
 from born_branch import (
     DEFAULT_LCG_ALPHA,
@@ -22,7 +26,7 @@ from born_branch import (
     lcg_walk_survival,
     rng_stream,
 )
-from born_branch.lcg import M31, M61, _mulmod_m31, _mulmod_m61
+from born_branch.lcg import M31, M61, _mulmod_m31, _mulmod_m61, _prime_factors
 
 LEHMER = LcgSpec(M31, 16807)
 BIG = LcgSpec()  # p = 2^61 - 1 with the 64-bit MCG multiplier reduced mod p
@@ -127,16 +131,75 @@ class TestPeriod:
     def test_cycle_detection_cross_checks_order_test(self):
         """On p=1021 the cycle length is walked explicitly: a primitive
         root gives period p-1 = 1020, a square gives a proper divisor."""
-        root = int(sympy.primitive_root(1021))
+        root = next(a for a in range(2, 1021) if lcg_cycle_length(LcgSpec(1021, a)) == 1020)
         spec = LcgSpec(1021, root)
         assert lcg_full_period(spec)
-        assert lcg_cycle_length(spec) == 1020
         square = LcgSpec(1021, (root * root) % 1021)
         assert not lcg_full_period(square)
         assert lcg_cycle_length(square) == 510
 
+    @pytest.mark.parametrize("p", [211, 1021])
+    def test_order_test_matches_cycle_length_for_every_multiplier(self, p):
+        """From c0 = 1 the branch-2 orbit length is the multiplicative
+        order of a, so full period <=> that orbit has length p - 1."""
+        for a in range(2, p):
+            spec = LcgSpec(p, a)
+            assert lcg_full_period(spec) == (lcg_cycle_length(spec) == p - 1), a
+
     def test_cycle_length_respects_limit(self):
         assert lcg_cycle_length(LEHMER, limit=1000) is None
+
+
+def _trial_division_factors(n):
+    factors = set()
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            factors.add(q)
+            n //= q
+        q += 1
+    if n > 1:
+        factors.add(n)
+    return factors
+
+
+class TestPrimeFactors:
+    """The factoriser behind lcg_full_period."""
+
+    def test_matches_trial_division_below_1e5(self):
+        for n in range(1, 100_000):
+            assert _prime_factors(n) == _trial_division_factors(n), n
+
+    @pytest.mark.parametrize(
+        "primes",
+        [
+            (2147483647, 2147483629),
+            (2147483647, 2147483647),
+            (2147483629, 2147483659),
+            (3, 5, 65521, 4294967291),
+        ],
+    )
+    def test_products_of_known_primes(self, primes):
+        """Products of two primes above 37 need the rho branch."""
+        assert _prime_factors(math.prod(primes)) == set(primes)
+
+    def test_reference_moduli(self):
+        assert _prime_factors(M31 - 1) == {2, 3, 7, 11, 31, 151, 331}
+        assert _prime_factors(M61 - 1) == {
+            2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321
+        }
+        assert _prime_factors(M61) == {M61}
+
+
+def test_import_does_not_load_sympy():
+    """The package depends on numpy and scipy only."""
+    src = os.path.dirname(os.path.dirname(born_branch.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, born_branch; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestDeltaStream:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from born_branch import (
     BranchingSpec,
@@ -282,3 +284,70 @@ class TestExtinctionRegimes:
         series = count_survivors_dp(spec, sched, 80, [1.0], record_ts=[40, 80])
         assert series[0].counts[0] > 0
         assert series[1].counts[0] > series[0].counts[0]
+
+
+@st.composite
+def brute_cases(draw):
+    """A random spec, schedule, start and depth; a third of the cases put the
+    threshold exactly on the all-largest-ratio path at every depth."""
+    k = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    spec = BranchingSpec.renormalized(weights)
+    phi0 = draw(st.floats(0.3, 3.0))
+    if draw(st.integers(0, 2)) == 0:
+        sched = Exogenous(phi0, max(spec.deltas))
+    else:
+        sched = Exogenous(math.exp(draw(st.floats(-9.0, 0.5))), draw(st.floats(0.2, 0.95)))
+    return spec, sched, phi0, draw(st.integers(0, 8))
+
+
+class TestBoundaryProperties:
+    """Property tests of the brute-force levels and the decision function."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(brute_cases())
+    def test_brute_levels_equal_dict_dp(self, case):
+        spec, sched, phi0, t = case
+        brute = enumerate_brute(spec, sched, t, phi0)
+        dp = count_survivors_dp(spec, sched, t, [phi0])
+        assert [r.counts for r in brute] == [r.counts for r in dp]
+        amps = brute_leaf_log_amplitudes(spec, sched, t, phi0)
+        assert amps.size == brute[-1].counts[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lphi0=st.floats(-5.0, 5.0),
+        terms=st.lists(
+            st.tuples(st.integers(0, 30), st.floats(-3.0, -0.01)), min_size=1, max_size=4
+        ),
+        offset=st.floats(-2 * GUARD_BAND, 2 * GUARD_BAND),
+    )
+    def test_decide_matches_exact_rational(self, lphi0, terms, offset):
+        """Inside and just outside the guard band the decision is the sign of
+        the exact rational value of the float inputs' linear form."""
+        counts = [c for c, _ in terms]
+        lds = [ld for _, ld in terms]
+        acc = lphi0
+        for c, ld in terms:
+            acc = acc + c * ld
+        lxi = acc + offset
+        exact = Fraction(lphi0) + sum(c * Fraction(ld) for c, ld in terms) - Fraction(lxi)
+        assert _decide(lphi0, counts, lds, lxi) == (exact >= 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.integers(-(2**12), 2**12),
+        terms=st.lists(
+            st.tuples(st.integers(0, 30), st.integers(-(2**12), -1)), min_size=1, max_size=4
+        ),
+    )
+    def test_equality_survives(self, a, terms):
+        """Dyadic inputs make the linear form exact in floats: a threshold
+        equal to it survives, one ulp above it does not."""
+        lphi0 = a / 1024
+        counts = [c for c, _ in terms]
+        lds = [b / 1024 for _, b in terms]
+        lxi = float(Fraction(lphi0) + sum(c * Fraction(ld) for c, ld in zip(counts, lds)))
+        assert _decide(lphi0, counts, lds, lxi)
+        assert _decide(lphi0, counts, lds, math.nextafter(lxi, -math.inf))
+        assert not _decide(lphi0, counts, lds, math.nextafter(lxi, math.inf))

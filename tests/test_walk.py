@@ -21,9 +21,11 @@ from born_branch import (
     limit_regime_preset,
     rng_stream,
     simulate_walk,
+    survival_asymptotic,
+    survival_closed_form,
     survival_ratio,
 )
-from born_branch.walk import _block_alive
+from born_branch.walk import RARE_EVENT_FLOOR, _block_alive
 
 # alpha is folded into mu for walks, so its value here is inert
 BARRIER = Exogenous(math.exp(-1.0), 0.5)
@@ -127,6 +129,18 @@ class TestEstimateSurvival:
         params = WalkParams(mu=1.0, sigma=1.0)
         with pytest.raises(RareEventRegime):
             estimate_survival(params, 0.0, BARRIER, 200, 1_000, seed=0)
+
+    def test_rare_event_screen_uses_exact_survival(self):
+        """At mu = sigma = 1, d = 10, t = 40 the exact diffusion survival is
+        4.0e-7, above the 1e-8 floor, while the coarse Gaussian-tail scale
+        reads 2.6e-9; the screen must follow the exact value and run."""
+        params = WalkParams(mu=1.0, sigma=1.0)
+        d = 10.0
+        assert survival_asymptotic(1.0, 1.0, d, 40.0) < RARE_EVENT_FLOOR
+        assert survival_closed_form(1.0, 1.0, d, 40.0) > RARE_EVENT_FLOOR
+        x0 = math.log(BARRIER.epsilon) + d
+        est = estimate_survival(params, x0, BARRIER, 40, 1_000, seed=0)
+        assert est.n_paths == 1_000
 
     def test_validation(self):
         params = WalkParams(mu=0.5, sigma=1.0)

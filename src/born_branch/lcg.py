@@ -124,7 +124,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the first 12 prime bases: deterministic for n < 3.3e24."""
+    """Strong-probable-prime test on the first 12 prime bases.
+
+    Deterministic for n < 3.18e23, the smallest strong pseudoprime to all
+    of them, which covers every n < 2^64.
+    """
     if n < 2 or any(n % q == 0 for q in _SMALL_PRIMES):
         return n in _SMALL_PRIMES
     d, r = n - 1, 0
@@ -132,10 +136,12 @@ def _is_prime(n: int) -> bool:
         d, r = d // 2, r + 1
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
-        for _ in range(r):
-            if x in (1, n - 1):
-                break
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
             x = x * x % n
+            if x == n - 1:
+                break
         else:
             return False
     return True

@@ -26,7 +26,7 @@ from born_branch import (
     lcg_walk_survival,
     rng_stream,
 )
-from born_branch.lcg import M31, M61, _mulmod_m31, _mulmod_m61, _prime_factors
+from born_branch.lcg import M31, M61, _is_prime, _mulmod_m31, _mulmod_m61, _prime_factors
 
 LEHMER = LcgSpec(M31, 16807)
 BIG = LcgSpec()  # p = 2^61 - 1 with the 64-bit MCG multiplier reduced mod p
@@ -146,6 +146,15 @@ class TestPeriod:
             spec = LcgSpec(p, a)
             assert lcg_full_period(spec) == (lcg_cycle_length(spec) == p - 1), a
 
+    def test_factor_hidden_in_a_chernick_number(self):
+        """p - 1 = 10 * 211 * 421 * 631 for p = 560523611. The product
+        56052361 = 211 * 421 * 631 passes a^((n-1)/2) = 1 for every base,
+        so a test that misses its factors accepts a = 2^211, whose order
+        is (p - 1)/211."""
+        p = 560523611
+        assert lcg_full_period(LcgSpec(p, 2))
+        assert not lcg_full_period(LcgSpec(p, pow(2, 211, p)))
+
     def test_cycle_length_respects_limit(self):
         assert lcg_cycle_length(LEHMER, limit=1000) is None
 
@@ -182,6 +191,35 @@ class TestPrimeFactors:
     def test_products_of_known_primes(self, primes):
         """Products of two primes above 37 need the rho branch."""
         assert _prime_factors(math.prod(primes)) == set(primes)
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            (56052361, {211, 421, 631}),
+            (8 * 56052361, {2, 211, 421, 631}),
+        ],
+    )
+    def test_absolute_euler_pseudoprime(self, n, factors):
+        """211 * 421 * 631 has a^((n-1)/2) = 1 mod n for every base a."""
+        assert _prime_factors(n) == factors
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1373653,
+            25326001,
+            3215031751,
+            2152302898747,
+            3474749660383,
+            341550071728321,
+            3825123056546413051,
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        """The smallest strong pseudoprimes to the first 1 to 11 prime
+        bases (OEIS A014233); each has no prime factor <= 37."""
+        assert not _is_prime(n)
+        assert math.prod(_prime_factors(n)) == n
 
     def test_reference_moduli(self):
         assert _prime_factors(M31 - 1) == {2, 3, 7, 11, 31, 151, 331}

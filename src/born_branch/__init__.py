@@ -77,6 +77,7 @@ from .walk import (
     limit_regime_preset,
     simulate_walk,
     survival_ratio,
+    walk_survival,
 )
 from .diffusion import (
     ConditionedSample,
@@ -85,7 +86,6 @@ from .diffusion import (
     batch_survive,
     conditional_mean_ratio,
     conditioned_sample,
-    default_dt,
     gamma_median_root,
     log_survival_closed_form,
     ratio_convergence_scan,

@@ -39,7 +39,7 @@ from .stats import (
     ks_distance,
 )
 from .tree import count_survivors_dp, enumerate_brute, log_bigint, scan_rows_from_series
-from .walk import estimate_survival, survival_ratio
+from .walk import walk_survival
 
 
 @dataclass(frozen=True)
@@ -339,17 +339,9 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int) -> RunnerOutput:
         RandomBarrier(p.epsilon, p.noise_sd) if p.noise_sd > 0 else Exogenous(p.epsilon, 0.5)
     )
     log_eps = math.log(p.epsilon)
-    singles = [
-        estimate_survival(params, x0, barrier, p.t, p.n_paths, seed=seed, workers=workers)
-        for x0 in p.x0s
-    ]
-    ratios = [
-        survival_ratio(
-            params, p.x0s[i + 1], p.x0s[i], barrier, p.t, p.n_paths,
-            seed=seed + 17 * (i + 1), workers=workers,
-        )
-        for i in range(len(p.x0s) - 1)
-    ]
+    singles, ratios = walk_survival(
+        params, p.x0s, barrier, p.t, p.n_paths, seed=seed, workers=workers
+    )
     asym = [
         _asym_ratio(params.beta, p.sigma, p.x0s[i + 1] - log_eps, p.x0s[i] - log_eps, p.t)
         for i in range(len(p.x0s) - 1)

@@ -2,10 +2,14 @@
 
 The scaling limit of the truncated walk is dX = -mu dt + sigma dW absorbed
 at log epsilon. survival_closed_form is the exact method-of-images
-probability of staying above the barrier to time tau; simulate_diffusion is
-Euler-Maruyama with a Brownian-bridge crossing correction on every step, so
-its survival estimates are unbiased at practical step sizes. Conditioned
-ops sample the law of the survivors.
+probability of staying above the barrier to time tau. The Monte Carlo
+kernels step the motion exactly and kill each step with the Brownian-bridge
+crossing probability given both ends, which for constant drift and
+volatility is exact for a step of any length (Glasserman, Monte Carlo
+Methods in Financial Engineering, 2004, sec. 6.4). Ops that need only
+survival and the endpoint (the conditioned samplers) therefore take one
+step of length tau by default; simulate_diffusion takes a grid, because it
+also reports the absorption time.
 
 The conditioned sample reports fits against exponential laws with rates
 mu/sigma^2 and 2 mu/sigma^2 because those are the commonly quoted
@@ -36,14 +40,6 @@ from .rng import map_blocks
 from .walk import WalkPathOutcome
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def default_dt(params: DiffusionParams) -> float:
-    """Step size resolving both the diffusive and the drift time scales."""
-    mu = params.mu
-    if mu == 0.0:
-        return 0.01
-    return 0.01 * min(1.0, (params.sigma * params.sigma) / (mu * mu))
 
 
 def _check_domain(mu: float, sigma: float, d: float, tau: float) -> None:
@@ -115,11 +111,13 @@ def batch_survive(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evolve size paths of Y (distance above the barrier) to time tau.
 
-    Euler-Maruyama with the Brownian-bridge crossing probability
-    exp(-2 y y' / (sigma^2 dt)) applied on every step. y0 may be a scalar
-    or a per-path array; paths starting at or below 0 are born dead. Draws
-    (one normal and one uniform array per step) never depend on outcomes.
-    Returns (alive mask, final y).
+    Gaussian steps with the Brownian-bridge crossing probability
+    exp(-2 y y' / (sigma^2 dt)) applied on every step. Both are exact for
+    constant mu and sigma, so the survival law and the survivors' endpoint
+    law are exact at any dt, and dt = tau draws them in one step. y0 may
+    be a scalar or a per-path array; paths starting at or below 0 are born
+    dead. Draws (one normal and one uniform array per step) never depend
+    on outcomes. Returns (alive mask, final y).
     """
     n_steps, dt_eff = _resolve_steps(tau, dt)
     y = np.full(size, y0, dtype=float) if np.isscalar(y0) else np.asarray(y0, float).copy()
@@ -142,12 +140,13 @@ def simulate_diffusion(
     epsilon: float,
     tau: float,
     rng: np.random.Generator,
-    dt: float | None = None,
+    dt: float,
 ) -> WalkPathOutcome:
     """One bridge-corrected path from x0, absorbed at log epsilon.
 
     Absorption time is the proposal step time, or the midpoint of the step
-    when the bridge correction fires between two surviving endpoints.
+    when the bridge correction fires between two surviving endpoints, so dt
+    sets its resolution; survival itself is exact at any dt.
     """
     if epsilon <= 0.0:
         raise OutOfRange(f"epsilon={epsilon} must be positive")
@@ -156,7 +155,6 @@ def simulate_diffusion(
         raise BadStart(f"x0={x0} not above the barrier log eps={log_eps}")
     if tau <= 0.0:
         raise OutOfRange(f"tau={tau} must be positive")
-    dt = default_dt(params) if dt is None else dt
     n_steps, dt_eff = _resolve_steps(tau, dt)
     mu, sigma = params.mu, params.sigma
     sdt = sigma * math.sqrt(dt_eff)
@@ -236,8 +234,9 @@ def _survivor_ys(
 ) -> np.ndarray:
     """Distances Y_tau above the barrier of the surviving paths, in block order.
 
-    x0 defaults to a few stationary scales sigma^2/mu above the barrier.
-    Requires the closed form to predict at least 1e3 survivors.
+    x0 defaults to a few stationary scales sigma^2/mu above the barrier,
+    and dt to tau (one exact step). Requires the closed form to predict at
+    least 1e3 survivors.
     """
     if epsilon <= 0.0:
         raise OutOfRange(f"epsilon={epsilon} must be positive")
@@ -246,7 +245,7 @@ def _survivor_ys(
         x0 = log_eps + 3.0 * params.sigma * params.sigma / params.mu
     if x0 <= log_eps:
         raise BadStart(f"x0={x0} not above the barrier log eps={log_eps}")
-    dt = default_dt(params) if dt is None else dt
+    dt = tau if dt is None else dt
     d = x0 - log_eps
     expected = n_paths * survival_closed_form(params.mu, params.sigma, d, tau)
     if expected < 1e3:
@@ -274,9 +273,10 @@ def conditioned_sample(
 ) -> ConditionedSample:
     """Sample Y_tau = X_tau - log eps conditioned on survival.
 
-    Requires the closed form to predict at least 1e3 survivors. Reports the
-    KS distance to the best-fit shifted exponential and to the fixed-rate
-    exponentials with rates mu/sigma^2 and 2 mu/sigma^2.
+    Survivors are drawn in one exact step unless dt is given. Requires the
+    closed form to predict at least 1e3 survivors. Reports the KS distance
+    to the best-fit shifted exponential and to the fixed-rate exponentials
+    with rates mu/sigma^2 and 2 mu/sigma^2.
     """
     from .stats import ks_distance
 
@@ -344,9 +344,9 @@ def conditional_mean_ratio(
     is the constant of an Exp(beta) overshoot law; under the Gamma(2, beta)
     stationary law the value is (beta/(beta - 1))^2, and at finite tau the
     exact value is E[e^Y] under the method-of-images density. The
-    estimator averages exp(Y_tau) over survivors; its SE is the plain
-    sample error and understates the heavy right tail, so treat it as a
-    lower bound on the uncertainty.
+    estimator averages exp(Y_tau) over survivors, drawn in one exact step
+    unless dt is given; its SE is the plain sample error and understates
+    the heavy right tail, so treat it as a lower bound on the uncertainty.
     """
     beta = params.beta
     if beta <= 1.0:

@@ -22,11 +22,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .diffusion import batch_survive, default_dt, log_survival_closed_form
+from .diffusion import batch_survive, log_survival_closed_form
 from .errors import OutOfRange, TooFewSurvivors
-from .model import BranchingSpec, DiffusionParams
+from .model import BranchingSpec
 from .rng import map_blocks
 from .stats import bootstrap_ci, quantile
 
@@ -79,6 +78,9 @@ def outcome_weights(
     probabilities delta_k^r * C(tau, r) use one quadrature of the closed
     form against the preparation density.
     """
+    # imported here: scipy.integrate is a third of the package's import time
+    from scipy.integrate import quad
+
     r = setup.mu / setup.sigma**2 if prep_rate is None else prep_rate
     if r <= 0.0:
         raise OutOfRange(f"prep_rate={r} must be positive")
@@ -129,7 +131,6 @@ def measurement_pipeline(
     n_paths: int,
     seed: int = 0,
     prep_rate: float | None = None,
-    dt: float | None = None,
     n_boot: int = 400,
     workers: int | None = None,
 ) -> PipelineResult:
@@ -137,9 +138,11 @@ def measurement_pipeline(
 
     Each path draws its preparation offset, picks one outcome arm uniformly
     (arms are exchangeable, so this estimates the conditioned frequencies),
-    and diffuses to tau. Per-arm medians of the post-measurement start X_0
-    carry percentile-bootstrap intervals and are reported against the
-    reference target log eps + log 2 + log(tau delta_k).
+    and diffuses to tau in one exact bridge-killed step (survival is all
+    the pipeline reads, and that step draws its law exactly). Per-arm
+    medians of the post-measurement start X_0 carry percentile-bootstrap
+    intervals and are reported against the reference target
+    log eps + log 2 + log(tau delta_k).
 
     Preconditions: tau * min(delta) >= 20 and every arm's expected survivor
     count (closed-form quadrature) at least MIN_EXPECTED_PER_ARM.
@@ -167,8 +170,6 @@ def measurement_pipeline(
             f"expected survivors below {MIN_EXPECTED_PER_ARM:g} per arm with "
             f"n_paths={n_paths}: " + "; ".join(too_few)
         )
-    if dt is None:
-        dt = default_dt(DiffusionParams.from_mu(setup.mu, setup.sigma))
     log_eps = math.log(setup.epsilon)
     log_deltas = np.asarray(setup.log_deltas)
 
@@ -176,7 +177,7 @@ def measurement_pipeline(
         u = rng.exponential(scale=1.0 / rate, size=size)
         arm = rng.integers(0, k_arms, size=size)
         y0 = u + log_deltas[arm]
-        alive, _ = batch_survive(setup.mu, setup.sigma, y0, setup.tau, dt, rng, size)
+        alive, _ = batch_survive(setup.mu, setup.sigma, y0, setup.tau, setup.tau, rng, size)
         return arm[alive], y0[alive]
 
     parts = map_blocks(block, n_paths, seed, workers=workers)

@@ -29,8 +29,13 @@ from .errors import (
 from .model import Exogenous, RandomBarrier, ThresholdSchedule, WalkParams
 from .rng import map_blocks
 
-#: estimate_survival refuses naive MC below this predicted survival.
+#: walk_survival refuses naive MC below this predicted survival.
 RARE_EVENT_FLOOR = 1e-8
+
+#: A walk monitored once per period survives like the continuous motion
+#: started this many shock scales further from the barrier: -zeta(1/2) /
+#: sqrt(2 pi) (Broadie, Glasserman & Kou, Math. Finance 7, 1997).
+_MONITORING_SHIFT = 0.5826
 
 
 @dataclass(frozen=True)
@@ -140,8 +145,110 @@ def _block_alive(
             bar = log_eps + noise_sd * rng.standard_normal(size)
         x_prop = x - params.mu + params.sigma * u
         alive &= x_prop >= bar
-        x = np.where(alive, x_prop, x)
+        np.copyto(x, x_prop, where=alive)
     return alive
+
+
+def _crn_counts(
+    params: WalkParams,
+    x0s: Sequence[float],
+    log_eps: float,
+    noise_sd: float,
+    t: int,
+    n_paths: int,
+    seed: int,
+    workers: int | None,
+) -> tuple[list[int], list[int]]:
+    """Survivors per start, and survivors of both starts i and i + 1."""
+    arms = len(x0s)
+
+    def block(i: int, rng: np.random.Generator, size: int) -> np.ndarray:
+        alive = _block_alive(params, x0s, log_eps, noise_sd, t, rng, size)
+        both = np.count_nonzero(alive[1:] & alive[:-1], axis=1)
+        return np.concatenate([np.count_nonzero(alive, axis=1), both])
+
+    counts = np.sum(map_blocks(block, n_paths, seed, workers=workers), axis=0)
+    return [int(c) for c in counts[:arms]], [int(c) for c in counts[arms:]]
+
+
+def _ratio_estimate(
+    params: WalkParams, x_a: float, x_b: float, k_a: int, k_b: int, k_ab: int, n: int
+) -> RatioEstimate:
+    """Survival ratio of x_a over x_b from CRN counts, with delta-method SE.
+
+    k_ab counts the paths alive from both starts; the SE uses the
+    empirical cross-covariance it gives.
+    """
+    if k_b == 0:
+        raise ZeroDenominator(f"no survivors from x_b={x_b} in {n} paths")
+    p_a, p_b, p_ab = k_a / n, k_b / n, k_ab / n
+    ratio = p_a / p_b
+    var_a = p_a * (1.0 - p_a) / n
+    var_b = p_b * (1.0 - p_b) / n
+    cov = (p_ab - p_a * p_b) / n
+    var_ratio = (
+        var_a / p_b**2 + p_a**2 * var_b / p_b**4 - 2.0 * p_a * cov / p_b**3
+    )
+    theory = math.exp(params.beta * (x_a - x_b))
+    return RatioEstimate(
+        ratio, math.sqrt(max(var_ratio, 0.0)), theory, n, int(k_a), int(k_b)
+    )
+
+
+def walk_survival(
+    params: WalkParams,
+    x0s: Sequence[float],
+    barrier: ThresholdSchedule,
+    t: int,
+    n_paths: int,
+    seed: int = 0,
+    workers: int | None = None,
+) -> tuple[tuple[SurvivalEstimate, ...], tuple[RatioEstimate, ...]]:
+    """Survival from several starts and adjacent-start ratios, in one pass.
+
+    All starts share every draw (common random numbers), which are exactly
+    the draws estimate_survival makes at seed, so each per-start estimate
+    equals estimate_survival(x0s[i], ..., seed). Ratio i is start i + 1
+    over start i, as survival_ratio(x0s[i + 1], x0s[i], ..., seed) gives
+    it. Deterministic in (seed, n_paths) for any worker count.
+
+    A start below the barrier raises BadStart. When the exact diffusion
+    survival of a start, at the discrete-monitoring distance d + 0.5826
+    sigma, is below 1e-8, the op refuses naive MC and points to the closed
+    form instead. A ratio raises ZeroDenominator when start i has no
+    survivors, and DegenerateSpec when sigma = 0.
+    """
+    log_eps, noise_sd = _barrier_params(barrier)
+    if len(x0s) == 0:
+        raise OutOfRange("need at least one start")
+    for x0 in x0s:
+        if x0 < log_eps:
+            raise BadStart(f"x0={x0} below the barrier log eps={log_eps}")
+    if n_paths < 1:
+        raise OutOfRange(f"n_paths={n_paths} must be >= 1")
+    if params.sigma > 0.0 and t > 0:
+        from .diffusion import survival_closed_form
+
+        for x0 in x0s:
+            d = x0 - log_eps + _MONITORING_SHIFT * params.sigma
+            predicted = survival_closed_form(params.mu, params.sigma, d, float(t))
+            if predicted < RARE_EVENT_FLOOR:
+                raise RareEventRegime(
+                    f"predicted survival {predicted:.3e} < {RARE_EVENT_FLOOR} from "
+                    f"x0={x0}; naive MC cannot resolve it, use "
+                    "diffusion.survival_closed_form"
+                )
+    k, k_pairs = _crn_counts(params, x0s, log_eps, noise_sd, t, n_paths, seed, workers)
+    estimates = []
+    for survivors in k:
+        p_hat = survivors / n_paths
+        se = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)
+        estimates.append(SurvivalEstimate(p_hat, se, n_paths, survivors))
+    ratios = [
+        _ratio_estimate(params, x0s[i + 1], x0s[i], k[i + 1], k[i], k_pairs[i], n_paths)
+        for i in range(len(x0s) - 1)
+    ]
+    return tuple(estimates), tuple(ratios)
 
 
 def estimate_survival(
@@ -155,32 +262,11 @@ def estimate_survival(
 ) -> SurvivalEstimate:
     """Monte Carlo survival probability to horizon t from start x0.
 
-    Deterministic in (seed, n_paths) for any worker count. When the exact
-    diffusion survival (diffusion.survival_closed_form) is below 1e-8 the
-    op refuses naive MC and points to the closed form instead.
+    The one-start case of walk_survival, with its checks: deterministic in
+    (seed, n_paths) for any worker count, and refusing naive MC when the
+    predicted survival is below 1e-8.
     """
-    log_eps, noise_sd = _barrier_params(barrier)
-    if x0 < log_eps:
-        raise BadStart(f"x0={x0} below the barrier log eps={log_eps}")
-    if n_paths < 1:
-        raise OutOfRange(f"n_paths={n_paths} must be >= 1")
-    if params.sigma > 0.0 and t > 0:
-        from .diffusion import survival_closed_form
-
-        predicted = survival_closed_form(params.mu, params.sigma, x0 - log_eps, float(t))
-        if predicted < RARE_EVENT_FLOOR:
-            raise RareEventRegime(
-                f"predicted survival {predicted:.3e} < {RARE_EVENT_FLOOR}; naive "
-                "MC cannot resolve it, use diffusion.survival_closed_form"
-            )
-
-    def block(i: int, rng: np.random.Generator, size: int) -> int:
-        return int(_block_alive(params, [x0], log_eps, noise_sd, t, rng, size).sum())
-
-    survivors = sum(map_blocks(block, n_paths, seed, workers=workers))
-    p_hat = survivors / n_paths
-    se = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)
-    return SurvivalEstimate(p_hat, se, n_paths, survivors)
+    return walk_survival(params, [x0], barrier, t, n_paths, seed, workers)[0][0]
 
 
 def survival_ratio(
@@ -198,7 +284,7 @@ def survival_ratio(
     Both arms see identical shock and barrier-noise draws, so the ratio
     estimate is far tighter than independent runs; the SE is the delta
     method with the empirical cross-covariance. The theory target is
-    exp((mu/sigma^2) (x_a - x_b)).
+    exp((mu/sigma^2) (x_a - x_b)). There is no rare-event screen.
     """
     log_eps, noise_sd = _barrier_params(barrier)
     for name, x in (("x_a", x_a), ("x_b", x_b)):
@@ -208,28 +294,10 @@ def survival_ratio(
         raise DegenerateSpec("theory ratio undefined for sigma = 0")
     if n_paths < 1:
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")
-
-    def block(i: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        alive = _block_alive(params, [x_a, x_b], log_eps, noise_sd, t, rng, size)
-        both = int(np.count_nonzero(alive[0] & alive[1]))
-        return np.array([alive[0].sum(), alive[1].sum(), both], dtype=np.int64)
-
-    k_a, k_b, k_ab = np.sum(map_blocks(block, n_paths, seed, workers=workers), axis=0)
-    if k_b == 0:
-        raise ZeroDenominator(f"no survivors from x_b={x_b} in {n_paths} paths")
-    n = n_paths
-    p_a, p_b, p_ab = k_a / n, k_b / n, k_ab / n
-    ratio = p_a / p_b
-    var_a = p_a * (1.0 - p_a) / n
-    var_b = p_b * (1.0 - p_b) / n
-    cov = (p_ab - p_a * p_b) / n
-    var_ratio = (
-        var_a / p_b**2 + p_a**2 * var_b / p_b**4 - 2.0 * p_a * cov / p_b**3
+    (k_b, k_a), (k_ab,) = _crn_counts(
+        params, [x_b, x_a], log_eps, noise_sd, t, n_paths, seed, workers
     )
-    theory = math.exp(params.beta * (x_a - x_b))
-    return RatioEstimate(
-        ratio, math.sqrt(max(var_ratio, 0.0)), theory, n, int(k_a), int(k_b)
-    )
+    return _ratio_estimate(params, x_a, x_b, k_a, k_b, k_ab, n_paths)
 
 
 def limit_regime_preset(params: WalkParams, offset_sigmas: float = 10.0) -> LimitRegime:

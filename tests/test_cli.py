@@ -207,6 +207,20 @@ class TestDeterminism:
         assert a == b
         assert (a_dir / "series.csv").read_bytes() == (b_dir / "series.csv").read_bytes()
 
+    @pytest.mark.parametrize("experiment", ["walk", "measure"])
+    def test_bundled_config_same_at_one_and_two_workers(self, experiment, tmp_path):
+        """The bundled walk (one shared-draw pass) and measure (one exact
+        step) configs run in seconds, so their full reference runs are
+        checked: identical estimates and series.csv bytes at 1 and 2
+        workers, and every check passing."""
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main([experiment, "--workers", workers, "--out", str(out)]) == 0
+            results, _, _ = read_outputs(out)
+            outs.append((results["estimates"], (out / "series.csv").read_bytes()))
+        assert outs[0] == outs[1]
+
     def test_results_schema(self, tmp_path):
         run(ExperimentConfig("demo_intro"), out_dir=tmp_path)
         results = json.loads((tmp_path / "results.json").read_text())

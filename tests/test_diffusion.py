@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import gamma, norm
+from scipy.stats import gamma, kstest, norm
 
 from born_branch import (
     BadStart,
@@ -18,7 +18,6 @@ from born_branch import (
     batch_survive,
     conditional_mean_ratio,
     conditioned_sample,
-    default_dt,
     gamma_median_root,
     log_survival_closed_form,
     ratio_convergence_scan,
@@ -133,6 +132,26 @@ class TestBatchSurvive:
         se = math.sqrt(p * (1.0 - p) / 50_000)
         assert abs(p - q) <= 4.0 * se
 
+    @pytest.mark.parametrize(
+        "mu, sigma, d, tau",
+        [(1.0, 1.0, 2.0, 5.0), (0.5, 0.8, 1.5, 3.0), (0.1, 1.0, 3.0, 50.0)],
+    )
+    def test_one_exact_step_matches_image_law(self, mu, sigma, d, tau):
+        """With dt = tau the kernel takes a single Gaussian step and kills
+        it with the bridge probability given both ends. Both are exact, so
+        the survival frequency must sit within 4 binomial SEs of the closed
+        form and the survivors' endpoints within the 0.1% KS critical value
+        (1.95/sqrt(n)) of the method-of-images law, even at tau = 50."""
+        n = 200_000
+        alive, y = batch_survive(mu, sigma, d, tau, tau, rng_stream(31, 0), n)
+        q = survival_closed_form(mu, sigma, d, tau)
+        p = alive.mean()
+        assert abs(p - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n)
+        ys = y[alive]
+        assert np.all(ys > 0.0)
+        ks = kstest(ys, image_cdf(mu, sigma, d, tau)).statistic
+        assert ks < 1.95 / math.sqrt(ys.size)
+
     def test_born_dead_paths(self):
         alive, y = batch_survive(1.0, 1.0, 0.0, 1.0, 0.1, rng_stream(0, 0), 8)
         assert not alive.any()
@@ -155,11 +174,11 @@ class TestSimulateDiffusion:
     def test_validation(self):
         p = DiffusionParams(1.0, 1.0)
         with pytest.raises(OutOfRange):
-            simulate_diffusion(p, 0.0, 0.0, 1.0, rng_stream(0, 0))
+            simulate_diffusion(p, 0.0, 0.0, 1.0, rng_stream(0, 0), dt=0.01)
         with pytest.raises(BadStart):
-            simulate_diffusion(p, math.log(1e-3), 1e-3, 1.0, rng_stream(0, 0))
+            simulate_diffusion(p, math.log(1e-3), 1e-3, 1.0, rng_stream(0, 0), dt=0.01)
         with pytest.raises(OutOfRange):
-            simulate_diffusion(p, 1.0, 1e-3, 0.0, rng_stream(0, 0))
+            simulate_diffusion(p, 1.0, 1e-3, 0.0, rng_stream(0, 0), dt=0.01)
 
     def test_absorption_times_on_step_and_half_step_grid(self):
         """Euler absorption lands on multiples of dt, bridge absorption on
@@ -245,6 +264,18 @@ class TestConditionedSample:
         assert ks_gamma < 0.5 * cs.ks_exponential_two_beta
         assert cs.ks_exponential_two_beta > cs.ks_exponential_beta
 
+    def test_default_one_step_matches_image_law(self):
+        """Without dt the sampler takes one exact step of length tau; its
+        survivors must follow the method-of-images law at (mu = sigma = 1,
+        d = 3, tau = 8) within the 0.1% KS critical value."""
+        cs = conditioned_sample(
+            DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, 400_000, seed=4, x0=0.0
+        )
+        q = survival_closed_form(1.0, 1.0, 3.0, 8.0)
+        assert abs(cs.n_survivors / cs.n_paths - q) <= 4.0 * math.sqrt(q * (1 - q) / cs.n_paths)
+        ks = kstest(cs.ys, image_cdf(1.0, 1.0, 3.0, 8.0)).statistic
+        assert ks < 1.95 / math.sqrt(cs.n_survivors)
+
     def test_reported_rates_and_sample_shape(self):
         cs = conditioned_sample(
             DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, 60_000, seed=4, x0=0.0, dt=0.01
@@ -317,12 +348,3 @@ class TestGammaMedianRoot:
 
     def test_matches_gamma_ppf(self):
         assert gamma_median_root() == pytest.approx(gamma(2).ppf(0.5), rel=1e-10)
-
-
-class TestDefaultDt:
-    """Step size resolves both drift and diffusion scales."""
-
-    def test_values(self):
-        assert default_dt(DiffusionParams(0.0, 1.0)) == 0.01
-        assert default_dt(DiffusionParams(2.0, 1.0)) == pytest.approx(0.0025)
-        assert default_dt(DiffusionParams(0.5, 1.0)) == 0.01

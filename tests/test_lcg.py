@@ -229,15 +229,26 @@ class TestPrimeFactors:
         assert _prime_factors(M61) == {M61}
 
 
-def test_import_does_not_load_sympy():
-    """The package depends on numpy and scipy only."""
+def _loaded_by_import(module):
+    """Whether `import born_branch` in a fresh interpreter loads module."""
     src = os.path.dirname(os.path.dirname(born_branch.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, born_branch; print('sympy' in sys.modules)"
+    code = f"import sys, born_branch; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_does_not_load_sympy():
+    """The package depends on numpy and scipy only."""
+    assert not _loaded_by_import("sympy")
+
+
+def test_import_does_not_load_scipy_integrate():
+    """Quadrature is imported where outcome_weights uses it, so runs that
+    measure nothing do not pay its import time."""
+    assert not _loaded_by_import("scipy.integrate")
 
 
 class TestDeltaStream:

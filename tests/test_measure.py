@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from born_branch import (
     MeasurementSetup,
@@ -15,6 +17,7 @@ from born_branch import (
     rng_stream,
 )
 from born_branch.diffusion import survival_closed_form
+from born_branch.rng import BLOCK_SIZE
 
 # tau * min(delta) = 21 >= 20 and survival ~ 0.018/0.043 per arm: a few
 # thousand paths already clear the 50-per-arm floor, keeping tests fast
@@ -117,6 +120,15 @@ class TestPipeline:
         for o, w in zip(fast_result.outcomes, weights):
             assert abs(o.frequency - w) <= 4.0 * o.freq_se
 
+    def test_survivor_fraction_matches_quadrature(self, fast_result):
+        """Arms are picked uniformly, so the overall survival probability
+        is the mean of the per-arm quadrature survivals; the one-step
+        pipeline's survivor count must sit within 4 binomial SEs of it."""
+        _, survival = outcome_weights(FAST)
+        q = math.fsum(survival) / FAST.K
+        n = fast_result.n_paths
+        assert abs(fast_result.n_survivors / n - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n)
+
     def test_tallies_consistent(self, fast_result):
         assert fast_result.n_survivors == sum(o.n_survivors for o in fast_result.outcomes)
         assert math.fsum(o.frequency for o in fast_result.outcomes) == pytest.approx(1.0)
@@ -138,6 +150,17 @@ class TestPipeline:
     def test_deterministic_and_worker_invariant(self, fast_result):
         again = measurement_pipeline(FAST, 12_000, seed=5, workers=3)
         assert again == fast_result
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(blocks=st.integers(1, 2), offset=st.integers(-2, 2), workers=st.integers(2, 3))
+    def test_worker_invariance_around_block_edges(self, blocks, offset, workers):
+        """Survivors are concatenated in block order, so the result is the
+        same at any worker count for path counts at and around multiples of
+        the block size."""
+        n_paths = blocks * BLOCK_SIZE + offset
+        one = measurement_pipeline(FAST, n_paths, seed=13, n_boot=20, workers=1)
+        many = measurement_pipeline(FAST, n_paths, seed=13, n_boot=20, workers=workers)
+        assert one == many
 
     def test_median_targets_recorded(self, fast_result):
         log_eps = math.log(1e-3)

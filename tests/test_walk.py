@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from born_branch import (
     BadStart,
@@ -24,7 +26,9 @@ from born_branch import (
     survival_asymptotic,
     survival_closed_form,
     survival_ratio,
+    walk_survival,
 )
+from born_branch.rng import BLOCK_SIZE
 from born_branch.walk import RARE_EVENT_FLOOR, _block_alive
 
 # alpha is folded into mu for walks, so its value here is inert
@@ -142,6 +146,16 @@ class TestEstimateSurvival:
         est = estimate_survival(params, x0, BARRIER, 40, 1_000, seed=0)
         assert est.n_paths == 1_000
 
+    def test_start_on_the_barrier_runs(self):
+        """A start exactly on the barrier is legal. The screen evaluates the
+        closed form at the discrete-monitoring distance d + 0.5826 sigma,
+        which is positive at d = 0 and predicts 0.045 here, so the estimate
+        runs instead of failing on the closed form's d > 0 domain."""
+        params = WalkParams(0.5, 1.0)
+        est = estimate_survival(params, -1.0, BARRIER, 5, 100)
+        assert est.n_paths == 100
+        assert 0 < est.n_survivors < 100
+
     def test_validation(self):
         params = WalkParams(mu=0.5, sigma=1.0)
         with pytest.raises(BadStart):
@@ -218,6 +232,61 @@ class TestSurvivalRatio:
             survival_ratio(WalkParams(0.5, 0.0), 1.0, 0.0, BARRIER, 5, 100, seed=0)
         with pytest.raises(BadStart, match="x_b"):
             survival_ratio(WalkParams(0.5, 1.0), 1.0, -5.0, BARRIER, 5, 100, seed=0)
+
+
+class TestWalkSurvival:
+    """One shared-draw pass over several starts, with adjacent ratios."""
+
+    PARAMS = WalkParams(mu=0.15, sigma=1.1)
+    X0S = [0.0, 1.0, 2.0]
+    LOW = Exogenous(math.exp(-2.0), 0.5)
+
+    def test_estimates_equal_single_start_runs(self):
+        """Every start sees the draws estimate_survival makes at the same
+        seed, so each per-start estimate is identical, not just close."""
+        singles, _ = walk_survival(self.PARAMS, self.X0S, self.LOW, 40, 20_000, seed=3)
+        for x0, est in zip(self.X0S, singles):
+            assert est == estimate_survival(self.PARAMS, x0, self.LOW, 40, 20_000, seed=3)
+
+    def test_ratios_equal_pairwise_runs(self):
+        """Ratio i is survival_ratio(x_{i+1}, x_i) at the same seed: same
+        counts, same paired count, so the same estimate and SE exactly."""
+        _, ratios = walk_survival(self.PARAMS, self.X0S, self.LOW, 40, 20_000, seed=3)
+        assert len(ratios) == len(self.X0S) - 1
+        for i, r in enumerate(ratios):
+            pair = survival_ratio(
+                self.PARAMS, self.X0S[i + 1], self.X0S[i], self.LOW, 40, 20_000, seed=3
+            )
+            assert r == pair
+
+    def test_screen_and_validation_cover_every_start(self):
+        params = WalkParams(mu=1.0, sigma=1.0)
+        with pytest.raises(RareEventRegime, match="x0=0.0"):
+            walk_survival(params, [9.0, 0.0], BARRIER, 40, 1_000)
+        with pytest.raises(BadStart):
+            walk_survival(params, [0.0, -2.0], BARRIER, 5, 100)
+        with pytest.raises(OutOfRange):
+            walk_survival(params, [], BARRIER, 5, 100)
+        with pytest.raises(OutOfRange):
+            walk_survival(params, [0.0], BARRIER, 5, 0)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        blocks=st.integers(1, 2),
+        offset=st.integers(-2, 2),
+        workers=st.integers(2, 3),
+        noise=st.booleans(),
+    )
+    def test_worker_invariance(self, blocks, offset, workers, noise):
+        """Counts are reduced in block order, so any worker count gives the
+        same result, including at and just around block boundaries."""
+        n_paths = blocks * BLOCK_SIZE + offset
+        barrier = RandomBarrier(math.exp(-2.0), 0.4) if noise else self.LOW
+        one = walk_survival(self.PARAMS, self.X0S, barrier, 6, n_paths, seed=7, workers=1)
+        many = walk_survival(
+            self.PARAMS, self.X0S, barrier, 6, n_paths, seed=7, workers=workers
+        )
+        assert one == many
 
 
 class TestLimitRegimePreset:

@@ -254,7 +254,6 @@ class LcgParams:
     t: int = 200
     phis: list = field(default_factory=lambda: [1.0, 4.0, 16.0, 64.0])
     n_paths: int = 20_000
-    ks_tol: float = 0.002
     mean_tol: float = 0.01
     var_rel_tol: float = 0.02
     beta_band: list = field(default_factory=lambda: [0.85, 1.15])
@@ -264,6 +263,8 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
     spec = LcgSpec(p.p, p.a)
     deltas = lcg_delta_stream(spec, p.n_transitions, seed)
     ks = ks_distance(deltas, lambda v: np.clip(v, 0.0, 1.0))
+    # 0.1% level of the one-sample Kolmogorov statistic sqrt(n) * KS
+    ks_tol = 1.95 / math.sqrt(p.n_transitions)
     logs = np.log(deltas)
     mean_neg_log = float(-logs.mean())
     var_log = float(logs.var())
@@ -274,7 +275,7 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
     )
     beta_hat = walk.beta_hat
     checks = {
-        "delta_ks_uniform": "pass" if ks < p.ks_tol else "fail",
+        "delta_ks_uniform": "pass" if ks < ks_tol else "fail",
         "mean_neg_log_delta": "pass" if abs(mean_neg_log - 1.0) <= p.mean_tol else "fail",
         "var_log_delta": "pass" if abs(var_log - 1.0) <= p.var_rel_tol else "fail",
         "walk_beta_hat_in_band": _band_check(beta_hat, *p.beta_band)
@@ -289,7 +290,7 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
         "p_hat": {f"{g:g}": e.p_hat for g, e in zip(walk.phi0s, walk.estimates)},
     }
     targets = {
-        "ks_tol": p.ks_tol,
+        "ks_tol": ks_tol,
         "mean_neg_log_delta": 1.0,
         "var_log_delta": 1.0,
         "beta_band": list(p.beta_band),

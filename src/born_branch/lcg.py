@@ -16,15 +16,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import OutOfRange, TooLarge
 from .model import Exogenous
-from .rng import map_blocks
 from .stats import FitResult, fit_power_law
-from .walk import SurvivalEstimate
+from .walk import SurvivalEstimate, _estimates, _start_counts
 
 M61 = (1 << 61) - 1
 M31 = (1 << 31) - 1
@@ -292,6 +292,28 @@ def lcg_tree(
     return LcgTreeResult(t, "sampled", n_paths, est.n_survivors, est.p_hat, est.se, log_total)
 
 
+def _lcg_block_worst(
+    spec: LcgSpec, sched: Exogenous, t: int, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Running worst gap max_s (log xi_s - amps_s) of each random-branch chain.
+
+    amps_s is the chain's log amplitude from phi0 = 1, so a start phi0
+    survives iff log phi0 >= the worst gap. A chain that reaches state 0
+    has amps = -inf and a worst gap of +inf: no start survives it.
+    """
+    states = np.full(size, spec.c0, dtype=np.uint64)
+    amps = np.zeros(size)
+    worst = np.full(size, -np.inf)
+    for s in range(1, t + 1):
+        c2, c1 = lcg_children(states, spec)
+        pick = rng.integers(0, 2, size=size).astype(bool)
+        states = np.where(pick, c1, c2)
+        with np.errstate(divide="ignore"):
+            amps = amps + np.log(states.astype(np.float64) / spec.p)
+        np.maximum(worst, sched.log_xi(s) - amps, out=worst)
+    return worst
+
+
 @dataclass(frozen=True)
 class LcgWalkResult:
     """Per-start survival estimates and the fitted start-value exponent."""
@@ -327,30 +349,11 @@ def lcg_walk_survival(
         raise OutOfRange("phi0 values must be positive")
     if n_paths < 1:
         raise OutOfRange("n_paths must be >= 1")
-    lphis = np.array([math.log(p) for p in phi0s])
-
-    def block(i: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        states = np.full(size, spec.c0, dtype=np.uint64)
-        amps = np.zeros(size)
-        alive = np.ones((len(phi0s), size), dtype=bool)
-        for s in range(1, t + 1):
-            c2, c1 = lcg_children(states, spec)
-            pick = rng.integers(0, 2, size=size).astype(bool)
-            states = np.where(pick, c1, c2)
-            with np.errstate(divide="ignore"):
-                amps = amps + np.log(states.astype(np.float64) / spec.p)
-            lxi = sched.log_xi(s)
-            for j in range(len(phi0s)):
-                alive[j] &= lphis[j] + amps >= lxi
-        return alive.sum(axis=1)
-
-    per_arm = np.sum(map_blocks(block, n_paths, seed, workers=workers), axis=0)
-    estimates = []
-    for k in per_arm:
-        k = int(k)
-        p_hat = k / n_paths
-        se = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)
-        estimates.append(SurvivalEstimate(p_hat, se, n_paths, k))
+    lphis = [math.log(p) for p in phi0s]
+    counts = _start_counts(
+        partial(_lcg_block_worst, spec, sched, t), lphis, n_paths, seed, workers
+    )
+    estimates = _estimates(counts, n_paths)
     pts = [
         (lp, math.log(est.p_hat))
         for lp, est in zip(lphis, estimates)
@@ -360,4 +363,4 @@ def lcg_walk_survival(
         fit = fit_power_law([x for x, _ in pts], [y for _, y in pts])
     else:
         fit = None
-    return LcgWalkResult(tuple(float(p) for p in phi0s), tuple(estimates), fit)
+    return LcgWalkResult(tuple(float(p) for p in phi0s), estimates, fit)

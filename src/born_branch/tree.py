@@ -242,19 +242,11 @@ def _packed_find_jmin(
     return j
 
 
-def _packed_digest(rows: list[int], field_bytes: int, s: int) -> int:
-    """Total survivor count: sum every packed field of every row."""
-    total = 0
-    for i, row in enumerate(rows):
-        if row == 0:
-            continue
-        n_fields = s - i + 1
-        raw = row.to_bytes(n_fields * field_bytes, "little")
-        total += sum(
-            int.from_bytes(raw[m * field_bytes : (m + 1) * field_bytes], "little")
-            for m in range(n_fields)
-        )
-    return total
+def _packed_digest(rows: list[int], width: int) -> int:
+    """Total survivor count, the sum of every packed field of every row: a
+    row is the sum of its fields mod 2^width - 1 (as 2^width = 1 there),
+    and the total, at most 3^t, is below 2^width - 1."""
+    return sum(rows) % ((1 << width) - 1)
 
 
 def _packed_dp3(
@@ -274,9 +266,7 @@ def _packed_dp3(
     because survival is monotone in both i and j.
     """
     # field width: 3^t bounds any count and the 3-way add needs 2 spare bits
-    bits = int(t_max * math.log2(3.0)) + 3
-    width = ((bits + 7) // 8) * 8
-    field_bytes = width // 8
+    width = int(t_max * math.log2(3.0)) + 3
     rows: list[int] = [1]
     out: dict[int, int] = {}
     if 0 in record:
@@ -295,7 +285,7 @@ def _packed_dp3(
                     row &= -(1 << (width * jmin))
             rows[i] = row
         if s in record:
-            out[s] = _packed_digest(rows, field_bytes, s)
+            out[s] = _packed_digest(rows, width)
         if not any(rows):
             _zero_tail(record, s + 1, out)
             break

@@ -10,12 +10,16 @@ is unchanged and paths stay independent, so binomial errors apply).
 
 Estimates pre-partition paths into fixed blocks with one RNG stream each
 and reduce in block order, so results do not depend on the worker count.
+Starts on shared draws follow one increment sum S_s per path, so x0
+survives iff x0 >= max_s (bar_s - S_s), the path's running worst gap; the
+LCG walk decides its starts the same way.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -120,68 +124,72 @@ def simulate_walk(
     return WalkPathOutcome(True, x, None)
 
 
-def _block_alive(
+def _block_worst(
     params: WalkParams,
-    x0s: Sequence[float],
     log_eps: float,
     noise_sd: float,
     t: int,
     rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
-    """Survival masks (n_arms, size) for several starts on shared draws.
+    """Running worst gap max_s (bar_s - S_s) of each path's increment sum S_s.
 
-    Shocks and barrier noise are drawn once per step for all paths and
-    reused by every arm (common random numbers), and are drawn for dead
-    paths too so the stream position never depends on outcomes.
+    A start x0 survives a path iff x0 >= its worst gap (-inf for t = 0).
+    Each step draws the shocks, then the barrier noise, for every path, so
+    the stream position never depends on outcomes.
     """
-    arms = len(x0s)
-    x = np.tile(np.asarray(x0s, dtype=float)[:, None], (1, size))
-    alive = np.ones((arms, size), dtype=bool)
+    s = np.zeros(size)
+    worst = np.full(size, -np.inf)
     for _ in range(t):
         u = params.shocks.sample(rng, size)
         bar = log_eps
         if noise_sd > 0.0:
             bar = log_eps + noise_sd * rng.standard_normal(size)
-        x_prop = x - params.mu + params.sigma * u
-        alive &= x_prop >= bar
-        np.copyto(x, x_prop, where=alive)
-    return alive
+        s -= params.mu
+        s += params.sigma * u
+        np.maximum(worst, bar - s, out=worst)
+    return worst
 
 
-def _crn_counts(
-    params: WalkParams,
-    x0s: Sequence[float],
-    log_eps: float,
-    noise_sd: float,
-    t: int,
+def _start_counts(
+    block_worst: Callable[[np.random.Generator, int], np.ndarray],
+    starts: Sequence[float],
     n_paths: int,
     seed: int,
     workers: int | None,
-) -> tuple[list[int], list[int]]:
-    """Survivors per start, and survivors of both starts i and i + 1."""
-    arms = len(x0s)
+) -> list[int]:
+    """Survivors per start against the worst gaps block_worst(rng, size)
+    gives; every start meets the same gaps, so survivor sets are nested."""
+    column = np.asarray(starts, dtype=float)[:, None]
 
     def block(i: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        alive = _block_alive(params, x0s, log_eps, noise_sd, t, rng, size)
-        both = np.count_nonzero(alive[1:] & alive[:-1], axis=1)
-        return np.concatenate([np.count_nonzero(alive, axis=1), both])
+        return np.count_nonzero(column >= block_worst(rng, size), axis=1)
 
     counts = np.sum(map_blocks(block, n_paths, seed, workers=workers), axis=0)
-    return [int(c) for c in counts[:arms]], [int(c) for c in counts[arms:]]
+    return [int(c) for c in counts]
+
+
+def _estimates(counts: Sequence[int], n: int) -> tuple[SurvivalEstimate, ...]:
+    """Binomial survival estimates from survivor counts out of n paths."""
+    estimates = []
+    for k in counts:
+        p_hat = k / n
+        se = math.sqrt(p_hat * (1.0 - p_hat) / n)
+        estimates.append(SurvivalEstimate(p_hat, se, n, k))
+    return tuple(estimates)
 
 
 def _ratio_estimate(
-    params: WalkParams, x_a: float, x_b: float, k_a: int, k_b: int, k_ab: int, n: int
+    params: WalkParams, x_a: float, x_b: float, k_a: int, k_b: int, n: int
 ) -> RatioEstimate:
     """Survival ratio of x_a over x_b from CRN counts, with delta-method SE.
 
-    k_ab counts the paths alive from both starts; the SE uses the
-    empirical cross-covariance it gives.
+    Survivor sets on shared draws are nested, so min(k_a, k_b) paths
+    survive from both starts; the SE uses the cross-covariance this gives.
     """
     if k_b == 0:
         raise ZeroDenominator(f"no survivors from x_b={x_b} in {n} paths")
-    p_a, p_b, p_ab = k_a / n, k_b / n, k_ab / n
+    p_a, p_b, p_ab = k_a / n, k_b / n, min(k_a, k_b) / n
     ratio = p_a / p_b
     var_a = p_a * (1.0 - p_a) / n
     var_b = p_b * (1.0 - p_b) / n
@@ -238,17 +246,15 @@ def walk_survival(
                     f"x0={x0}; naive MC cannot resolve it, use "
                     "diffusion.survival_closed_form"
                 )
-    k, k_pairs = _crn_counts(params, x0s, log_eps, noise_sd, t, n_paths, seed, workers)
-    estimates = []
-    for survivors in k:
-        p_hat = survivors / n_paths
-        se = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)
-        estimates.append(SurvivalEstimate(p_hat, se, n_paths, survivors))
+    k = _start_counts(
+        partial(_block_worst, params, log_eps, noise_sd, t),
+        x0s, n_paths, seed, workers,
+    )
     ratios = [
-        _ratio_estimate(params, x0s[i + 1], x0s[i], k[i + 1], k[i], k_pairs[i], n_paths)
+        _ratio_estimate(params, x0s[i + 1], x0s[i], k[i + 1], k[i], n_paths)
         for i in range(len(x0s) - 1)
     ]
-    return tuple(estimates), tuple(ratios)
+    return _estimates(k, n_paths), tuple(ratios)
 
 
 def estimate_survival(
@@ -294,10 +300,11 @@ def survival_ratio(
         raise DegenerateSpec("theory ratio undefined for sigma = 0")
     if n_paths < 1:
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")
-    (k_b, k_a), (k_ab,) = _crn_counts(
-        params, [x_b, x_a], log_eps, noise_sd, t, n_paths, seed, workers
+    k_b, k_a = _start_counts(
+        partial(_block_worst, params, log_eps, noise_sd, t),
+        [x_b, x_a], n_paths, seed, workers,
     )
-    return _ratio_estimate(params, x_a, x_b, k_a, k_b, k_ab, n_paths)
+    return _ratio_estimate(params, x_a, x_b, k_a, k_b, n_paths)
 
 
 def limit_regime_preset(params: WalkParams, offset_sigmas: float = 10.0) -> LimitRegime:

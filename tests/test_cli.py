@@ -114,7 +114,8 @@ class TestRunSmallConfigs:
         """The log-ratio variance of the congruential stream is 1, and its
         check passes; the walk exponent at DEFAULT_LCG_ALPHA sits far below
         1, so this family exits 2 deterministically. 2e5 transitions put the
-        2% variance tolerance at about three standard errors."""
+        2% variance tolerance at about three standard errors. The uniformity
+        check uses the 0.1% Kolmogorov level 1.95 / sqrt(n), so it passes."""
         cfg = ExperimentConfig(
             "lcg",
             {"n_transitions": 200_000, "t": 30, "n_paths": 2_000, "phis": [1.0, 4.0]},
@@ -123,8 +124,10 @@ class TestRunSmallConfigs:
         results, _, _ = read_outputs(tmp_path)
         assert results["checks"]["var_log_delta"] == "pass"
         assert results["checks"]["mean_neg_log_delta"] == "pass"
+        assert results["checks"]["delta_ks_uniform"] == "pass"
         assert results["checks"]["walk_beta_hat_in_band"] == "fail"
         assert results["targets"]["var_log_delta"] == 1.0
+        assert results["targets"]["ks_tol"] == 1.95 / math.sqrt(200_000)
 
     def test_walk_small_run_passes(self, tmp_path):
         cfg = ExperimentConfig(

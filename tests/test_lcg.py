@@ -26,7 +26,15 @@ from born_branch import (
     lcg_walk_survival,
     rng_stream,
 )
-from born_branch.lcg import M31, M61, _is_prime, _mulmod_m31, _mulmod_m61, _prime_factors
+from born_branch.lcg import (
+    M31,
+    M61,
+    _is_prime,
+    _lcg_block_worst,
+    _mulmod_m31,
+    _mulmod_m61,
+    _prime_factors,
+)
 
 LEHMER = LcgSpec(M31, 16807)
 BIG = LcgSpec()  # p = 2^61 - 1 with the 64-bit MCG multiplier reduced mod p
@@ -316,6 +324,23 @@ class TestLcgTree:
             lcg_tree(BIG, Exogenous(1e-2, 0.5), 5, mode="sampled")
 
 
+def _lcg_alive_reference(spec, sched, t, lphis, rng, size):
+    """Per-start loop: each start keeps its own alive mask from step to
+    step, on the chain and branch draws _lcg_block_worst makes."""
+    states = np.full(size, spec.c0, dtype=np.uint64)
+    amps = np.zeros(size)
+    alive = np.ones((len(lphis), size), dtype=bool)
+    for s in range(1, t + 1):
+        c2, c1 = lcg_children(states, spec)
+        pick = rng.integers(0, 2, size=size).astype(bool)
+        states = np.where(pick, c1, c2)
+        with np.errstate(divide="ignore"):
+            amps = amps + np.log(states.astype(np.float64) / spec.p)
+        for j, lphi in enumerate(lphis):
+            alive[j] &= lphi + amps >= sched.log_xi(s)
+    return alive
+
+
 class TestLcgWalkSurvival:
     """Multi-start survival MC over the sampled congruential walk."""
 
@@ -338,6 +363,29 @@ class TestLcgWalkSurvival:
             BIG, sched, 200, [1.0, 4.0, 16.0, 64.0], 20_000, seed=2
         )
         assert 0.0 < res.beta_hat < 0.5
+
+    @pytest.mark.parametrize(
+        "spec, sched, t",
+        [
+            (BIG, Exogenous(1e-4, DEFAULT_LCG_ALPHA), 60),
+            # p = 101 falls back to Python mulmod; reflecting a*c = p - 1
+            # sends a chain to state 0, where amps = -inf
+            (LcgSpec(101, 2), Exogenous(1e-2, 0.5), 12),
+        ],
+        ids=["m61", "small_modulus"],
+    )
+    def test_worst_gap_matches_per_start_loop(self, spec, sched, t):
+        phis = [1.0, 4.0, 16.0, 64.0]
+        lphis = [math.log(v) for v in phis]
+        worst = _lcg_block_worst(spec, sched, t, rng_stream(3, 0), 2_000)
+        alive = np.asarray(lphis)[:, None] >= worst
+        reference = _lcg_alive_reference(spec, sched, t, lphis, rng_stream(3, 0), 2_000)
+        np.testing.assert_array_equal(alive, reference)
+        assert 0 < alive[0].sum() < alive[-1].sum() < 2_000
+        res = lcg_walk_survival(spec, sched, t, phis, 2_000, seed=3)
+        assert [e.n_survivors for e in res.estimates] == reference.sum(axis=1).tolist()
+        if spec.p == 101:
+            assert np.isposinf(worst).sum() > 0
 
     def test_worker_invariance(self):
         sched = Exogenous(1e-4, DEFAULT_LCG_ALPHA)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from born_branch import (
     OutOfRange,
@@ -88,12 +90,20 @@ class TestDeterminism:
 class TestScaleInvariance:
     """Centered coordinates make phi0 a pure shift of the threshold."""
 
-    def test_threshold_shifts_by_log_scale(self):
-        a = small_run(seed=3, phi0=1.0)
-        b = small_run(seed=3, phi0=100.0)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        phi0=st.floats(1e-2, 1e2),
+        c=st.floats(1e-3, 1e3),
+    )
+    @example(phi0=1.0, c=100.0)
+    def test_threshold_shifts_by_log_scale(self, phi0, c):
+        """phi0 -> c * phi0 leaves every decision unchanged and shifts the
+        threshold trajectory by log c."""
+        a = small_run(seed=3, phi0=phi0, n_particles=200, tau=2.0)
+        b = small_run(seed=3, phi0=c * phi0, n_particles=200, tau=2.0)
         assert np.array_equal(a.n_survivors, b.n_survivors)
         assert b.resample_count == a.resample_count
-        assert np.max(np.abs((b.log_xi - a.log_xi) - math.log(100.0))) < 1e-12
+        assert np.max(np.abs((b.log_xi - a.log_xi) - math.log(c))) < 1e-12
         assert abs(b.slope - a.slope) < 1e-12
 
     def test_theory_constants_scale(self):

@@ -160,6 +160,16 @@ class TestPackedBackend:
         b = _packed_dp3(0.0, lds, sched, 100, record)
         assert a == b
 
+    @pytest.mark.parametrize("t_max", [70, 85, 100])
+    def test_total_at_full_tree(self, t_max):
+        """A threshold far below every path keeps all 3^t paths, so every
+        field is at its largest and the row-sum digest, taken modulo
+        2^width - 1, must still return 3^t exactly at every depth."""
+        spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
+        sched = Exogenous(1e-300, 1e-10)
+        out = _packed_dp3(0.0, _sorted_log_deltas(spec), sched, t_max, range(t_max + 1))
+        assert out == {s: 3**s for s in range(t_max + 1)}
+
     def test_dispatch_boundary_continuity(self):
         """Counts are identical whether t_max sits at or above the packed
         cutoff; the record at a shared depth must not depend on t_max."""

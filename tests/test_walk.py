@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 from born_branch import (
     BadStart,
+    BranchingSpec,
     DegenerateSpec,
     Endogenous,
     Exogenous,
     FiniteSupportShocks,
+    LogUniformShocks,
     OutOfRange,
     RandomBarrier,
     RareEventRegime,
@@ -29,7 +32,7 @@ from born_branch import (
     walk_survival,
 )
 from born_branch.rng import BLOCK_SIZE
-from born_branch.walk import RARE_EVENT_FLOOR, _block_alive
+from born_branch.walk import RARE_EVENT_FLOOR, _block_worst, _start_counts
 
 # alpha is folded into mu for walks, so its value here is inert
 BARRIER = Exogenous(math.exp(-1.0), 0.5)
@@ -164,25 +167,55 @@ class TestEstimateSurvival:
             estimate_survival(params, 0.0, BARRIER, 5, 0, seed=0)
 
 
-class TestBlockAlive:
-    """Common-random-number kernel shared by the ratio estimator."""
+def _block_alive_reference(params, x0s, log_eps, noise_sd, t, rng, size):
+    """Per-start propagation on shared draws: each start carries its own
+    position and alive mask from step to step, drawing what _block_worst
+    draws (shocks, then barrier noise) for every path at every step."""
+    x = np.tile(np.asarray(x0s, dtype=float)[:, None], (1, size))
+    alive = np.ones((len(x0s), size), dtype=bool)
+    for _ in range(t):
+        u = params.shocks.sample(rng, size)
+        bar = log_eps
+        if noise_sd > 0.0:
+            bar = log_eps + noise_sd * rng.standard_normal(size)
+        x_prop = x - params.mu + params.sigma * u
+        alive &= x_prop >= bar
+        np.copyto(x, x_prop, where=alive)
+    return alive
 
-    def test_higher_start_dominates_pathwise(self):
-        """Under shared draws each arm's trajectory is the same shape
-        shifted by the start offset, so survival masks are nested: every
-        path alive from a lower start is alive from any higher one."""
-        params = WalkParams(mu=0.1, sigma=1.0)
-        alive = _block_alive(params, [1.5, 0.5, 0.0], -2.0, 0.0, 50, rng_stream(11, 0), 500)
-        assert alive.shape == (3, 500)
-        assert np.all(alive[0] >= alive[1])
-        assert np.all(alive[1] >= alive[2])
-        assert alive[2].sum() > 0
 
-    def test_nesting_holds_with_barrier_noise(self):
-        params = WalkParams(mu=0.1, sigma=1.0)
-        alive = _block_alive(params, [1.5, 0.0], -2.0, 0.7, 50, rng_stream(12, 0), 500)
-        assert alive[1].sum() > 0
-        assert np.all(alive[0] >= alive[1])
+class TestBlockWorst:
+    """One running worst gap per path decides every start on shared draws."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            WalkParams(mu=0.1, sigma=1.0),
+            WalkParams(mu=0.2, sigma=0.9, shocks=LogUniformShocks()),
+            WalkParams.from_branching(BranchingSpec((1 / 6, 1 / 3, 1 / 2)), 0.4),
+            # dyadic steps: positions are exact, so starts land on the barrier
+            WalkParams(mu=0.25, sigma=0.5, shocks=FiniteSupportShocks((-1.0, 1.0))),
+        ],
+        ids=["gaussian", "log_uniform", "finite_support", "dyadic_ties"],
+    )
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.7])
+    def test_matches_per_start_propagation(self, params, noise_sd):
+        x0s = [-2.0, -1.75, -1.0, 0.0, 1.5]
+        worst = _block_worst(params, -2.0, noise_sd, 12, rng_stream(11, 0), 2_000)
+        alive = np.asarray(x0s)[:, None] >= worst
+        reference = _block_alive_reference(
+            params, x0s, -2.0, noise_sd, 12, rng_stream(11, 0), 2_000
+        )
+        np.testing.assert_array_equal(alive, reference)
+        assert 0 < alive[0].sum() < alive[-1].sum() < 2_000
+        # one block of 2_000 paths draws from rng_stream(11, 0)
+        block_worst = partial(_block_worst, params, -2.0, noise_sd, 12)
+        counts = _start_counts(block_worst, x0s, 2_000, seed=11, workers=None)
+        assert counts == reference.sum(axis=1).tolist()
+
+    def test_zero_horizon_keeps_every_start(self):
+        worst = _block_worst(WalkParams(0.1, 1.0), -2.0, 0.0, 0, rng_stream(1, 0), 10)
+        assert np.all(worst == -np.inf)
 
 
 class TestSurvivalRatio:

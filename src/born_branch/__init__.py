@@ -47,7 +47,6 @@ from .model import (
 from .tree import (
     ScanRow,
     TreeResult,
-    born_ratio_scan,
     brute_leaf_log_amplitudes,
     count_survivors_dp,
     enumerate_brute,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
 
 from .errors import (
     BadStart,
@@ -61,6 +60,9 @@ def log_survival_closed_form(mu: float, sigma: float, d: float, tau: float) -> f
     scaled complementary error functions, which cancels the exponentials
     analytically, so the result is accurate down to 1e-300 and far below.
     """
+    # imported here: scipy.special is half of the package's import time
+    from scipy.special import erfcx, log_ndtr
+
     _check_domain(mu, sigma, d, tau)
     st = sigma * math.sqrt(tau)
     z1 = (d - mu * tau) / st

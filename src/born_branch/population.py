@@ -17,12 +17,31 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import Extinction, OutOfRange
 from .model import endogenous_alpha
 from .rng import rng_stream
 from .stats import FitResult, fit_power_law
+
+
+def _logsumexp(z: np.ndarray, buf: np.ndarray, mask: np.ndarray) -> float:
+    """log sum exp(z), overwriting buf and mask, in scipy's floats.
+
+    The maximum's m ties are split out of the shifted sum, which is taken
+    in numpy's pairwise order over all of buf with the ties zeroed, and
+    log1p(s / m) + log(m) + max is formed with numpy's float64 log1p and
+    log: scipy.special.logsumexp (1.17) yields the same bits.
+    """
+    top = z.max()
+    np.equal(z, top, out=mask)
+    m = np.float64(np.count_nonzero(mask))
+    np.subtract(z, top, out=buf)
+    np.exp(buf, out=buf)
+    buf[mask] = 0.0
+    s = buf.sum()
+    if s != 0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + top)
 
 
 @dataclass(frozen=True)
@@ -91,7 +110,11 @@ def endogenous_population(
     sdt = sigma * math.sqrt(dt_eff)
     log_phi0 = math.log(phi0)
     log_eps_tilde = math.log(varepsilon)
+    drift = -tilde_mu * dt_eff
+    log_n = math.log(n_particles)
     z = np.zeros(n_particles)  # centered: Z - log phi0
+    buf = np.empty(n_particles)
+    mask = np.empty(n_particles, dtype=bool)
     times = np.empty(n_steps)
     log_xi = np.empty(n_steps)
     n_survivors = np.empty(n_steps, dtype=np.int64)
@@ -99,16 +122,19 @@ def endogenous_population(
     resampled = 0
     cur_xi = -math.inf
     for step in range(n_steps):
-        z += -tilde_mu * dt_eff + sdt * rng.standard_normal(n_particles)
-        cur_xi = log_eps_tilde + float(logsumexp(z)) - math.log(n_particles)
-        dead = z < cur_xi
-        n_dead = int(np.count_nonzero(dead))
+        rng.standard_normal(out=buf)
+        buf *= sdt
+        buf += drift
+        z += buf
+        cur_xi = log_eps_tilde + _logsumexp(z, buf, mask) - log_n
+        np.less(z, cur_xi, out=mask)
+        n_dead = int(np.count_nonzero(mask))
         if n_dead == n_particles:
             raise Extinction(f"all {n_particles} particles absorbed at step {step + 1}")
         if n_dead:
-            survivors = np.nonzero(~dead)[0]
+            survivors = np.flatnonzero(~mask)
             donors = survivors[rng.integers(0, survivors.size, size=n_dead)]
-            z[dead] = z[donors]
+            z[mask] = z[donors]
             resampled += n_dead
         times[step] = (step + 1) * dt_eff
         log_xi[step] = cur_xi + log_phi0

@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .errors import DegenerateDesign, EmptySample, OutOfRange
 from .rng import rng_stream
@@ -83,6 +82,9 @@ def ks_distance(sample: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]
 
 
 def binomial_logpmf(n: int, p: float, ks: np.ndarray) -> np.ndarray:
+    # imported here: scipy.special is half of the package's import time
+    from scipy.special import gammaln, xlog1py, xlogy
+
     return (
         gammaln(n + 1)
         - gammaln(ks + 1)
@@ -103,6 +105,8 @@ def binomial_interval_logprob(n: int, p: float, lo: int, hi: int) -> tuple[float
         raise OutOfRange(f"need 0 <= lo <= hi <= n, got lo={lo}, hi={hi}, n={n}")
     if not (0.0 <= p <= 1.0):
         raise OutOfRange(f"p={p} outside [0, 1]")
+    from scipy.special import logsumexp
+
     ks = np.arange(0, n + 1, dtype=float)
     lp = binomial_logpmf(n, p, ks)
     log_in = min(float(logsumexp(lp[lo : hi + 1])), 0.0)

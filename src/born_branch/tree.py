@@ -341,39 +341,19 @@ def count_survivors_dp(
     return series
 
 
-def born_ratio_scan(
-    spec: BranchingSpec,
-    sched: Exogenous,
-    t_max: int,
-    phi_pairs: Sequence[tuple[float, float]],
-    max_states: int = 2_000_000,
-    record_ts: Iterable[int] | None = None,
-) -> list[ScanRow]:
-    """Survivor-count ratios N_t(phi_a)/N_t(phi_b) and the fitted exponent.
-
-    beta_hat(t) is the OLS slope of log N_t against log phi0 over the grid
-    of all start values appearing in phi_pairs (nan while fewer than two
-    grid points have survivors). Pair ratios are exact big-integer
-    fractions converted to float; a zero denominator yields nan.
-    """
-    if not phi_pairs:
-        raise OutOfRange("need at least one (phi_a, phi_b) pair")
-    grid = sorted({float(p) for pair in phi_pairs for p in pair})
-    series = count_survivors_dp(
-        spec, sched, t_max, grid, max_states=max_states, record_ts=record_ts
-    )
-    return scan_rows_from_series(series, grid, phi_pairs)
-
-
 def scan_rows_from_series(
     series: Sequence[TreeResult],
     phis: Sequence[float],
     phi_pairs: Sequence[tuple[float, float]],
 ) -> list[ScanRow]:
-    """Ratios and fitted exponents from an already-computed count series.
+    """Survivor-count ratios N_t(phi_a)/N_t(phi_b) and the fitted exponent.
 
     phis must list the start values in the same order as each
     TreeResult.counts; every value in phi_pairs must appear in phis.
+    beta_hat(t) is the OLS slope of log N_t against log phi0 over phis
+    (nan while fewer than two of them have survivors). Pair ratios are
+    exact big-integer fractions converted to float; a zero denominator
+    yields nan.
     """
     index = {float(p): i for i, p in enumerate(phis)}
     for a, b in phi_pairs:

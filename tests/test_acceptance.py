@@ -412,7 +412,7 @@ def test_criterion_08_endogenous_growth_and_scale_invariance():
     At seed 81 and tau = 100 the slope is 0.427, 0.581, 0.681 and 0.678 at
     N = 1e3, 1e4, 1e5 and 3e5: it settles near 0.68 as N grows, and no
     documented law gives that value, so no corrected target can be
-    computed here. Budget 300 s; measured about 120 s for the two runs on
+    computed here. Budget 300 s; measured about 75 s for the two runs on
     a 2-core machine.
     """
     t0 = time.perf_counter()

@@ -253,10 +253,11 @@ def test_import_does_not_load_sympy():
     assert not _loaded_by_import("sympy")
 
 
-def test_import_does_not_load_scipy_integrate():
-    """Quadrature is imported where outcome_weights uses it, so runs that
-    measure nothing do not pay its import time."""
-    assert not _loaded_by_import("scipy.integrate")
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special"])
+def test_import_does_not_load_scipy_submodule(module):
+    """Quadrature and the special functions are imported where they are
+    used, so runs that never call them do not pay their import time."""
+    assert not _loaded_by_import(module)
 
 
 class TestDeltaStream:

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from born_branch import (
     OutOfRange,
     endogenous_alpha,
     endogenous_population,
     fit_power_law,
+    rng_stream,
 )
 
 
@@ -22,6 +24,36 @@ def small_run(seed=0, phi0=1.0, **kw):
     )
     args.update(kw)
     return endogenous_population(**args)
+
+
+def _population_reference(tilde_mu, sigma, varepsilon, n_particles, tau, dt, phi0, seed):
+    """The step loop written plainly, with fresh arrays every step and
+    scipy's logsumexp: (times, log_xi, n_survivors, mean_z, resample_count,
+    final z)."""
+    rng = rng_stream(seed, 0)
+    n_steps = max(1, int(round(tau / dt)))
+    dt_eff = tau / n_steps
+    sdt = sigma * math.sqrt(dt_eff)
+    log_phi0 = math.log(phi0)
+    z = np.zeros(n_particles)
+    times, log_xi, mean_z = np.empty(n_steps), np.empty(n_steps), np.empty(n_steps)
+    n_survivors = np.empty(n_steps, dtype=np.int64)
+    resampled = 0
+    for step in range(n_steps):
+        z += -tilde_mu * dt_eff + sdt * rng.standard_normal(n_particles)
+        cur_xi = math.log(varepsilon) + float(logsumexp(z)) - math.log(n_particles)
+        dead = z < cur_xi
+        n_dead = int(np.count_nonzero(dead))
+        if n_dead:
+            survivors = np.nonzero(~dead)[0]
+            donors = survivors[rng.integers(0, survivors.size, size=n_dead)]
+            z[dead] = z[donors]
+            resampled += n_dead
+        times[step] = (step + 1) * dt_eff
+        log_xi[step] = cur_xi + log_phi0
+        n_survivors[step] = n_particles - n_dead
+        mean_z[step] = float(z.mean()) + log_phi0
+    return times, log_xi, n_survivors, mean_z, resampled, z + log_phi0
 
 
 class TestValidation:
@@ -85,6 +117,38 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         assert not np.array_equal(small_run(seed=0).log_xi, small_run(seed=1).log_xi)
+
+
+class TestKernelReference:
+    """The in-place step loop reproduces the plain one bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"seed": 0},
+            {"seed": 11, "phi0": 3.0},
+            {"seed": 5, "n_particles": 2, "varepsilon": 0.6},
+            {"seed": 3, "sigma": 1e-30, "n_particles": 100, "tau": 1.0},
+            {"seed": 4, "sigma": 1e-16, "n_particles": 100, "tau": 1.0},
+        ],
+        ids=["n500-seed0", "n500-seed11", "n2", "all-tied", "partial-ties"],
+    )
+    def test_matches_reference(self, kw):
+        """sigma = 1e-30 ties every particle at the maximum each step (the
+        shifted sum is 0); sigma = 1e-16 ties some of them on most steps."""
+        run = small_run(**kw)
+        args = dict(
+            tilde_mu=1.0, sigma=1.0, varepsilon=0.2, n_particles=500,
+            tau=5.0, dt=0.01, phi0=1.0,
+        )
+        args.update(kw)
+        times, log_xi, n_survivors, mean_z, resampled, final_z = _population_reference(**args)
+        np.testing.assert_array_equal(run.times, times)
+        np.testing.assert_array_equal(run.log_xi, log_xi)
+        np.testing.assert_array_equal(run.n_survivors, n_survivors)
+        np.testing.assert_array_equal(run.mean_z, mean_z)
+        assert run.resample_count == resampled
+        np.testing.assert_array_equal(run.final.z, final_z)
 
 
 class TestScaleInvariance:

@@ -14,7 +14,6 @@ from born_branch import (
     Exogenous,
     OutOfRange,
     StateExplosion,
-    born_ratio_scan,
     brute_leaf_log_amplitudes,
     count_survivors_dp,
     enumerate_brute,
@@ -238,8 +237,8 @@ class TestRatioScan:
     def test_ratios_are_exact_fractions_of_counts(self):
         spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
         sched = Exogenous(1e-4, 0.372041)
-        rows = born_ratio_scan(spec, sched, 40, [(4.0, 1.0), (2.0, 1.0)])
         series = count_survivors_dp(spec, sched, 40, [1.0, 2.0, 4.0])
+        rows = scan_rows_from_series(series, [1.0, 2.0, 4.0], [(4.0, 1.0), (2.0, 1.0)])
         for row, res in zip(rows, series):
             n1, n2, n4 = res.counts
             if n1 > 0:
@@ -256,7 +255,8 @@ class TestRatioScan:
         """With a single pair the fit reduces to log(N_a/N_b)/log(phi_a/phi_b)."""
         spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
         sched = Exogenous(1e-4, 0.372041)
-        row = born_ratio_scan(spec, sched, 60, [(4.0, 1.0)], record_ts=[60])[-1]
+        series = count_survivors_dp(spec, sched, 60, [1.0, 4.0], record_ts=[60])
+        row = scan_rows_from_series(series, [1.0, 4.0], [(4.0, 1.0)])[-1]
         assert row.beta_hat == pytest.approx(
             math.log(row.ratios[0]) / math.log(4.0), rel=1e-12
         )
@@ -271,7 +271,8 @@ class TestRatioScan:
         """beta_hat is nan whenever fewer than two grid points have survivors."""
         spec = BranchingSpec((0.05, 0.45, 0.5))
         sched = Exogenous(1e-2, 0.691397)  # infeasible tuning: extinction
-        rows = born_ratio_scan(spec, sched, 60, [(4.0, 1.0)], record_ts=[60])
+        series = count_survivors_dp(spec, sched, 60, [1.0, 4.0], record_ts=[60])
+        rows = scan_rows_from_series(series, [1.0, 4.0], [(4.0, 1.0)])
         assert math.isnan(rows[-1].beta_hat)
         assert math.isnan(rows[-1].ratios[0])
 

@@ -20,7 +20,6 @@ from .errors import (
     StateExplosion,
     TooFewSurvivors,
     TooLarge,
-    WrongArity,
     ZeroDenominator,
 )
 from .model import (
@@ -28,7 +27,6 @@ from .model import (
     BranchingSpec,
     DiffusionParams,
     EndogenousAlpha,
-    Endogenous,
     Exogenous,
     FiniteSupportShocks,
     GaussianShocks,
@@ -40,9 +38,6 @@ from .model import (
     alpha_for_unit_beta,
     basic_params,
     endogenous_alpha,
-    endogenous_beta,
-    min_delta_sufficient_condition,
-    non_lattice_check,
 )
 from .tree import (
     ScanRow,
@@ -60,7 +55,6 @@ from .lcg import (
     LcgWalkResult,
     lcg_children,
     lcg_cycle_length,
-    lcg_delta,
     lcg_delta_stream,
     lcg_full_period,
     lcg_next,
@@ -68,13 +62,9 @@ from .lcg import (
     lcg_walk_survival,
 )
 from .walk import (
-    LimitRegime,
     RatioEstimate,
     SurvivalEstimate,
-    WalkPathOutcome,
     estimate_survival,
-    limit_regime_preset,
-    simulate_walk,
     survival_ratio,
     walk_survival,
 )
@@ -85,11 +75,8 @@ from .diffusion import (
     batch_survive,
     conditional_mean_ratio,
     conditioned_sample,
-    gamma_median_root,
     log_survival_closed_form,
     ratio_convergence_scan,
-    simulate_diffusion,
-    survival_asymptotic,
     survival_closed_form,
 )
 from .population import PopulationRun, PopulationState, endogenous_population

@@ -582,7 +582,7 @@ def _run_demo_intro(p: DemoIntroParams, seed: int, workers: int) -> RunnerOutput
     """
     log_in, log_out = binomial_interval_logprob(p.n, p.p, p.lo, p.hi)
     outside_prob = math.exp(log_out)
-    count_log10, frac = binomial_count_fraction(p.n, p.lo, p.hi, exact=True)
+    count_log10, frac = binomial_count_fraction(p.n, p.lo, p.hi)
     checks = {
         "outside_prob_matches": "pass"
         if abs(outside_prob / p.outside_target - 1.0) <= p.outside_rel_tol

@@ -8,8 +8,7 @@ crossing probability given both ends, which for constant drift and
 volatility is exact for a step of any length (Glasserman, Monte Carlo
 Methods in Financial Engineering, 2004, sec. 6.4). Ops that need only
 survival and the endpoint (the conditioned samplers) therefore take one
-step of length tau by default; simulate_diffusion takes a grid, because it
-also reports the absorption time.
+step of length tau by default.
 
 The conditioned sample reports fits against exponential laws with rates
 mu/sigma^2 and 2 mu/sigma^2 because those are the commonly quoted
@@ -36,7 +35,6 @@ from .errors import (
 )
 from .model import DiffusionParams
 from .rng import map_blocks
-from .walk import WalkPathOutcome
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -82,20 +80,9 @@ def survival_closed_form(mu: float, sigma: float, d: float, tau: float) -> float
     return math.exp(log_survival_closed_form(mu, sigma, d, tau))
 
 
-def survival_asymptotic(mu: float, sigma: float, d: float, tau: float) -> float:
-    """Gaussian-tail reference scale (2d / (sigma sqrt(2 pi tau))) e^{-mu^2 tau / 2 sigma^2}.
-
-    A coarse large-tau scale, not the true asymptote: the exact survival
-    carries an extra tilt exp(mu d/sigma^2) and decays like tau^{-3/2}, so
-    this form undershoots survival_closed_form by the factor
-    (sigma^2/(mu^2 tau)) exp(mu d/sigma^2 - d^2/(2 sigma^2 tau)) inverted.
-    """
-    _check_domain(mu, sigma, d, tau)
-    prefactor = 2.0 * d / (sigma * math.sqrt(2.0 * math.pi * tau))
-    return prefactor * math.exp(-mu * mu * tau / (2.0 * sigma * sigma))
-
-
 def _resolve_steps(tau: float, dt: float) -> tuple[int, float]:
+    if tau <= 0.0:
+        raise OutOfRange(f"tau={tau} must be positive")
     if dt <= 0.0:
         raise BadStep(f"dt={dt} must be positive")
     n_steps = max(1, int(round(tau / dt)))
@@ -134,44 +121,6 @@ def batch_survive(
         alive &= ~((y_new < 0.0) | (u < bridge))
         y = np.where(alive, y_new, y)
     return alive, y
-
-
-def simulate_diffusion(
-    params: DiffusionParams,
-    x0: float,
-    epsilon: float,
-    tau: float,
-    rng: np.random.Generator,
-    dt: float,
-) -> WalkPathOutcome:
-    """One bridge-corrected path from x0, absorbed at log epsilon.
-
-    Absorption time is the proposal step time, or the midpoint of the step
-    when the bridge correction fires between two surviving endpoints, so dt
-    sets its resolution; survival itself is exact at any dt.
-    """
-    if epsilon <= 0.0:
-        raise OutOfRange(f"epsilon={epsilon} must be positive")
-    log_eps = math.log(epsilon)
-    if x0 <= log_eps:
-        raise BadStart(f"x0={x0} not above the barrier log eps={log_eps}")
-    if tau <= 0.0:
-        raise OutOfRange(f"tau={tau} must be positive")
-    n_steps, dt_eff = _resolve_steps(tau, dt)
-    mu, sigma = params.mu, params.sigma
-    sdt = sigma * math.sqrt(dt_eff)
-    two_over = 2.0 / (sigma * sigma * dt_eff)
-    y = x0 - log_eps
-    for step in range(1, n_steps + 1):
-        z = float(rng.standard_normal())
-        u = float(rng.random())
-        y_new = y - mu * dt_eff + sdt * z
-        if y_new < 0.0:
-            return WalkPathOutcome(False, -math.inf, step * dt_eff)
-        if u < math.exp(-two_over * y * max(y_new, 0.0)):
-            return WalkPathOutcome(False, -math.inf, (step - 0.5) * dt_eff)
-        y = y_new
-    return WalkPathOutcome(True, log_eps + y, None)
 
 
 @dataclass(frozen=True)
@@ -359,26 +308,3 @@ def conditional_mean_ratio(
     estimate = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_surv)) if n_surv > 1 else math.inf
     return MeanRatioResult(estimate, se, beta / (beta - 1.0), n_paths, n_surv, beta)
-
-
-def gamma_median_root(tol: float = 1e-12) -> float:
-    """Root z* of (1 + z) e^{-z} = 1/2 on [1, 2], by bisection to tol residual.
-
-    z* is the median of a Gamma(2, 1) variable; z* sigma^2/mu is then the
-    median of the Gamma(2, mu/sigma^2) conditioned amplitude law.
-    """
-    lo, hi = 1.0, 2.0
-
-    def f(z: float) -> float:
-        return (1.0 + z) * math.exp(-z) - 0.5
-
-    mid = 0.5 * (lo + hi)
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    if abs(f(mid)) > tol:
-        raise DomainError(f"bisection residual {f(mid):.3e} above {tol}")
-    return mid

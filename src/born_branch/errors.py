@@ -9,10 +9,6 @@ class DegenerateSpec(BornBranchError):
     """All branching ratios equal: the log-deviation scale sigma is zero."""
 
 
-class WrongArity(BornBranchError):
-    """Operation defined only for a specific number of branches K."""
-
-
 class OutOfRange(BornBranchError):
     """Parameter outside its admissible interval."""
 

@@ -68,11 +68,6 @@ def lcg_next(c: int, spec: LcgSpec, branch: int) -> int:
     raise OutOfRange(f"branch must be 1 or 2, got {branch}")
 
 
-def lcg_delta(c: int, spec: LcgSpec) -> float:
-    """Branching ratio carried by a child in state c."""
-    return c / spec.p
-
-
 def _mulmod_m61(a: int, c: np.ndarray) -> np.ndarray:
     """(a * c) mod 2^61-1 for uint64 c < 2^61, scalar a < 2^61, carry-free."""
     mask = np.uint64(M61)
@@ -230,14 +225,12 @@ def lcg_delta_stream(spec: LcgSpec, n: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LcgTreeResult:
-    """Survival of the LCG tree at depth t, exact or sampled."""
+    """Exact survivor count of the LCG tree at depth t over all 2^t paths."""
 
     t: int
-    mode: str
     n_paths: int
     n_survivors: int
     p_hat: float
-    se: float
     log_total_paths: float
 
 
@@ -246,50 +239,35 @@ def lcg_tree(
     sched: Exogenous,
     t: int,
     phi0: float = 1.0,
-    mode: str = "exact",
-    n_paths: int | None = None,
-    seed: int = 0,
     max_paths: int = 2**25,
 ) -> LcgTreeResult:
-    """Survivor count of the depth-t LCG tree.
+    """Survivor count of the depth-t LCG tree, enumerating all 2^t paths.
 
-    exact mode enumerates all 2^t paths (guarded by max_paths); sampled mode
-    follows n_paths random-branch paths and estimates the surviving
-    fraction (lcg_walk_survival from the single start phi0). Amplitude
-    comparisons are plain float >= in log space.
+    The exact oracle for lcg_walk_survival, guarded by max_paths.
+    Amplitude comparisons are plain float >= in log space.
     """
     if phi0 <= 0.0:
         raise OutOfRange(f"phi0={phi0} must be positive")
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
-    log_total = t * math.log(2.0)
-    if mode == "exact":
-        if 2**t > max_paths:
-            raise TooLarge(f"2^{t} paths exceed max_paths={max_paths}")
-        states = np.array([spec.c0], dtype=np.uint64)
-        amps = np.array([math.log(phi0)])
-        for s in range(1, t + 1):
-            if states.size == 0:
-                break
-            c2, c1 = lcg_children(states, spec)
-            children = np.concatenate([c2, c1])
-            with np.errstate(divide="ignore"):
-                damps = np.log(children.astype(np.float64) / spec.p)
-            amps = np.concatenate([amps, amps]) + damps
-            lxi = sched.log_xi(s)
-            keep = amps >= lxi
-            states = children[keep]
-            amps = amps[keep]
-        n_surv = int(states.size)
-        total = 2**t
-        p_hat = n_surv / total
-        return LcgTreeResult(t, "exact", total, n_surv, p_hat, 0.0, log_total)
-    if mode != "sampled":
-        raise OutOfRange(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    if not n_paths or n_paths < 1:
-        raise OutOfRange("sampled mode needs n_paths >= 1")
-    est = lcg_walk_survival(spec, sched, t, [phi0], n_paths, seed).estimates[0]
-    return LcgTreeResult(t, "sampled", n_paths, est.n_survivors, est.p_hat, est.se, log_total)
+    total = 2**t
+    if total > max_paths:
+        raise TooLarge(f"2^{t} paths exceed max_paths={max_paths}")
+    states = np.array([spec.c0], dtype=np.uint64)
+    amps = np.array([math.log(phi0)])
+    for s in range(1, t + 1):
+        if states.size == 0:
+            break
+        c2, c1 = lcg_children(states, spec)
+        children = np.concatenate([c2, c1])
+        with np.errstate(divide="ignore"):
+            damps = np.log(children.astype(np.float64) / spec.p)
+        amps = np.concatenate([amps, amps]) + damps
+        keep = amps >= sched.log_xi(s)
+        states = children[keep]
+        amps = amps[keep]
+    n_surv = int(states.size)
+    return LcgTreeResult(t, total, n_surv, n_surv / total, t * math.log(2.0))
 
 
 def _lcg_block_worst(
@@ -349,6 +327,8 @@ def lcg_walk_survival(
         raise OutOfRange("phi0 values must be positive")
     if n_paths < 1:
         raise OutOfRange("n_paths must be >= 1")
+    if t < 0:
+        raise OutOfRange(f"t={t} must be >= 0")
     lphis = [math.log(p) for p in phi0s]
     counts = _start_counts(
         partial(_lcg_block_worst, spec, sched, t), lphis, n_paths, seed, workers

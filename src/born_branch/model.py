@@ -9,19 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import permutations
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DegenerateSpec, OutOfRange, WrongArity
+from .errors import DegenerateSpec, OutOfRange
 
 #: Absolute tolerance on sum(deltas) == 1.
 SIMPLEX_TOL = 1e-12
-
-#: Threshold for the K=3 min-delta sufficient condition, 1 / (1 + 2 e^{3/2}).
-MIN_DELTA_THRESHOLD = 1.0 / (1.0 + 2.0 * math.exp(1.5))
 
 
 @dataclass(frozen=True)
@@ -127,51 +122,6 @@ def basic_params(spec: BranchingSpec, alpha: float) -> WalkMoments:
     return WalkMoments(mu, spec.sigma, mu / spec.sigma2)
 
 
-def min_delta_sufficient_condition(spec: BranchingSpec) -> bool:
-    """Sufficient (not necessary) feasibility test for K = 3.
-
-    min_k delta_k > 1 / (1 + 2 e^{3/2}) guarantees the unit-beta decay rate
-    is feasible. Defined only for three branches.
-    """
-    if spec.K != 3:
-        raise WrongArity(f"condition defined for K=3, got K={spec.K}")
-    return min(spec.deltas) > MIN_DELTA_THRESHOLD
-
-
-def non_lattice_check(spec: BranchingSpec, max_denominator: int = 10**6) -> str:
-    """Heuristic lattice diagnostic on the log-ratio geometry.
-
-    For every ordered triple of distinct indices (k, j, l) it forms
-    r = log(delta_k/delta_j) / log(delta_l/delta_j) and asks whether r is
-    within 1e-12 of a rational with denominator <= max_denominator
-    (continued-fraction convergents). If some triple matches no such
-    rational, the path-sum lattice cannot close and the spec is reported
-    "likely_non_lattice"; otherwise "likely_lattice". K = 2 is always a
-    lattice for fixed depth.
-    """
-    if spec.K < 2:
-        raise WrongArity("lattice structure needs at least two branches")
-    if spec.K == 2:
-        return "likely_lattice"
-    ld = spec.log_deltas
-    for k, j, l in permutations(range(spec.K), 3):
-        den = ld[l] - ld[j]
-        if abs(den) < 1e-15:
-            continue
-        r = (ld[k] - ld[j]) / den
-        approx = Fraction(r).limit_denominator(max_denominator)
-        if abs(r - float(approx)) > 1e-12:
-            return "likely_non_lattice"
-    return "likely_lattice"
-
-
-def endogenous_beta(varepsilon: float) -> float:
-    """Power-law exponent 1 / (1 - varepsilon) for the endogenous threshold."""
-    if not (0.0 < varepsilon < 1.0):
-        raise OutOfRange(f"varepsilon={varepsilon} outside (0, 1)")
-    return 1.0 / (1.0 - varepsilon)
-
-
 def endogenous_alpha(
     tilde_mu: float, sigma: float, varepsilon: float, phi0: float = 1.0
 ) -> EndogenousAlpha:
@@ -213,17 +163,6 @@ class Exogenous:
 
 
 @dataclass(frozen=True)
-class Endogenous:
-    """Threshold tied to the surviving population: xi = varepsilon * E[Phi | Phi > 0]."""
-
-    varepsilon: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.varepsilon < 1.0):
-            raise OutOfRange(f"varepsilon={self.varepsilon} outside (0, 1)")
-
-
-@dataclass(frozen=True)
 class RandomBarrier:
     """Noisy log threshold: log xi_t = log epsilon + V_t, V_t ~ N(0, noise_sd^2)."""
 
@@ -237,7 +176,7 @@ class RandomBarrier:
             raise OutOfRange(f"noise_sd={self.noise_sd} must be >= 0")
 
 
-ThresholdSchedule = Union[Exogenous, Endogenous, RandomBarrier]
+ThresholdSchedule = Union[Exogenous, RandomBarrier]
 
 
 @dataclass(frozen=True)

@@ -115,25 +115,17 @@ def binomial_interval_logprob(n: int, p: float, lo: int, hi: int) -> tuple[float
     return log_in, log_out
 
 
-def binomial_count_fraction(
-    n: int, lo: int, hi: int, exact: bool = False
-) -> float | tuple[float, Fraction]:
+def binomial_count_fraction(n: int, lo: int, hi: int) -> tuple[float, Fraction]:
     """Fraction of 2^n equal-weight outcomes with between lo and hi successes.
 
     Computed with exact big integers: sum_{k=lo}^{hi} C(n, k) / 2^n. Returns
-    the base-10 log of the fraction; with exact=True also the fraction
-    itself, which stays exact far below float underflow.
+    the base-10 log of the fraction and the fraction itself, which stays
+    exact far below float underflow.
     """
     if not (0 <= lo <= hi <= n):
         raise OutOfRange(f"need 0 <= lo <= hi <= n, got lo={lo}, hi={hi}, n={n}")
     total = sum(math.comb(n, k) for k in range(lo, hi + 1))
-    if total == 0:
-        log10 = -math.inf
-        frac = Fraction(0, 1)
-    else:
-        log10 = math.log10(total) - n * math.log10(2.0)
-        frac = Fraction(total, 2**n)
-    return (log10, frac) if exact else log10
+    return math.log10(total) - n * math.log10(2.0), Fraction(total, 2**n)
 
 
 def quantile(sample: Sequence[float], q: float) -> float:

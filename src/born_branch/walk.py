@@ -43,15 +43,6 @@ _MONITORING_SHIFT = 0.5826
 
 
 @dataclass(frozen=True)
-class WalkPathOutcome:
-    """One path: whether it survived to the horizon, and where/when not."""
-
-    survived: bool
-    final_x: float
-    absorption_time: float | None
-
-
-@dataclass(frozen=True)
 class SurvivalEstimate:
     """Survival frequency with exact counts and binomial standard error."""
 
@@ -73,55 +64,16 @@ class RatioEstimate:
     n_survivors_b: int
 
 
-@dataclass(frozen=True)
-class LimitRegime:
-    """Suggested barrier distance and horizon for limit-law experiments."""
-
-    barrier_distance: float
-    t: int
-
-
 def _barrier_params(barrier: ThresholdSchedule) -> tuple[float, float]:
     if isinstance(barrier, Exogenous):
         return math.log(barrier.epsilon), 0.0
     if isinstance(barrier, RandomBarrier):
         return math.log(barrier.epsilon), barrier.noise_sd
     raise TypeError(
-        "per-path walks need an Exogenous or RandomBarrier schedule; "
-        "Endogenous thresholds are defined by a population "
-        "(see endogenous_population)"
+        "walks need an Exogenous or RandomBarrier schedule, "
+        f"got {type(barrier).__name__}; a threshold set by the population "
+        "itself is endogenous_population's"
     )
-
-
-def simulate_walk(
-    params: WalkParams,
-    x0: float,
-    barrier: ThresholdSchedule,
-    t: int,
-    rng: np.random.Generator,
-) -> WalkPathOutcome:
-    """Run one walk path to horizon t with propose-then-absorb steps.
-
-    Each period draws the shock, then (for a RandomBarrier) the barrier
-    noise. Starting exactly on the barrier is allowed; below it raises
-    BadStart.
-    """
-    log_eps, noise_sd = _barrier_params(barrier)
-    if x0 < log_eps:
-        raise BadStart(f"x0={x0} below the barrier log eps={log_eps}")
-    if t < 0:
-        raise OutOfRange(f"t={t} must be >= 0")
-    x = float(x0)
-    for s in range(1, t + 1):
-        u = float(params.shocks.sample(rng, 1)[0])
-        x_prop = x - params.mu + params.sigma * u
-        bar = log_eps
-        if noise_sd > 0.0:
-            bar += noise_sd * float(rng.standard_normal())
-        if x_prop < bar:
-            return WalkPathOutcome(False, -math.inf, float(s))
-        x = x_prop
-    return WalkPathOutcome(True, x, None)
 
 
 def _block_worst(
@@ -220,7 +172,8 @@ def walk_survival(
     over start i, as survival_ratio(x0s[i + 1], x0s[i], ..., seed) gives
     it. Deterministic in (seed, n_paths) for any worker count.
 
-    A start below the barrier raises BadStart. When the exact diffusion
+    A start below the barrier raises BadStart, and a horizon t < 0
+    OutOfRange. When the exact diffusion
     survival of a start, at the discrete-monitoring distance d + 0.5826
     sigma, is below 1e-8, the op refuses naive MC and points to the closed
     form instead. A ratio raises ZeroDenominator when start i has no
@@ -234,6 +187,8 @@ def walk_survival(
             raise BadStart(f"x0={x0} below the barrier log eps={log_eps}")
     if n_paths < 1:
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")
+    if t < 0:
+        raise OutOfRange(f"t={t} must be >= 0")
     if params.sigma > 0.0 and t > 0:
         from .diffusion import survival_closed_form
 
@@ -300,23 +255,10 @@ def survival_ratio(
         raise DegenerateSpec("theory ratio undefined for sigma = 0")
     if n_paths < 1:
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")
+    if t < 0:
+        raise OutOfRange(f"t={t} must be >= 0")
     k_b, k_a = _start_counts(
         partial(_block_worst, params, log_eps, noise_sd, t),
         [x_b, x_a], n_paths, seed, workers,
     )
     return _ratio_estimate(params, x_a, x_b, k_a, k_b, n_paths)
-
-
-def limit_regime_preset(params: WalkParams, offset_sigmas: float = 10.0) -> LimitRegime:
-    """Barrier distance and horizon placing the walk in the limit regime.
-
-    The start sits offset_sigmas (8 to 15) shock scales above the barrier
-    and the horizon is at least 10 (d/sigma)^2 periods, deep enough for the
-    diffusion limit laws to apply.
-    """
-    if params.sigma == 0.0:
-        raise DegenerateSpec("limit regime undefined for sigma = 0")
-    if not (8.0 <= offset_sigmas <= 15.0):
-        raise OutOfRange(f"offset_sigmas={offset_sigmas} outside [8, 15]")
-    d = offset_sigmas * params.sigma
-    return LimitRegime(d, int(math.ceil(10.0 * offset_sigmas**2)))

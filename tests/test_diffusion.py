@@ -18,12 +18,9 @@ from born_branch import (
     batch_survive,
     conditional_mean_ratio,
     conditioned_sample,
-    gamma_median_root,
     log_survival_closed_form,
     ratio_convergence_scan,
     rng_stream,
-    simulate_diffusion,
-    survival_asymptotic,
     survival_closed_form,
 )
 from image_law import image_cdf, image_density, image_survival
@@ -95,17 +92,12 @@ class TestClosedForm:
 
 
 class TestSurvivalAsymptotic:
-    """Gaussian-tail screening scale and its documented correction factor."""
-
-    def test_formula(self):
-        mu, sigma, d, tau = 0.7, 1.3, 2.0, 50.0
-        expect = (2.0 * d / (sigma * math.sqrt(2.0 * math.pi * tau))) * math.exp(
-            -mu * mu * tau / (2.0 * sigma * sigma)
-        )
-        assert survival_asymptotic(mu, sigma, d, tau) == pytest.approx(expect, rel=1e-14)
+    """Large-tau behaviour of the closed form against the Gaussian-tail scale."""
 
     def test_correction_factor_closes_the_gap(self):
-        """The scale misses the tilt and one power of tau; multiplying by
+        """The Gaussian-tail scale
+        (2d / (sigma sqrt(2 pi tau))) exp(-mu^2 tau / (2 sigma^2)) misses
+        the tilt and one power of tau; multiplying by
         (sigma^2/(mu^2 tau)) exp(mu d/sigma^2 - d^2/(2 sigma^2 tau)) should
         recover the exact log survival up to O(1/tau): the residual is
         0.0147 at tau = 200 and 0.0015 at tau = 2000."""
@@ -167,44 +159,10 @@ class TestBatchSurvive:
         with pytest.raises(BadStep):
             batch_survive(1.0, 1.0, 1.0, 1.0, 0.0, rng_stream(0, 0), 4)
 
-
-class TestSimulateDiffusion:
-    """Single-path variant with absorption-time bookkeeping."""
-
-    def test_validation(self):
-        p = DiffusionParams(1.0, 1.0)
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_non_positive_horizon(self, tau):
         with pytest.raises(OutOfRange):
-            simulate_diffusion(p, 0.0, 0.0, 1.0, rng_stream(0, 0), dt=0.01)
-        with pytest.raises(BadStart):
-            simulate_diffusion(p, math.log(1e-3), 1e-3, 1.0, rng_stream(0, 0), dt=0.01)
-        with pytest.raises(OutOfRange):
-            simulate_diffusion(p, 1.0, 1e-3, 0.0, rng_stream(0, 0), dt=0.01)
-
-    def test_absorption_times_on_step_and_half_step_grid(self):
-        """Euler absorption lands on multiples of dt, bridge absorption on
-        half steps; with a coarse grid both kinds occur and every recorded
-        time is in (0, tau]."""
-        p = DiffusionParams(1.0, 1.0)
-        kinds = set()
-        for s in range(200):
-            out = simulate_diffusion(p, 0.5, math.exp(-0.7), 5.0, rng_stream(s, 0), dt=0.25)
-            if out.survived:
-                continue
-            frac = (out.absorption_time / 0.25) % 1.0
-            assert 0.0 < out.absorption_time <= 5.0
-            kinds.add("half" if abs(frac - 0.5) < 1e-9 else "whole")
-        assert kinds == {"half", "whole"}
-
-    def test_survivor_reports_position_above_barrier(self):
-        p = DiffusionParams(0.1, 0.5)
-        for s in range(50):
-            out = simulate_diffusion(p, 2.0, 1e-4, 1.0, rng_stream(s, 0), dt=0.05)
-            if out.survived:
-                assert out.final_x > math.log(1e-4)
-                assert out.absorption_time is None
-                break
-        else:
-            pytest.fail("no survivor in 50 seeds")
+            batch_survive(1.0, 1.0, 1.0, tau, 0.1, rng_stream(0, 0), 4)
 
 
 class TestRatioScan:
@@ -336,15 +294,3 @@ class TestConditionalMeanRatio:
             conditional_mean_ratio(
                 DiffusionParams(0.5, 0.5), math.exp(-1.5), 8.0, 1000, x0=0.0
             )
-
-
-class TestGammaMedianRoot:
-    """Median of the Gamma(2, 1) law via bisection."""
-
-    def test_frozen_value_and_residual(self):
-        z = gamma_median_root()
-        assert z == pytest.approx(1.678346990016661, rel=1e-12)
-        assert abs((1.0 + z) * math.exp(-z) - 0.5) < 1e-12
-
-    def test_matches_gamma_ppf(self):
-        assert gamma_median_root() == pytest.approx(gamma(2).ppf(0.5), rel=1e-10)

@@ -17,7 +17,6 @@ from born_branch import (
     OutOfRange,
     TooLarge,
     lcg_cycle_length,
-    lcg_delta,
     lcg_delta_stream,
     lcg_full_period,
     lcg_next,
@@ -110,10 +109,6 @@ class TestTransitions:
         for c, a2, a1 in zip(cs.tolist(), c2.tolist(), c1.tolist()):
             assert a2 == lcg_next(int(c), BIG, branch=2)
             assert a1 == lcg_next(int(c), BIG, branch=1)
-
-    def test_delta_is_state_over_modulus(self):
-        assert lcg_delta(1, LEHMER) == pytest.approx(1.0 / M31, rel=1e-15)
-        assert lcg_delta(M31 - 1, LEHMER) == pytest.approx(1.0, rel=1e-9)
 
     def test_vectorized_path_rejects_oversized_modulus(self):
         """lcg_children stores states as uint64, so p wider than 62 bits
@@ -289,12 +284,12 @@ class TestDeltaStream:
 
 
 class TestLcgTree:
-    """Exact and sampled congruential trees."""
+    """Exact 2^t enumeration, the oracle for the sampled walk."""
 
     def test_exact_counts_all_paths(self):
         """t=10 with a negligible threshold: all 2^10 paths survive."""
         sched = Exogenous(1e-12, DEFAULT_LCG_ALPHA)
-        res = lcg_tree(BIG, sched, 10, mode="exact")
+        res = lcg_tree(BIG, sched, 10)
         assert res.n_paths == 1024
         assert res.n_survivors == 1024
         assert res.p_hat == 1.0
@@ -302,27 +297,27 @@ class TestLcgTree:
 
     def test_exact_truncation_reduces_count(self):
         sched = Exogenous(1e-2, DEFAULT_LCG_ALPHA)
-        res = lcg_tree(BIG, sched, 14, mode="exact")
+        res = lcg_tree(BIG, sched, 14)
         assert 0 < res.n_survivors < res.n_paths
 
     def test_sampled_agrees_with_exact(self):
         """Sampled survival estimate within 4 SE of the exact fraction."""
         sched = Exogenous(1e-2, DEFAULT_LCG_ALPHA)
-        exact = lcg_tree(BIG, sched, 14, mode="exact")
+        exact = lcg_tree(BIG, sched, 14)
         p_true = exact.n_survivors / exact.n_paths
-        sampled = lcg_tree(BIG, sched, 14, mode="sampled", n_paths=40_000, seed=5)
+        sampled = lcg_walk_survival(BIG, sched, 14, [1.0], 40_000, seed=5).estimates[0]
         se = math.sqrt(p_true * (1 - p_true) / sampled.n_paths)
         assert abs(sampled.p_hat - p_true) < 4 * se
 
     def test_exact_guard_on_depth(self):
         with pytest.raises(TooLarge):
-            lcg_tree(BIG, Exogenous(1e-2, 0.5), 40, mode="exact")
+            lcg_tree(BIG, Exogenous(1e-2, 0.5), 40)
 
-    def test_mode_validation(self):
+    def test_validation(self):
         with pytest.raises(OutOfRange):
-            lcg_tree(BIG, Exogenous(1e-2, 0.5), 5, mode="fancy")
+            lcg_tree(BIG, Exogenous(1e-2, 0.5), -1)
         with pytest.raises(OutOfRange):
-            lcg_tree(BIG, Exogenous(1e-2, 0.5), 5, mode="sampled")
+            lcg_tree(BIG, Exogenous(1e-2, 0.5), 5, phi0=0.0)
 
 
 def _lcg_alive_reference(spec, sched, t, lphis, rng, size):
@@ -393,3 +388,7 @@ class TestLcgWalkSurvival:
         a = lcg_walk_survival(BIG, sched, 80, [1.0, 4.0], 20_000, seed=9, workers=1)
         b = lcg_walk_survival(BIG, sched, 80, [1.0, 4.0], 20_000, seed=9, workers=4)
         assert [e.p_hat for e in a.estimates] == [e.p_hat for e in b.estimates]
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(OutOfRange):
+            lcg_walk_survival(BIG, Exogenous(1e-2, 0.5), -3, [1.0], 100)

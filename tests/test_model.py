@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from born_branch import (
     AlphaResult,
     BranchingSpec,
     DegenerateSpec,
     DiffusionParams,
-    Endogenous,
     Exogenous,
     FiniteSupportShocks,
     GaussianShocks,
@@ -18,15 +19,14 @@ from born_branch import (
     OutOfRange,
     RandomBarrier,
     WalkParams,
-    WrongArity,
     alpha_for_unit_beta,
     basic_params,
     endogenous_alpha,
-    endogenous_beta,
-    min_delta_sufficient_condition,
-    non_lattice_check,
     rng_stream,
 )
+
+#: The paper's sufficient K = 3 feasibility bound on min delta, 1/(1 + 2 e^{3/2}).
+MIN_DELTA_BOUND = 1.0 / (1.0 + 2.0 * math.exp(1.5))
 
 
 class TestBranchingSpec:
@@ -134,13 +134,29 @@ class TestMinDeltaCondition:
 
     def test_threshold_value(self):
         """The bound constant is 1/(1 + 2 e^{3/2}) = 0.10036756468345169."""
-        assert 1.0 / (1.0 + 2.0 * math.exp(1.5)) == pytest.approx(
-            0.10036756468345169, rel=1e-15
-        )
+        assert MIN_DELTA_BOUND == pytest.approx(0.10036756468345169, rel=1e-15)
 
-    def test_reference_specs(self):
-        assert min_delta_sufficient_condition(BranchingSpec((1 / 6, 1 / 3, 1 / 2)))
-        assert not min_delta_sufficient_condition(BranchingSpec((0.05, 0.45, 0.5)))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_bound_implies_feasible(self, x, y):
+        """Every K = 3 spec whose smallest ratio clears the bound is feasible.
+
+        (x, y) folds onto the triangle of specs with every delta at or above
+        the bound B. The implication is tight at two places, where floats
+        cannot decide it: the uniform spec (sigma = 0, alpha = delta_bar)
+        and (B, (1 - B)/2, (1 - B)/2), where alpha = max delta. Draws with
+        min delta within 1e-9 of the bound or sigma^2 below 1e-9 are skipped.
+        """
+        if x + y > 1.0:
+            x, y = 1.0 - x, 1.0 - y
+        free = 1.0 - 3.0 * MIN_DELTA_BOUND
+        d1 = MIN_DELTA_BOUND + free * x
+        d2 = MIN_DELTA_BOUND + free * y
+        deltas = (d1, d2, 1.0 - d1 - d2)
+        assume(min(deltas) > MIN_DELTA_BOUND + 1e-9)
+        spec = BranchingSpec(deltas)
+        assume(spec.sigma2 > 1e-9)
+        assert alpha_for_unit_beta(spec).feasible
 
     def test_sufficient_not_necessary(self):
         """A spec failing the bound can still be feasible by direct check.
@@ -149,50 +165,12 @@ class TestMinDeltaCondition:
         (delta_bar, max delta).
         """
         spec = BranchingSpec((0.09, 0.41, 0.5))
-        assert not min_delta_sufficient_condition(spec)
+        assert min(spec.deltas) < MIN_DELTA_BOUND
         assert alpha_for_unit_beta(spec).feasible
-
-    def test_wrong_arity(self):
-        with pytest.raises(WrongArity):
-            min_delta_sufficient_condition(BranchingSpec((0.5, 0.5)))
-
-
-class TestNonLatticeCheck:
-    """Continued-fraction diagnostic for lattice log-ratio geometry."""
-
-    def test_reference_spec_is_non_lattice(self):
-        """(1/6, 1/3, 1/2): log(3)/log(2) admits a denominator-190537
-        convergent within 4.9e-13, but the mixed ratio
-        log(2)/log(3/2) = 1.7095... matches no rational with denominator
-        <= 1e6 at 1e-12, so the diagnostic reports likely_non_lattice.
-        """
-        assert non_lattice_check(BranchingSpec((1 / 6, 1 / 3, 1 / 2))) == (
-            "likely_non_lattice"
-        )
-
-    def test_power_lattice_detected(self):
-        """(1/7, 2/7, 4/7): all log-ratios are integer multiples of log 2."""
-        assert non_lattice_check(BranchingSpec((1 / 7, 2 / 7, 4 / 7))) == (
-            "likely_lattice"
-        )
-
-    def test_two_branches_always_lattice(self):
-        assert non_lattice_check(BranchingSpec((1 / 3, 2 / 3))) == "likely_lattice"
-
-    def test_single_branch_raises(self):
-        with pytest.raises(WrongArity):
-            non_lattice_check(BranchingSpec((1.0,)))
 
 
 class TestEndogenousFormulas:
     """Closed-form references for the endogenous-threshold regime."""
-
-    def test_beta_formula(self):
-        """beta = 1/(1 - varepsilon); 0.2 -> 1.25, 0.5 -> 2."""
-        assert endogenous_beta(0.2) == pytest.approx(1.25, rel=1e-15)
-        assert endogenous_beta(0.5) == pytest.approx(2.0, rel=1e-15)
-        with pytest.raises(OutOfRange):
-            endogenous_beta(1.0)
 
     def test_alpha_ansatz(self):
         """log alpha = sigma^2/(1-eps) - mu; c0 = phi0 * eps/(1-eps)."""
@@ -205,7 +183,7 @@ class TestEndogenousFormulas:
 
 
 class TestThresholdSchedules:
-    """Exogenous, endogenous, and random-barrier threshold parameters."""
+    """Exogenous and random-barrier threshold parameters."""
 
     def test_exogenous_log_xi_is_affine_in_t(self):
         """log xi_t = log eps + t log alpha, evaluated in one canonical form."""
@@ -219,13 +197,6 @@ class TestThresholdSchedules:
             Exogenous(0.0, 0.5)
         with pytest.raises(OutOfRange):
             Exogenous(1e-6, 1.0)
-
-    def test_endogenous_validation(self):
-        Endogenous(0.2)
-        with pytest.raises(OutOfRange):
-            Endogenous(0.0)
-        with pytest.raises(OutOfRange):
-            Endogenous(1.0)
 
     def test_random_barrier_validation(self):
         RandomBarrier(1e-8, 0.5)

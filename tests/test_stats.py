@@ -151,7 +151,7 @@ class TestBinomialCountFraction:
         sum_{k=100}^{300} C(1000, k) has 264 digits; dividing by 2^1000
         (302 digits) leaves ~1e-37.05.
         """
-        log10, frac = binomial_count_fraction(1000, 100, 300, exact=True)
+        log10, frac = binomial_count_fraction(1000, 100, 300)
         assert log10 == pytest.approx(-37.05389968537003, rel=1e-12)
         assert log10 < -37.0
         assert frac == Fraction(
@@ -160,7 +160,7 @@ class TestBinomialCountFraction:
 
     def test_small_case_by_hand(self):
         """n=4, [2, 3]: (6 + 4)/16 = 5/8."""
-        log10, frac = binomial_count_fraction(4, 2, 3, exact=True)
+        log10, frac = binomial_count_fraction(4, 2, 3)
         assert frac == Fraction(5, 8)
         assert log10 == pytest.approx(math.log10(5 / 8), rel=1e-14)
 
@@ -169,11 +169,6 @@ class TestBinomialCountFraction:
             binomial_count_fraction(4, 5, 5)
         with pytest.raises(OutOfRange):
             binomial_count_fraction(4, 3, 2)
-
-    def test_default_returns_log_only(self):
-        out = binomial_count_fraction(10, 0, 10)
-        assert isinstance(out, float)
-        assert out == pytest.approx(0.0, abs=1e-14)
 
 
 class TestQuantile:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from born_branch import (
     BranchingSpec,
-    Endogenous,
     Exogenous,
     OutOfRange,
+    RandomBarrier,
     StateExplosion,
     brute_leaf_log_amplitudes,
     count_survivors_dp,
@@ -224,10 +224,11 @@ class TestSeriesShape:
                 max_states=1000,
             )
 
-    def test_endogenous_schedule_rejected(self):
+    def test_non_exogenous_schedule_rejected(self):
+        """Exact counting needs a deterministic threshold; a noisy one raises."""
         with pytest.raises(TypeError):
             count_survivors_dp(
-                BranchingSpec((1 / 2, 1 / 2)), Endogenous(0.2), 5, [1.0]
+                BranchingSpec((1 / 2, 1 / 2)), RandomBarrier(0.2, 0.1), 5, [1.0]
             )
 
 

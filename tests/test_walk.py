@@ -13,7 +13,6 @@ from born_branch import (
     BadStart,
     BranchingSpec,
     DegenerateSpec,
-    Endogenous,
     Exogenous,
     FiniteSupportShocks,
     LogUniformShocks,
@@ -23,10 +22,7 @@ from born_branch import (
     WalkParams,
     ZeroDenominator,
     estimate_survival,
-    limit_regime_preset,
     rng_stream,
-    simulate_walk,
-    survival_asymptotic,
     survival_closed_form,
     survival_ratio,
     walk_survival,
@@ -36,61 +32,6 @@ from born_branch.walk import RARE_EVENT_FLOOR, _block_worst, _start_counts
 
 # alpha is folded into mu for walks, so its value here is inert
 BARRIER = Exogenous(math.exp(-1.0), 0.5)
-
-
-class TestSimulateWalk:
-    """Single-path semantics: propose-then-absorb with equality surviving."""
-
-    def test_deterministic_absorption_time(self):
-        """With sigma = 0 the walk loses exactly mu per step. From x0 = 0
-        against a barrier at log eps = -1 with mu = 0.25, step 4 proposes
-        x = -1.0, exactly on the barrier, and survives; step 5 proposes
-        -1.25 < -1 and absorbs. So the absorption time is exactly 5."""
-        params = WalkParams(mu=0.25, sigma=0.0)
-        out = simulate_walk(params, 0.0, BARRIER, t=10, rng=rng_stream(0, 0))
-        assert not out.survived
-        assert out.absorption_time == 5.0
-        assert out.final_x == -math.inf
-
-    def test_equality_on_barrier_survives(self):
-        """A proposal exactly equal to the barrier is kept, so the sigma = 0
-        walk above survives any horizon up to 4 and sits on the barrier."""
-        params = WalkParams(mu=0.25, sigma=0.0)
-        out = simulate_walk(params, 0.0, BARRIER, t=4, rng=rng_stream(0, 0))
-        assert out.survived
-        assert out.final_x == -1.0
-
-    def test_start_on_barrier_allowed(self):
-        """x0 == log eps is a legal start; only strictly below raises."""
-        params = WalkParams(mu=0.5, sigma=1.0)
-        out = simulate_walk(params, -1.0, BARRIER, t=0, rng=rng_stream(0, 0))
-        assert out.survived and out.final_x == -1.0
-        with pytest.raises(BadStart):
-            simulate_walk(params, -1.0 - 1e-12, BARRIER, t=0, rng=rng_stream(0, 0))
-
-    def test_zero_horizon_trivially_survives(self):
-        out = simulate_walk(WalkParams(1.0, 1.0), 3.0, BARRIER, 0, rng_stream(1, 0))
-        assert out.survived
-        assert out.final_x == 3.0
-        assert out.absorption_time is None
-
-    def test_negative_horizon_rejected(self):
-        with pytest.raises(OutOfRange):
-            simulate_walk(WalkParams(1.0, 1.0), 0.0, BARRIER, -1, rng_stream(1, 0))
-
-    def test_endogenous_schedule_rejected(self):
-        """Per-path walks cannot price an Endogenous threshold: it depends
-        on the whole population, which a single path cannot see."""
-        with pytest.raises(TypeError):
-            simulate_walk(WalkParams(1.0, 1.0), 0.0, Endogenous(0.2), 5, rng_stream(1, 0))
-
-    def test_noiseless_random_barrier_matches_exogenous(self):
-        """RandomBarrier with noise_sd = 0 draws no barrier noise, so the
-        same seed gives the bitwise-identical path outcome as Exogenous."""
-        params = WalkParams(mu=0.3, sigma=0.8)
-        a = simulate_walk(params, 0.5, BARRIER, 40, rng_stream(7, 0))
-        b = simulate_walk(params, 0.5, RandomBarrier(math.exp(-1.0), 0.0), 40, rng_stream(7, 0))
-        assert a == b
 
 
 class TestEstimateSurvival:
@@ -143,7 +84,9 @@ class TestEstimateSurvival:
         reads 2.6e-9; the screen must follow the exact value and run."""
         params = WalkParams(mu=1.0, sigma=1.0)
         d = 10.0
-        assert survival_asymptotic(1.0, 1.0, d, 40.0) < RARE_EVENT_FLOOR
+        # (2d / (sigma sqrt(2 pi tau))) exp(-mu^2 tau / (2 sigma^2)) at tau = 40
+        gaussian_tail = 2.0 * d / math.sqrt(2.0 * math.pi * 40.0) * math.exp(-20.0)
+        assert gaussian_tail < RARE_EVENT_FLOOR
         assert survival_closed_form(1.0, 1.0, d, 40.0) > RARE_EVENT_FLOOR
         x0 = math.log(BARRIER.epsilon) + d
         est = estimate_survival(params, x0, BARRIER, 40, 1_000, seed=0)
@@ -158,6 +101,27 @@ class TestEstimateSurvival:
         est = estimate_survival(params, -1.0, BARRIER, 5, 100)
         assert est.n_paths == 100
         assert 0 < est.n_survivors < 100
+
+    def test_deterministic_absorption_time(self):
+        """With sigma = 0 every path loses exactly mu = 0.25 per step. From
+        x0 = 0 against a barrier at log eps = -1, step 4 lands exactly on
+        the barrier and survives; step 5 lands at -1.25 and is absorbed.
+        So every path survives to t = 4 and none to t = 5 or beyond."""
+        params = WalkParams(mu=0.25, sigma=0.0)
+        assert estimate_survival(params, 0.0, BARRIER, 4, 100).n_survivors == 100
+        assert estimate_survival(params, 0.0, BARRIER, 5, 100).n_survivors == 0
+        assert estimate_survival(params, 0.0, BARRIER, 10, 100).n_survivors == 0
+
+    def test_equality_on_barrier_survives(self):
+        """A proposal exactly equal to the barrier is kept, so the sigma = 0
+        walk above survives every horizon up to 4."""
+        params = WalkParams(mu=0.25, sigma=0.0)
+        for t in range(5):
+            assert estimate_survival(params, 0.0, BARRIER, t, 100).n_survivors == 100
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(OutOfRange):
+            estimate_survival(WalkParams(1.0, 1.0), 0.0, BARRIER, -3, 100)
 
     def test_validation(self):
         params = WalkParams(mu=0.5, sigma=1.0)
@@ -260,6 +224,10 @@ class TestSurvivalRatio:
         with pytest.raises(ZeroDenominator):
             survival_ratio(params, 1.0, math.log(1.0 - 1e-12), barrier, 1, 2_000, seed=0)
 
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(OutOfRange):
+            survival_ratio(WalkParams(0.5, 1.0), 1.0, 0.0, BARRIER, -3, 100)
+
     def test_validation(self):
         with pytest.raises(DegenerateSpec):
             survival_ratio(WalkParams(0.5, 0.0), 1.0, 0.0, BARRIER, 5, 100, seed=0)
@@ -303,6 +271,23 @@ class TestWalkSurvival:
         with pytest.raises(OutOfRange):
             walk_survival(params, [0.0], BARRIER, 5, 0)
 
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(OutOfRange):
+            walk_survival(self.PARAMS, self.X0S, self.LOW, -3, 100)
+
+    def test_noiseless_random_barrier_matches_exogenous(self):
+        """RandomBarrier with noise_sd = 0 draws no barrier noise, so the
+        same seed gives results identical to the Exogenous barrier's."""
+        noiseless = RandomBarrier(self.LOW.epsilon, 0.0)
+        assert walk_survival(self.PARAMS, self.X0S, noiseless, 40, 5_000, seed=7) == (
+            walk_survival(self.PARAMS, self.X0S, self.LOW, 40, 5_000, seed=7)
+        )
+
+    def test_other_barrier_rejected(self):
+        """A bare epsilon is not a barrier schedule."""
+        with pytest.raises(TypeError):
+            walk_survival(self.PARAMS, self.X0S, self.LOW.epsilon, 5, 100)
+
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
         blocks=st.integers(1, 2),
@@ -320,22 +305,3 @@ class TestWalkSurvival:
             self.PARAMS, self.X0S, barrier, 6, n_paths, seed=7, workers=workers
         )
         assert one == many
-
-
-class TestLimitRegimePreset:
-    """Preset placing experiments deep in the diffusion limit."""
-
-    def test_default_scales_with_sigma(self):
-        regime = limit_regime_preset(WalkParams(mu=0.2, sigma=1.5))
-        assert regime.barrier_distance == pytest.approx(15.0)
-        assert regime.t == 1000
-
-    def test_offset_bounds(self):
-        params = WalkParams(mu=0.2, sigma=1.0)
-        assert limit_regime_preset(params, 8.0).t == 640
-        with pytest.raises(OutOfRange):
-            limit_regime_preset(params, 7.9)
-        with pytest.raises(OutOfRange):
-            limit_regime_preset(params, 15.1)
-        with pytest.raises(DegenerateSpec):
-            limit_regime_preset(WalkParams(0.2, 0.0))

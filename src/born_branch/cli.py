@@ -29,7 +29,7 @@ from . import diffusion as diff
 from .errors import BornBranchError, ConfigError
 from .lcg import DEFAULT_LCG_ALPHA, LcgSpec, lcg_delta_stream, lcg_walk_survival
 from .measure import MeasurementSetup, measurement_pipeline, outcome_weights, prepared_median_reference
-from .model import BranchingSpec, Exogenous, GaussianShocks, LogUniformShocks, RandomBarrier, WalkParams, alpha_for_unit_beta
+from .model import BranchingSpec, Exogenous, GaussianShocks, LogUniformShocks, RandomBarrier, WalkParams, _alpha_feasible, alpha_for_unit_beta
 from .population import endogenous_population
 from .rng import map_blocks, resolve_workers
 from .stats import (
@@ -52,28 +52,19 @@ class RunnerOutput:
     plot: tuple[str, str, str, list[tuple[str, list[float], list[float]]]] | None
 
 
-def _params_from_dict(cls, raw: dict, experiment: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - names)
-    if unknown:
-        raise ConfigError(
-            f"unknown parameter key(s) {unknown} for experiment {experiment!r}"
-        )
-    try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for {experiment!r}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment invocation: family, parameters, seed, execution knobs."""
+    """One experiment invocation: family, parameters, seed and worker count.
+
+    The parameters are parsed once, here, into ``params``, the experiment's
+    parameter dataclass, so a bad config fails before anything runs.
+    """
 
     experiment: str
     parameters: dict[str, Any] = field(default_factory=dict)
     seed: int = 0
     workers: int | None = None
-    output: str | None = None
+    params: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -81,16 +72,27 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; choose from "
                 f"{sorted(EXPERIMENTS)}"
             )
-        # validate parameter keys eagerly so bad configs fail before running
-        _params_from_dict(EXPERIMENTS[self.experiment][0], self.parameters, self.experiment)
+        schema = EXPERIMENTS[self.experiment][0]
+        unknown = sorted(set(self.parameters) - {f.name for f in dataclasses.fields(schema)})
+        if unknown:
+            raise ConfigError(
+                f"unknown parameter key(s) {unknown} for experiment {self.experiment!r}"
+            )
+        try:
+            params = schema(**self.parameters)
+        except TypeError as exc:
+            raise ConfigError(f"bad parameters for {self.experiment!r}: {exc}") from exc
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
+        return cls._from_dict(json.loads(text))
+
+    @classmethod
+    def _from_dict(cls, raw: Any) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        allowed = {"experiment", "parameters", "seed", "workers", "output"}
-        unknown = sorted(set(raw) - allowed)
+        unknown = sorted(set(raw) - {"experiment", "parameters", "seed", "workers"})
         if unknown:
             raise ConfigError(f"unknown config key(s) {unknown}")
         if "experiment" not in raw:
@@ -100,35 +102,20 @@ class ExperimentConfig:
             parameters=raw.get("parameters", {}),
             seed=int(raw.get("seed", 0)),
             workers=raw.get("workers"),
-            output=raw.get("output"),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "experiment": self.experiment,
-                "parameters": self.parameters,
-                "seed": self.seed,
-                "workers": self.workers,
-                "output": self.output,
-            },
-            sort_keys=True,
-            indent=2,
         )
 
 
 def config_hash(config: ExperimentConfig) -> str:
     """Hash of the normalized science inputs (experiment, parameters, seed).
 
-    Execution knobs (workers, output) are excluded: they must not change
-    any result.
+    The worker count is excluded: it must not change any result.
     """
-    params = EXPERIMENTS[config.experiment][0]
-    normalized = dataclasses.asdict(
-        _params_from_dict(params, config.parameters, config.experiment)
-    )
     blob = json.dumps(
-        {"experiment": config.experiment, "parameters": normalized, "seed": config.seed},
+        {
+            "experiment": config.experiment,
+            "parameters": dataclasses.asdict(config.params),
+            "seed": config.seed,
+        },
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -153,7 +140,13 @@ def _band_check(value: float, lo: float, hi: float) -> str:
     return "pass" if lo <= value <= hi else "fail"
 
 
+# Each experiment's check bounds are constants next to it, so a config sets
+# what is computed, not how it is judged.
+
 # ---------------------------------------------------------------- tree
+
+#: Band that the fitted survival exponent must fall in (tree and lcg).
+BETA_BAND = (0.85, 1.15)
 
 
 @dataclass(frozen=True)
@@ -164,15 +157,13 @@ class TreeParams:
     t_max: int = 400
     phis: list = field(default_factory=lambda: [1.0, 2.0, 4.0, 8.0, 16.0])
     record_points: int = 40
-    beta_band: list = field(default_factory=lambda: [0.85, 1.15])
     oracle: bool = False
 
 
 def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
     spec = BranchingSpec(tuple(p.deltas))
-    auto = alpha_for_unit_beta(spec)
-    alpha = auto.alpha if p.alpha is None else float(p.alpha)
-    feasible = spec.sigma2 > 0.0 and spec.delta_bar < alpha < max(spec.deltas)
+    alpha = alpha_for_unit_beta(spec).alpha if p.alpha is None else float(p.alpha)
+    feasible = _alpha_feasible(spec, alpha)
     sched = Exogenous(p.epsilon, alpha)
     grid = sorted({int(t) for t in np.linspace(0, p.t_max, p.record_points + 1)})
     phis = [float(v) for v in p.phis]
@@ -199,7 +190,7 @@ def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
         )
     checks: dict[str, str] = {}
     if feasible:
-        checks["beta_hat_in_band"] = _band_check(final.beta_hat, *p.beta_band)
+        checks["beta_hat_in_band"] = _band_check(final.beta_hat, *BETA_BAND)
         checks["no_premature_extinction"] = "pass" if extinct_t is None else "fail"
     else:
         checks["beta_hat_in_band"] = "report"
@@ -243,6 +234,10 @@ def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
 
 # ---------------------------------------------------------------- lcg
 
+#: Bounds on |E[-log delta] - 1| and |Var(log delta) - 1|.
+LCG_MEAN_TOL = 0.01
+LCG_VAR_REL_TOL = 0.02
+
 
 @dataclass(frozen=True)
 class LcgParams:
@@ -254,9 +249,6 @@ class LcgParams:
     t: int = 200
     phis: list = field(default_factory=lambda: [1.0, 4.0, 16.0, 64.0])
     n_paths: int = 20_000
-    mean_tol: float = 0.01
-    var_rel_tol: float = 0.02
-    beta_band: list = field(default_factory=lambda: [0.85, 1.15])
 
 
 def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
@@ -276,9 +268,9 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
     beta_hat = walk.beta_hat
     checks = {
         "delta_ks_uniform": "pass" if ks < ks_tol else "fail",
-        "mean_neg_log_delta": "pass" if abs(mean_neg_log - 1.0) <= p.mean_tol else "fail",
-        "var_log_delta": "pass" if abs(var_log - 1.0) <= p.var_rel_tol else "fail",
-        "walk_beta_hat_in_band": _band_check(beta_hat, *p.beta_band)
+        "mean_neg_log_delta": "pass" if abs(mean_neg_log - 1.0) <= LCG_MEAN_TOL else "fail",
+        "var_log_delta": "pass" if abs(var_log - 1.0) <= LCG_VAR_REL_TOL else "fail",
+        "walk_beta_hat_in_band": _band_check(beta_hat, *BETA_BAND)
         if math.isfinite(beta_hat)
         else "fail",
     }
@@ -293,7 +285,7 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
         "ks_tol": ks_tol,
         "mean_neg_log_delta": 1.0,
         "var_log_delta": 1.0,
-        "beta_band": list(p.beta_band),
+        "beta_band": list(BETA_BAND),
     }
     columns = ["phi0", "p_hat", "se", "n_survivors"]
     rows = [
@@ -307,6 +299,9 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
 
 # ---------------------------------------------------------------- walk
 
+#: Bound on |ratio / asymptotic ratio - 1| for each adjacent pair of starts.
+WALK_RATIO_REL_TOL = 0.05
+
 
 @dataclass(frozen=True)
 class WalkExpParams:
@@ -318,7 +313,6 @@ class WalkExpParams:
     t: int = 300
     n_paths: int = 150_000
     noise_sd: float = 0.0
-    ratio_rel_tol: float = 0.05
 
 
 def _asym_ratio(beta: float, sigma: float, d_a: float, d_b: float, t: float) -> float:
@@ -350,7 +344,7 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int) -> RunnerOutput:
     checks = {}
     for i, (r, a) in enumerate(zip(ratios, asym)):
         name = f"ratio_x{i + 1}_over_x{i}_near_asymptotic"
-        checks[name] = "pass" if abs(r.ratio / a - 1.0) <= p.ratio_rel_tol else "fail"
+        checks[name] = "pass" if abs(r.ratio / a - 1.0) <= WALK_RATIO_REL_TOL else "fail"
     checks["tilt_ratio"] = "report"
     estimates = {
         "p_hat": {f"{x:g}": e.p_hat for x, e in zip(p.x0s, singles)},
@@ -443,6 +437,10 @@ def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutp
 
 # ---------------------------------------------------------------- endogenous
 
+#: Bounds on |slope - ansatz log alpha| and on the slope gap when phi0 is scaled.
+SLOPE_TOL = 0.03
+INVARIANCE_TOL = 0.005
+
 
 @dataclass(frozen=True)
 class EndogenousParams:
@@ -454,8 +452,6 @@ class EndogenousParams:
     dt: float = 0.01
     phi0: float = 1.0
     scale_factor: float = 100.0
-    slope_tol: float = 0.03
-    invariance_tol: float = 0.005
 
 
 def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutput:
@@ -469,9 +465,9 @@ def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutpu
     slope_gap = abs(run1.slope - run2.slope)
     checks = {
         "slope_in_ansatz_band": "pass"
-        if abs(run1.slope - run1.theory_log_alpha) <= p.slope_tol
+        if abs(run1.slope - run1.theory_log_alpha) <= SLOPE_TOL
         else "fail",
-        "scale_invariance": "pass" if slope_gap < p.invariance_tol else "fail",
+        "scale_invariance": "pass" if slope_gap < INVARIANCE_TOL else "fail",
     }
     estimates = {
         "slope": run1.slope,
@@ -483,7 +479,7 @@ def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutpu
     targets = {
         "ansatz_log_alpha": run1.theory_log_alpha,
         "ansatz_c0": run1.theory_c0,
-        "slope_tol": p.slope_tol,
+        "slope_tol": SLOPE_TOL,
     }
     columns = ["tau", "log_xi", "n_survivors", "mean_z"]
     rows = [
@@ -561,6 +557,9 @@ def _run_measure(p: MeasureParams, seed: int, workers: int) -> RunnerOutput:
 
 # ---------------------------------------------------------------- demo_intro
 
+#: Bound on |outside probability / outside_target - 1|.
+OUTSIDE_REL_TOL = 0.2
+
 
 @dataclass(frozen=True)
 class DemoIntroParams:
@@ -569,7 +568,6 @@ class DemoIntroParams:
     lo: int = 100
     hi: int = 300
     outside_target: float = 2.2e-14
-    outside_rel_tol: float = 0.2
     count_log10_bound: float = -37.0
 
 
@@ -585,7 +583,7 @@ def _run_demo_intro(p: DemoIntroParams, seed: int, workers: int) -> RunnerOutput
     count_log10, frac = binomial_count_fraction(p.n, p.lo, p.hi)
     checks = {
         "outside_prob_matches": "pass"
-        if abs(outside_prob / p.outside_target - 1.0) <= p.outside_rel_tol
+        if abs(outside_prob / p.outside_target - 1.0) <= OUTSIDE_REL_TOL
         else "fail",
         "count_fraction_below_bound": "pass"
         if count_log10 < p.count_log10_bound
@@ -691,12 +689,15 @@ def _write_svg(path: Path, title: str, xlabel: str, ylabel: str,
     path.write_text("\n".join(parts))
 
 
-def reference_config(experiment: str) -> ExperimentConfig:
-    """Bundled reference configuration for an experiment family."""
+def _bundled_config_text(experiment: str) -> str:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    text = resources.files("born_branch").joinpath(f"configs/{experiment}.json").read_text()
-    return ExperimentConfig.from_json(text)
+    return resources.files("born_branch").joinpath(f"configs/{experiment}.json").read_text()
+
+
+def reference_config(experiment: str) -> ExperimentConfig:
+    """Bundled reference configuration for an experiment family."""
+    return ExperimentConfig.from_json(_bundled_config_text(experiment))
 
 
 def run(
@@ -709,13 +710,12 @@ def run(
     Returns 0 when every check passed or was informational, 2 when at least
     one check failed. Errors raise (the CLI maps them to exit code 1).
     """
-    params_cls, runner = EXPERIMENTS[config.experiment]
-    params = _params_from_dict(params_cls, config.parameters, config.experiment)
+    runner = EXPERIMENTS[config.experiment][1]
     workers = resolve_workers(config.workers)
-    out = Path(out_dir or config.output or Path("out") / config.experiment)
+    out = Path(out_dir or Path("out") / config.experiment)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    result = runner(params, config.seed, workers)
+    result = runner(config.params, config.seed, workers)
     runtime = time.perf_counter() - start
     payload = {
         "experiment": config.experiment,
@@ -751,23 +751,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--out", help="output directory (default: out/<experiment>)")
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            raw = json.loads(Path(args.config).read_text())
-            if not isinstance(raw, dict):
-                raise ConfigError("config must be a JSON object")
+        text = Path(args.config).read_text() if args.config else _bundled_config_text(args.experiment)
+        raw = json.loads(text)
+        if isinstance(raw, dict):
             raw.setdefault("experiment", args.experiment)
-            config = ExperimentConfig.from_json(json.dumps(raw))
-            if config.experiment != args.experiment:
-                raise ConfigError(
-                    f"config experiment {config.experiment!r} does not match "
-                    f"requested {args.experiment!r}"
-                )
-        else:
-            config = reference_config(args.experiment)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-        if args.workers is not None:
-            config = dataclasses.replace(config, workers=args.workers)
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            if args.workers is not None:
+                raw["workers"] = args.workers
+        config = ExperimentConfig._from_dict(raw)
+        if config.experiment != args.experiment:
+            raise ConfigError(
+                f"config experiment {config.experiment!r} does not match "
+                f"requested {args.experiment!r}"
+            )
         return run(config, out_dir=args.out, plot=args.plot)
     except (BornBranchError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

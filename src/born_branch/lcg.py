@@ -24,6 +24,7 @@ import numpy as np
 from .errors import OutOfRange, TooLarge
 from .model import Exogenous
 from .stats import FitResult, fit_power_law
+from .tree import _check_exogenous
 from .walk import SurvivalEstimate, _estimates, _start_counts
 
 M61 = (1 << 61) - 1
@@ -244,8 +245,10 @@ def lcg_tree(
     """Survivor count of the depth-t LCG tree, enumerating all 2^t paths.
 
     The exact oracle for lcg_walk_survival, guarded by max_paths.
-    Amplitude comparisons are plain float >= in log space.
+    Amplitude comparisons are plain float >= in log space. A schedule
+    other than Exogenous raises TypeError.
     """
+    sched = _check_exogenous(sched)
     if phi0 <= 0.0:
         raise OutOfRange(f"phi0={phi0} must be positive")
     if t < 0:
@@ -320,7 +323,9 @@ def lcg_walk_survival(
     numbers), so survivor sets are nested and the fitted exponent of
     p_hat against phi0 is smooth. The exponent fit drops starts with zero
     survivors and needs two distinct surviving starts, else fit is None.
+    A schedule other than Exogenous raises TypeError before any draw.
     """
+    sched = _check_exogenous(sched)
     if not phi0s:
         raise OutOfRange("need at least one phi0")
     if any(p <= 0.0 for p in phi0s):

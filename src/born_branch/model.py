@@ -105,8 +105,12 @@ def alpha_for_unit_beta(spec: BranchingSpec) -> AlphaResult:
     with sigma > 0. Never raises; infeasible specs return feasible=False.
     """
     alpha = math.exp(spec.log_delta_bar + spec.sigma2)
-    feasible = spec.sigma2 > 0.0 and spec.delta_bar < alpha < max(spec.deltas)
-    return AlphaResult(alpha, feasible)
+    return AlphaResult(alpha, _alpha_feasible(spec, alpha))
+
+
+def _alpha_feasible(spec: BranchingSpec, alpha: float) -> bool:
+    # decay rates at which the truncated tree can keep growing
+    return spec.sigma2 > 0.0 and spec.delta_bar < alpha < max(spec.deltas)
 
 
 def basic_params(spec: BranchingSpec, alpha: float) -> WalkMoments:

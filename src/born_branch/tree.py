@@ -95,7 +95,7 @@ def _sorted_log_deltas(spec: BranchingSpec) -> tuple[float, ...]:
 def _check_exogenous(sched) -> Exogenous:
     if not isinstance(sched, Exogenous):
         raise TypeError(
-            "exact tree counting needs a deterministic Exogenous schedule, "
+            "the threshold schedule must be a deterministic Exogenous, "
             f"got {type(sched).__name__}"
         )
     return sched

@@ -177,7 +177,8 @@ def walk_survival(
     survival of a start, at the discrete-monitoring distance d + 0.5826
     sigma, is below 1e-8, the op refuses naive MC and points to the closed
     form instead. A ratio raises ZeroDenominator when start i has no
-    survivors, and DegenerateSpec when sigma = 0.
+    survivors. Two or more starts with sigma = 0 raise DegenerateSpec
+    before any path is drawn.
     """
     log_eps, noise_sd = _barrier_params(barrier)
     if len(x0s) == 0:
@@ -189,6 +190,8 @@ def walk_survival(
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
+    if params.sigma == 0.0 and len(x0s) > 1:
+        raise DegenerateSpec("theory ratio undefined for sigma = 0")
     if params.sigma > 0.0 and t > 0:
         from .diffusion import survival_closed_form
 

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,19 @@ from born_branch.cli import (
     reference_config,
     run,
 )
+
+
+# (experiment, key, fixed value) of each check bound that is not a parameter
+FIXED_BOUNDS = [
+    ("tree", "beta_band", [0.85, 1.15]),
+    ("lcg", "mean_tol", 0.01),
+    ("lcg", "var_rel_tol", 0.02),
+    ("lcg", "beta_band", [0.85, 1.15]),
+    ("walk", "ratio_rel_tol", 0.05),
+    ("endogenous", "slope_tol", 0.03),
+    ("endogenous", "invariance_tol", 0.005),
+    ("demo_intro", "outside_rel_tol", 0.2),
+]
 
 
 def read_outputs(out_dir):
@@ -43,11 +58,6 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="experiment"):
             ExperimentConfig.from_json('{"seed": 3}')
 
-    def test_json_round_trip(self):
-        cfg = ExperimentConfig("walk", {"t": 50}, seed=9, workers=2)
-        again = ExperimentConfig.from_json(cfg.to_json())
-        assert again == cfg
-
     def test_reference_configs_load_for_every_family(self):
         for name in EXPERIMENTS:
             cfg = reference_config(name)
@@ -57,13 +67,37 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             reference_config("bogus")
 
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        FIXED_BOUNDS,
+        ids=[f"{experiment}-{key}" for experiment, key, _ in FIXED_BOUNDS],
+    )
+    def test_check_bound_is_not_a_parameter(self, experiment, key, value):
+        """Check bounds are fixed per experiment: a config that sets one,
+        even to its fixed value, is refused and the key is named."""
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(experiment, {key: value})
+
+    def test_output_is_not_a_config_key(self):
+        """The output directory is set only by run(out_dir=) or --out."""
+        with pytest.raises(ConfigError, match="output"):
+            ExperimentConfig.from_json('{"experiment": "tree", "output": "runs/tree"}')
+
+    def test_readme_config_examples_load(self):
+        """Every JSON config block in README.md is a valid config."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert blocks
+        for block in blocks:
+            ExperimentConfig.from_json(block)
+
 
 class TestConfigHash:
     """The hash tracks science inputs and ignores execution knobs."""
 
-    def test_workers_and_output_excluded(self):
+    def test_workers_excluded(self):
         a = ExperimentConfig("tree", {"t_max": 20}, seed=1)
-        b = ExperimentConfig("tree", {"t_max": 20}, seed=1, workers=8, output="x")
+        b = ExperimentConfig("tree", {"t_max": 20}, seed=1, workers=8)
         assert config_hash(a) == config_hash(b)
 
     def test_parameters_and_seed_included(self):
@@ -128,6 +162,7 @@ class TestRunSmallConfigs:
         assert results["checks"]["walk_beta_hat_in_band"] == "fail"
         assert results["targets"]["var_log_delta"] == 1.0
         assert results["targets"]["ks_tol"] == 1.95 / math.sqrt(200_000)
+        assert results["targets"]["beta_band"] == [0.85, 1.15]
 
     def test_walk_small_run_passes(self, tmp_path):
         cfg = ExperimentConfig(
@@ -136,7 +171,6 @@ class TestRunSmallConfigs:
                 "t": 40,
                 "n_paths": 4_000,
                 "x0s": [0.0, 1.0],
-                "ratio_rel_tol": 0.5,
                 "epsilon": math.exp(-3.0),
             },
         )
@@ -196,7 +230,7 @@ class TestDeterminism:
     def test_results_stable_across_runs_and_workers(self, tmp_path):
         cfg = ExperimentConfig(
             "walk",
-            {"t": 30, "n_paths": 3_000, "x0s": [0.0, 1.0], "ratio_rel_tol": 0.9},
+            {"t": 30, "n_paths": 3_000, "x0s": [0.0, 1.0]},
         )
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         run(cfg, out_dir=a_dir)
@@ -271,15 +305,15 @@ class TestMain:
             json.dumps(
                 {
                     "experiment": "walk",
-                    "parameters": {"t": 30, "n_paths": 2000, "ratio_rel_tol": 0.9},
+                    "parameters": {"t": 30, "n_paths": 2000},
                 }
             )
         )
         out = tmp_path / "out"
         code = main(["walk", "--config", str(cfg_path), "--seed", "42", "--out", str(out)])
-        assert code == 0
         results = json.loads((out / "results.json").read_text())
         assert results["seed"] == 42
+        assert code == (2 if "fail" in results["checks"].values() else 0)
 
     def test_config_experiment_mismatch(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -15,6 +15,7 @@ from born_branch import (
     Exogenous,
     LcgSpec,
     OutOfRange,
+    RandomBarrier,
     TooLarge,
     lcg_cycle_length,
     lcg_delta_stream,
@@ -25,6 +26,7 @@ from born_branch import (
     lcg_walk_survival,
     rng_stream,
 )
+from born_branch import walk as walk_module
 from born_branch.lcg import (
     M31,
     M61,
@@ -319,6 +321,12 @@ class TestLcgTree:
         with pytest.raises(OutOfRange):
             lcg_tree(BIG, Exogenous(1e-2, 0.5), 5, phi0=0.0)
 
+    def test_random_barrier_rejected(self):
+        """The enumeration compares against a deterministic threshold, so a
+        noisy schedule raises the TypeError the tree ops raise."""
+        with pytest.raises(TypeError, match="RandomBarrier"):
+            lcg_tree(BIG, RandomBarrier(1e-2, 0.3), 5)
+
 
 def _lcg_alive_reference(spec, sched, t, lphis, rng, size):
     """Per-start loop: each start keeps its own alive mask from step to
@@ -392,3 +400,14 @@ class TestLcgWalkSurvival:
     def test_negative_horizon_rejected(self):
         with pytest.raises(OutOfRange):
             lcg_walk_survival(BIG, Exogenous(1e-2, 0.5), -3, [1.0], 100)
+
+    def test_random_barrier_rejected_before_drawing(self, monkeypatch):
+        """A noisy schedule raises the tree ops' TypeError with the input
+        checks, before any block runs."""
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("blocks ran before the schedule was checked")
+
+        monkeypatch.setattr(walk_module, "map_blocks", no_draws)
+        with pytest.raises(TypeError, match="RandomBarrier"):
+            lcg_walk_survival(BIG, RandomBarrier(1e-2, 0.3), 5, [1.0], 100)

@@ -27,6 +27,7 @@ from born_branch import (
     survival_ratio,
     walk_survival,
 )
+from born_branch import walk as walk_module
 from born_branch.rng import BLOCK_SIZE
 from born_branch.walk import RARE_EVENT_FLOOR, _block_worst, _start_counts
 
@@ -287,6 +288,17 @@ class TestWalkSurvival:
         """A bare epsilon is not a barrier schedule."""
         with pytest.raises(TypeError):
             walk_survival(self.PARAMS, self.X0S, self.LOW.epsilon, 5, 100)
+
+    def test_deterministic_walk_ratio_rejected_before_drawing(self, monkeypatch):
+        """With sigma = 0 the ratio's theory target is undefined; two starts
+        raise DegenerateSpec with the input checks, before any block runs."""
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("paths drawn before DegenerateSpec")
+
+        monkeypatch.setattr(walk_module, "map_blocks", no_draws)
+        with pytest.raises(DegenerateSpec):
+            walk_survival(WalkParams(0.01, 0.0), [0.0, 1.0], BARRIER, 50, 400_000)
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(

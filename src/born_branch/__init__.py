@@ -69,7 +69,6 @@ from .walk import (
     walk_survival,
 )
 from .diffusion import (
-    ConditionedSample,
     MeanRatioResult,
     RatioPoint,
     batch_survive,

@@ -28,7 +28,7 @@ import numpy as np
 from . import diffusion as diff
 from .errors import BornBranchError, ConfigError
 from .lcg import DEFAULT_LCG_ALPHA, LcgSpec, lcg_delta_stream, lcg_walk_survival
-from .measure import MeasurementSetup, measurement_pipeline, outcome_weights, prepared_median_reference
+from .measure import MeasurementSetup, measurement_pipeline, prepared_median_reference
 from .model import BranchingSpec, Exogenous, GaussianShocks, LogUniformShocks, RandomBarrier, WalkParams, _alpha_feasible, alpha_for_unit_beta
 from .population import endogenous_population
 from .rng import map_blocks, resolve_workers
@@ -67,22 +67,25 @@ class ExperimentConfig:
     params: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_type("seed", self.seed, "int")
+        _check_type("workers", self.workers, "int | None")
+        if self.workers is not None and self.workers < 1:
+            raise ConfigError(f"workers={self.workers} must be >= 1")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; choose from "
                 f"{sorted(EXPERIMENTS)}"
             )
         schema = EXPERIMENTS[self.experiment][0]
-        unknown = sorted(set(self.parameters) - {f.name for f in dataclasses.fields(schema)})
+        annotations = {f.name: f.type for f in dataclasses.fields(schema)}
+        unknown = sorted(set(self.parameters) - set(annotations))
         if unknown:
             raise ConfigError(
                 f"unknown parameter key(s) {unknown} for experiment {self.experiment!r}"
             )
-        try:
-            params = schema(**self.parameters)
-        except TypeError as exc:
-            raise ConfigError(f"bad parameters for {self.experiment!r}: {exc}") from exc
-        object.__setattr__(self, "params", params)
+        for key, value in self.parameters.items():
+            _check_type(key, value, annotations[key])
+        object.__setattr__(self, "params", schema(**self.parameters))
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -100,9 +103,26 @@ class ExperimentConfig:
         return cls(
             experiment=raw["experiment"],
             parameters=raw.get("parameters", {}),
-            seed=int(raw.get("seed", 0)),
+            seed=raw.get("seed", 0),
             workers=raw.get("workers"),
         )
+
+
+#: Whether a config value fits each type in a field annotation; float fields
+#: take ints too, and list fields take lists of numbers.
+_FITS: dict[str, Callable[[Any], bool]] = {
+    "None": lambda v: v is None,
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "list": lambda v: isinstance(v, list) and all(_FITS["float"](x) for x in v),
+}
+
+
+def _check_type(key: str, value: Any, annotation: str) -> None:
+    if not any(_FITS[kind](value) for kind in annotation.split(" | ")):
+        raise ConfigError(f"{key}={value!r} is not of type {annotation}")
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -158,6 +178,10 @@ class TreeParams:
     phis: list = field(default_factory=lambda: [1.0, 2.0, 4.0, 8.0, 16.0])
     record_points: int = 40
     oracle: bool = False
+
+    def __post_init__(self) -> None:
+        if self.record_points < 0:
+            raise ConfigError(f"record_points={self.record_points} must be >= 0")
 
 
 def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
@@ -405,7 +429,7 @@ def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutp
     survivors = sum(map_blocks(block, p.mc_n_paths, seed, workers=workers))
     p_hat = survivors / p.mc_n_paths
     se = math.sqrt(max(p_hat * (1 - p_hat), 1e-300) / p.mc_n_paths)
-    z = (p_hat - q) / se if se > 0 else math.inf
+    z = (p_hat - q) / se
     checks = {
         "bridge_mc_z_within_3": "pass" if abs(z) < 3.0 else "fail",
         "ratio_convergence": "report",
@@ -515,7 +539,7 @@ def _run_measure(p: MeasureParams, seed: int, workers: int) -> RunnerOutput:
         setup, p.n_paths, seed=seed, prep_rate=p.prep_rate, n_boot=p.n_boot,
         workers=workers,
     )
-    weights, _ = outcome_weights(setup, res.prep_rate)
+    weights = res.expected_frequencies
     checks = {}
     for o, w in zip(res.outcomes, weights):
         tol = 3.0 * o.freq_se if o.freq_se > 0 else 3.0 / max(res.n_survivors, 1)
@@ -530,17 +554,16 @@ def _run_measure(p: MeasureParams, seed: int, workers: int) -> RunnerOutput:
     }
     targets = {
         "born_weights": {f"{d:g}": w for d, w in zip(setup.deltas, weights)},
-        "median_log_targets": {f"{o.delta:g}": o.median_target for o in res.outcomes},
         "median_sqrt_tau_reference": math.log(setup.epsilon)
         + prepared_median_reference(setup),
     }
     columns = [
         "delta", "n_survivors", "frequency", "freq_se",
-        "median_x0", "median_lo", "median_hi", "median_target",
+        "median_x0", "median_lo", "median_hi",
     ]
     rows = [
         [o.delta, o.n_survivors, o.frequency, o.freq_se, o.median_x0,
-         o.median_ci[0], o.median_ci[1], o.median_target]
+         o.median_ci[0], o.median_ci[1]]
         for o in res.outcomes
     ]
     plot = (

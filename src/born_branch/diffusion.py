@@ -10,12 +10,12 @@ Methods in Financial Engineering, 2004, sec. 6.4). Ops that need only
 survival and the endpoint (the conditioned samplers) therefore take one
 step of length tau by default.
 
-The conditioned sample reports fits against exponential laws with rates
-mu/sigma^2 and 2 mu/sigma^2 because those are the commonly quoted
-candidates; the limit law is Gamma(2, mu/sigma^2) (density proportional
-to y exp(-mu y/sigma^2)), the Yaglom limit of drifted Brownian motion
-(Martinez & San Martin, J. Appl. Probab. 31, 1994), which the tests pin.
-At finite tau the survivors follow the method-of-images density exactly.
+The conditioned sample is the survivors' distances above the barrier and
+nothing else: the laws it is checked against live in the tests. Its limit
+law is Gamma(2, mu/sigma^2) (density proportional to y exp(-mu y/sigma^2)),
+the Yaglom limit of drifted Brownian motion (Martinez & San Martin, J.
+Appl. Probab. 31, 1994), which the tests pin. At finite tau the survivors
+follow the method-of-images density exactly.
 """
 from __future__ import annotations
 
@@ -157,22 +157,6 @@ def ratio_convergence_scan(
     return pts
 
 
-@dataclass(frozen=True)
-class ConditionedSample:
-    """Survivor distances above the barrier at tau, with candidate-law fits."""
-
-    ys: np.ndarray
-    n_paths: int
-    n_survivors: int
-    fitted_shift: float
-    fitted_rate: float
-    ks_fitted_exponential: float
-    rate_beta: float
-    ks_exponential_beta: float
-    rate_two_beta: float
-    ks_exponential_two_beta: float
-
-
 def _survivor_ys(
     params: DiffusionParams,
     epsilon: float,
@@ -221,59 +205,23 @@ def conditioned_sample(
     x0: float | None = None,
     dt: float | None = None,
     workers: int | None = None,
-) -> ConditionedSample:
-    """Sample Y_tau = X_tau - log eps conditioned on survival.
+) -> np.ndarray:
+    """Sorted survivor distances Y_tau = X_tau - log eps at horizon tau.
 
     Survivors are drawn in one exact step unless dt is given. Requires the
-    closed form to predict at least 1e3 survivors. Reports the KS distance
-    to the best-fit shifted exponential and to the fixed-rate exponentials
-    with rates mu/sigma^2 and 2 mu/sigma^2.
+    closed form to predict at least 1e3 survivors.
     """
-    from .stats import ks_distance
-
     if params.mu <= 0.0:
         raise OutOfRange("conditioned limit law needs downward drift mu > 0")
-    ys = np.sort(_survivor_ys(params, epsilon, tau, n_paths, seed, x0, dt, workers))
-    n_surv = int(ys.size)
-    shift = float(ys[0])
-    rate = 1.0 / max(float(ys.mean()) - shift, np.finfo(float).tiny)
-
-    def fitted_cdf(v: np.ndarray) -> np.ndarray:
-        return np.where(v < shift, 0.0, 1.0 - np.exp(-rate * (v - shift)))
-
-    sig2 = params.sigma * params.sigma
-    rate_beta = params.mu / sig2
-    rate_two = 2.0 * params.mu / sig2
-
-    def exp_cdf(r: float):
-        return lambda v: np.where(v < 0.0, 0.0, 1.0 - np.exp(-r * v))
-
-    return ConditionedSample(
-        ys=ys,
-        n_paths=n_paths,
-        n_survivors=n_surv,
-        fitted_shift=shift,
-        fitted_rate=rate,
-        ks_fitted_exponential=ks_distance(ys, fitted_cdf),
-        rate_beta=rate_beta,
-        ks_exponential_beta=ks_distance(ys, exp_cdf(rate_beta)),
-        rate_two_beta=rate_two,
-        ks_exponential_two_beta=ks_distance(ys, exp_cdf(rate_two)),
-    )
+    return np.sort(_survivor_ys(params, epsilon, tau, n_paths, seed, x0, dt, workers))
 
 
 @dataclass(frozen=True)
 class MeanRatioResult:
-    """Conditional mean amplitude over the threshold, with a reference constant.
-
-    target is beta/(beta-1), E[e^Y] under an Exp(beta) overshoot law. It is
-    neither the finite-tau value nor the Gamma(2, beta) stationary value
-    (beta/(beta-1))^2; see conditional_mean_ratio.
-    """
+    """Conditional mean amplitude over the threshold among the survivors."""
 
     estimate: float
     se: float
-    target: float
     n_paths: int
     n_survivors: int
     beta: float
@@ -291,13 +239,11 @@ def conditional_mean_ratio(
 ) -> MeanRatioResult:
     """Estimate E[Phi | Phi > 0] / xi at horizon tau.
 
-    Defined for beta = mu/sigma^2 > 1. The reported target beta/(beta - 1)
-    is the constant of an Exp(beta) overshoot law; under the Gamma(2, beta)
-    stationary law the value is (beta/(beta - 1))^2, and at finite tau the
-    exact value is E[e^Y] under the method-of-images density. The
-    estimator averages exp(Y_tau) over survivors, drawn in one exact step
-    unless dt is given; its SE is the plain sample error and understates
-    the heavy right tail, so treat it as a lower bound on the uncertainty.
+    Defined for beta = mu/sigma^2 > 1. At finite tau the exact value is
+    E[e^Y] under the method-of-images density. The estimator averages
+    exp(Y_tau) over survivors, drawn in one exact step unless dt is given;
+    its SE is the plain sample error and understates the heavy right tail,
+    so treat it as a lower bound on the uncertainty.
     """
     beta = params.beta
     if beta <= 1.0:
@@ -307,4 +253,4 @@ def conditional_mean_ratio(
     n_surv = int(vals.size)
     estimate = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_surv)) if n_surv > 1 else math.inf
-    return MeanRatioResult(estimate, se, beta / (beta - 1.0), n_paths, n_surv, beta)
+    return MeanRatioResult(estimate, se, n_paths, n_surv, beta)

@@ -112,7 +112,6 @@ class OutcomeStats:
     freq_se: float
     median_x0: float
     median_ci: tuple[float, float]
-    median_target: float
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,7 @@ def measurement_pipeline(
     and diffuses to tau in one exact bridge-killed step (survival is all
     the pipeline reads, and that step draws its law exactly). Per-arm
     medians of the post-measurement start X_0 carry percentile-bootstrap
-    intervals and are reported against the reference target
-    log eps + log 2 + log(tau delta_k).
+    intervals; prepared_median_reference gives their large-tau law.
 
     Preconditions: tau * min(delta) >= 20 and every arm's expected survivor
     count (closed-form quadrature) at least MIN_EXPECTED_PER_ARM.
@@ -181,8 +179,8 @@ def measurement_pipeline(
         return arm[alive], y0[alive]
 
     parts = map_blocks(block, n_paths, seed, workers=workers)
-    arms = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, int)
-    y0s = np.concatenate([p[1] for p in parts]) if parts else np.empty(0)
+    arms = np.concatenate([p[0] for p in parts])
+    y0s = np.concatenate([p[1] for p in parts])
     n_surv = int(arms.size)
     if n_surv == 0:
         raise TooFewSurvivors(f"no survivors out of {n_paths} paths")
@@ -192,7 +190,6 @@ def measurement_pipeline(
         n_k = int(y0_k.size)
         freq = n_k / n_surv
         freq_se = math.sqrt(freq * (1.0 - freq) / n_surv)
-        target = log_eps + math.log(2.0) + math.log(setup.tau * setup.deltas[k])
         if n_k:
             x0_k = log_eps + y0_k
             med = quantile(x0_k, 0.5)
@@ -200,9 +197,7 @@ def measurement_pipeline(
         else:
             med = math.nan
             ci = (math.nan, math.nan)
-        outcomes.append(
-            OutcomeStats(setup.deltas[k], n_k, freq, freq_se, med, ci, target)
-        )
+        outcomes.append(OutcomeStats(setup.deltas[k], n_k, freq, freq_se, med, ci))
     return PipelineResult(tuple(outcomes), n_paths, n_surv, rate, weights)
 
 

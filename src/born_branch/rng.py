@@ -31,12 +31,12 @@ def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def block_sizes(n: int, block: int = BLOCK_SIZE) -> list[int]:
-    """Split n items into fixed blocks; only the last block is short."""
+def block_sizes(n: int) -> list[int]:
+    """Split n items into BLOCK_SIZE blocks; only the last block is short."""
     if n < 0:
         raise ValueError(f"negative item count {n}")
-    full, rem = divmod(n, block)
-    return [block] * full + ([rem] if rem else [])
+    full, rem = divmod(n, BLOCK_SIZE)
+    return [BLOCK_SIZE] * full + ([rem] if rem else [])
 
 
 def resolve_workers(workers: int | None = None) -> int:

@@ -60,21 +60,19 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
 
 
 def ks_distance(sample: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Two-sided KS distance between a sample and a CDF callable.
+    """Two-sided KS distance between a sample and a vectorized CDF.
 
     Takes both one-sided gaps at every order statistic: sup of
-    i/n - F(x_(i)) and F(x_(i)) - (i-1)/n.
+    i/n - F(x_(i)) and F(x_(i)) - (i-1)/n. The CDF is applied once to the
+    sorted sample; a result of another shape raises TypeError.
     """
     xs = np.sort(np.asarray(sample, dtype=float))
     n = xs.size
     if n == 0:
         raise EmptySample("KS distance of an empty sample")
-    try:
-        f = np.asarray(cdf(xs), dtype=float)
-        if f.shape != xs.shape:
-            raise TypeError("cdf is not vectorized")
-    except (TypeError, ValueError):
-        f = np.array([float(cdf(float(v))) for v in xs])
+    f = np.asarray(cdf(xs), dtype=float)
+    if f.shape != xs.shape:
+        raise TypeError(f"cdf returned shape {f.shape} for a sample of shape {xs.shape}")
     steps = np.arange(1, n + 1) / n
     d_plus = float(np.max(steps - f))
     d_minus = float(np.max(f - (steps - 1.0 / n)))

@@ -212,9 +212,16 @@ class TestRunSmallConfigs:
             seed=5,
         )
         assert run(cfg, out_dir=tmp_path) == 0
-        results, _, _ = read_outputs(tmp_path)
+        results, header, _ = read_outputs(tmp_path)
         assert results["checks"]["freq_delta_0.3_within_3se"] == "pass"
         assert results["checks"]["freq_delta_0.7_within_3se"] == "pass"
+        # the medians are reported against the factorization's sqrt(tau)
+        # reference only, with no per-arm target column
+        assert set(results["targets"]) == {"born_weights", "median_sqrt_tau_reference"}
+        assert header == [
+            "delta", "n_survivors", "frequency", "freq_se",
+            "median_x0", "median_lo", "median_hi",
+        ]
 
     def test_demo_intro_defaults_pass(self, tmp_path):
         assert run(ExperimentConfig("demo_intro"), out_dir=tmp_path) == 0
@@ -328,6 +335,31 @@ class TestMain:
         code = main(["tree", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, config, key",
+        [
+            ("demo_intro", {"seed": "abc"}, "seed"),
+            ("demo_intro", {"workers": "two"}, "workers"),
+            ("demo_intro", {"workers": 0}, "workers"),
+            ("demo_intro", {"parameters": {"n": "1000"}}, "n"),
+            ("tree", {"parameters": {"t_max": 20.5}}, "t_max"),
+            ("tree", {"parameters": {"t_max": 20, "record_points": -1}}, "record_points"),
+        ],
+        ids=["seed-str", "workers-str", "workers-zero", "int-param-str",
+             "int-param-float", "record-points-negative"],
+    )
+    def test_bad_config_value_maps_to_exit_one(
+        self, experiment, config, key, tmp_path, capsys
+    ):
+        """A value of the wrong type or out of range is refused before the
+        output directory is made, with an error line naming its key."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert re.search(rf"^error: .*\b{key}\b", capsys.readouterr().err, flags=re.M)
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["tree", "--config", str(tmp_path / "absent.json")])

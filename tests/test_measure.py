@@ -162,13 +162,6 @@ class TestPipeline:
         many = measurement_pipeline(FAST, n_paths, seed=13, n_boot=20, workers=workers)
         assert one == many
 
-    def test_median_targets_recorded(self, fast_result):
-        log_eps = math.log(1e-3)
-        for o in fast_result.outcomes:
-            assert o.median_target == pytest.approx(
-                log_eps + math.log(2.0) + math.log(70.0 * o.delta)
-            )
-
 
 class TestPreconditions:
     """The pipeline refuses configurations it cannot resolve."""

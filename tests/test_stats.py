@@ -89,10 +89,11 @@ class TestKsDistance:
         ref = sps.kstest(sample, cdf).statistic
         assert ours == pytest.approx(ref, rel=1e-10)
 
-    def test_scalar_cdf_fallback(self):
-        """A cdf that only handles scalars is applied pointwise."""
-        d = ks_distance([0.25, 0.75], lambda x: min(max(float(x), 0.0), 1.0))
-        assert d == pytest.approx(0.25, rel=1e-12)
+    def test_non_vectorized_cdf_raises(self):
+        """The cdf is applied once to the whole sample; one value back for
+        two sample points is refused, not applied pointwise."""
+        with pytest.raises(TypeError, match="shape"):
+            ks_distance([0.25, 0.75], lambda x: 0.5)
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySample):

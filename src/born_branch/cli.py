@@ -26,7 +26,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import diffusion as diff
-from .errors import BornBranchError, ConfigError
+from .errors import BornBranchError, ConfigError, OutOfRange
 from .lcg import DEFAULT_LCG_ALPHA, LcgSpec, lcg_delta_stream, lcg_walk_survival
 from .measure import MeasurementSetup, measurement_pipeline, prepared_median_reference
 from .model import BranchingSpec, Exogenous, GaussianShocks, LogUniformShocks, RandomBarrier, WalkParams, _alpha_feasible, alpha_for_unit_beta
@@ -67,6 +67,8 @@ class ExperimentConfig:
     params: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_type("experiment", self.experiment, "str")
+        _check_type("parameters", self.parameters, "dict")
         _check_type("seed", self.seed, "int")
         _check_type("workers", self.workers, "int | None")
         if self.workers is not None and self.workers < 1:
@@ -116,6 +118,7 @@ _FITS: dict[str, Callable[[Any], bool]] = {
     "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
+    "dict": lambda v: isinstance(v, dict),
     "list": lambda v: isinstance(v, list) and all(_FITS["float"](x) for x in v),
 }
 
@@ -414,11 +417,15 @@ class DiffusionExpParams:
     mc_n_paths: int = 100_000
     mc_dt: float = 0.01
 
+    def __post_init__(self) -> None:
+        if self.mc_n_paths < 1:
+            raise OutOfRange(f"mc_n_paths={self.mc_n_paths} must be >= 1")
+
 
 def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutput:
     from .model import DiffusionParams
 
-    params = DiffusionParams.from_mu(p.mu, p.sigma)
+    params = DiffusionParams(p.mu, p.sigma)
     scan = diff.ratio_convergence_scan(params, p.x_a, p.x_b, p.epsilon, p.tau_grid)
     q = diff.survival_closed_form(p.mu, p.sigma, p.mc_d, p.mc_tau)
 
@@ -731,15 +738,16 @@ def run(
     """Execute one experiment and write results.json / series.csv (/ plot.svg).
 
     Returns 0 when every check passed or was informational, 2 when at least
-    one check failed. Errors raise (the CLI maps them to exit code 1).
+    one check failed. Errors raise (the CLI maps them to exit code 1); the
+    output directory is made only once the runner returns, so they leave none.
     """
     runner = EXPERIMENTS[config.experiment][1]
     workers = resolve_workers(config.workers)
-    out = Path(out_dir or Path("out") / config.experiment)
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     result = runner(config.params, config.seed, workers)
     runtime = time.perf_counter() - start
+    out = Path(out_dir or Path("out") / config.experiment)
+    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "experiment": config.experiment,
         "config_hash": config_hash(config),

@@ -10,12 +10,14 @@ Methods in Financial Engineering, 2004, sec. 6.4). Ops that need only
 survival and the endpoint (the conditioned samplers) therefore take one
 step of length tau by default.
 
-The conditioned sample is the survivors' distances above the barrier and
-nothing else: the laws it is checked against live in the tests. Its limit
-law is Gamma(2, mu/sigma^2) (density proportional to y exp(-mu y/sigma^2)),
-the Yaglom limit of drifted Brownian motion (Martinez & San Martin, J.
-Appl. Probab. 31, 1994), which the tests pin. At finite tau the survivors
-follow the method-of-images density exactly.
+The conditioned samplers start every path at 0, so the barrier log epsilon
+sits d = -log epsilon below it and epsilon must be below 1. The conditioned
+sample is the survivors' distances above the barrier and nothing else: the
+laws it is checked against live in the tests. Its limit law is Gamma(2,
+mu/sigma^2) (density proportional to y exp(-mu y/sigma^2)), the Yaglom
+limit of drifted Brownian motion (Martinez & San Martin, J. Appl. Probab.
+31, 1994), which the tests pin. At finite tau the survivors follow the
+method-of-images density exactly.
 """
 from __future__ import annotations
 
@@ -163,30 +165,25 @@ def _survivor_ys(
     tau: float,
     n_paths: int,
     seed: int,
-    x0: float | None,
     dt: float | None,
     workers: int | None,
 ) -> np.ndarray:
-    """Distances Y_tau above the barrier of the surviving paths, in block order.
+    """Survivors' distances Y_tau above the barrier from X_0 = 0, in block order.
 
-    x0 defaults to a few stationary scales sigma^2/mu above the barrier,
-    and dt to tau (one exact step). Requires the closed form to predict at
-    least 1e3 survivors.
+    dt defaults to tau (one exact step). Requires the closed form to
+    predict at least 1e3 survivors.
     """
     if epsilon <= 0.0:
         raise OutOfRange(f"epsilon={epsilon} must be positive")
-    log_eps = math.log(epsilon)
-    if x0 is None:
-        x0 = log_eps + 3.0 * params.sigma * params.sigma / params.mu
-    if x0 <= log_eps:
-        raise BadStart(f"x0={x0} not above the barrier log eps={log_eps}")
+    d = -math.log(epsilon)
+    if d <= 0.0:
+        raise BadStart(f"start 0 not above the barrier log eps={-d}")
     dt = tau if dt is None else dt
-    d = x0 - log_eps
     expected = n_paths * survival_closed_form(params.mu, params.sigma, d, tau)
     if expected < 1e3:
         raise TooFewSurvivors(
             f"closed form predicts {expected:.3g} survivors from {n_paths} paths; "
-            "need >= 1000 (raise n_paths or move x0/tau)"
+            "need >= 1000 (raise n_paths or move epsilon/tau)"
         )
 
     def block(i: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -202,18 +199,17 @@ def conditioned_sample(
     tau: float,
     n_paths: int,
     seed: int = 0,
-    x0: float | None = None,
     dt: float | None = None,
     workers: int | None = None,
 ) -> np.ndarray:
-    """Sorted survivor distances Y_tau = X_tau - log eps at horizon tau.
+    """Sorted survivor distances Y_tau = X_tau - log eps at horizon tau, from X_0 = 0.
 
     Survivors are drawn in one exact step unless dt is given. Requires the
     closed form to predict at least 1e3 survivors.
     """
     if params.mu <= 0.0:
         raise OutOfRange("conditioned limit law needs downward drift mu > 0")
-    return np.sort(_survivor_ys(params, epsilon, tau, n_paths, seed, x0, dt, workers))
+    return np.sort(_survivor_ys(params, epsilon, tau, n_paths, seed, dt, workers))
 
 
 @dataclass(frozen=True)
@@ -233,11 +229,10 @@ def conditional_mean_ratio(
     tau: float,
     n_paths: int,
     seed: int = 0,
-    x0: float | None = None,
     dt: float | None = None,
     workers: int | None = None,
 ) -> MeanRatioResult:
-    """Estimate E[Phi | Phi > 0] / xi at horizon tau.
+    """Estimate E[Phi | Phi > 0] / xi at horizon tau, from X_0 = 0.
 
     Defined for beta = mu/sigma^2 > 1. At finite tau the exact value is
     E[e^Y] under the method-of-images density. The estimator averages
@@ -248,7 +243,7 @@ def conditional_mean_ratio(
     beta = params.beta
     if beta <= 1.0:
         raise DivergentRegime(f"beta={beta:.4g} <= 1: conditional mean diverges")
-    ys = _survivor_ys(params, epsilon, tau, n_paths, seed, x0, dt, workers)
+    ys = _survivor_ys(params, epsilon, tau, n_paths, seed, dt, workers)
     vals = np.exp(ys)
     n_surv = int(vals.size)
     estimate = float(vals.mean())

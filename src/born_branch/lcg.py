@@ -7,9 +7,10 @@ Ratios are then nearly uniform on (0, 1), the branch pair nearly conserves
 total amplitude, and the induced log-ratio walk has E[-log delta] = 1 and
 Var[log delta] = 1.
 
-Multipliers are reduced mod p at construction. For the Mersenne moduli
-2^61 - 1 and 2^31 - 1 the chain update is vectorized in uint64 with
-carry-free splitting; other moduli fall back to Python integers.
+Multipliers are reduced mod p at construction. For the Mersenne modulus
+2^61 - 1 the chain update is vectorized in uint64 with carry-free
+splitting; every other modulus, 2^31 - 1 included, takes exact Python
+integers.
 """
 from __future__ import annotations
 
@@ -29,6 +30,9 @@ from .walk import SurvivalEstimate, _estimates, _start_counts
 
 M61 = (1 << 61) - 1
 M31 = (1 << 31) - 1
+
+#: lcg_tree refuses depths with more than this many paths.
+MAX_TREE_PATHS = 2**25
 
 #: Default decay rate for LCG trees: e^{-11/12}. It assumed Var(log delta) =
 #: 1/12, which makes drift/variance (1 - 11/12)/(1/12) = 1; the stream's
@@ -89,15 +93,6 @@ def _mulmod_m61(a: int, c: np.ndarray) -> np.ndarray:
     return np.where(total >= mask, total - mask, total)
 
 
-def _mulmod_m31(a: int, c: np.ndarray) -> np.ndarray:
-    """(a * c) mod 2^31-1; the raw product fits in uint64."""
-    mask = np.uint64(M31)
-    prod = np.uint64(a) * c
-    prod = (prod & mask) + (prod >> np.uint64(31))
-    prod = (prod & mask) + (prod >> np.uint64(31))
-    return np.where(prod >= mask, prod - mask, prod)
-
-
 def _mulmod_python(a: int, c: np.ndarray, p: int) -> np.ndarray:
     return np.array([(a * int(v)) % p for v in c], dtype=np.uint64)
 
@@ -107,8 +102,6 @@ def lcg_children(c: np.ndarray, spec: LcgSpec) -> tuple[np.ndarray, np.ndarray]:
     c = np.asarray(c, dtype=np.uint64)
     if spec.p == M61:
         base = _mulmod_m61(spec.a_eff, c)
-    elif spec.p == M31:
-        base = _mulmod_m31(spec.a_eff, c)
     else:
         if spec.p.bit_length() > 62:
             raise TooLarge(f"modulus p={spec.p} exceeds the uint64 state width")
@@ -240,11 +233,10 @@ def lcg_tree(
     sched: Exogenous,
     t: int,
     phi0: float = 1.0,
-    max_paths: int = 2**25,
 ) -> LcgTreeResult:
     """Survivor count of the depth-t LCG tree, enumerating all 2^t paths.
 
-    The exact oracle for lcg_walk_survival, guarded by max_paths.
+    The exact oracle for lcg_walk_survival, guarded by MAX_TREE_PATHS.
     Amplitude comparisons are plain float >= in log space. A schedule
     other than Exogenous raises TypeError.
     """
@@ -254,8 +246,8 @@ def lcg_tree(
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
     total = 2**t
-    if total > max_paths:
-        raise TooLarge(f"2^{t} paths exceed max_paths={max_paths}")
+    if total > MAX_TREE_PATHS:
+        raise TooLarge(f"2^{t} paths exceed MAX_TREE_PATHS={MAX_TREE_PATHS}")
     states = np.array([spec.c0], dtype=np.uint64)
     amps = np.array([math.log(phi0)])
     for s in range(1, t + 1):

@@ -193,7 +193,7 @@ def measurement_pipeline(
         if n_k:
             x0_k = log_eps + y0_k
             med = quantile(x0_k, 0.5)
-            ci = bootstrap_ci(x0_k, np.median, n_boot=n_boot, seed=seed + 7919 * (k + 1))
+            ci = bootstrap_ci(x0_k, n_boot=n_boot, seed=seed + 7919 * (k + 1))
         else:
             med = math.nan
             ci = (math.nan, math.nan)

@@ -251,26 +251,14 @@ class WalkParams:
 
 @dataclass(frozen=True)
 class DiffusionParams:
-    """Drifted Brownian motion dX = -mu dt + sigma dW with mu = log(alpha) + tilde_mu."""
+    """Drifted Brownian motion dX = -mu dt + sigma dW."""
 
-    tilde_mu: float
+    mu: float
     sigma: float
-    alpha: float = 1.0
 
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise OutOfRange(f"sigma={self.sigma} must be positive")
-        if not (0.0 < self.alpha <= 1.0):
-            raise OutOfRange(f"alpha={self.alpha} outside (0, 1]")
-
-    @classmethod
-    def from_mu(cls, mu: float, sigma: float) -> "DiffusionParams":
-        """Parameters with total downward drift mu and no threshold decay."""
-        return cls(tilde_mu=mu, sigma=sigma, alpha=1.0)
-
-    @property
-    def mu(self) -> float:
-        return math.log(self.alpha) + self.tilde_mu
 
     @property
     def beta(self) -> float:

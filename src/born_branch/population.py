@@ -4,8 +4,9 @@ N particles diffuse in log amplitude; after each step the threshold is
 recomputed as xi = varepsilon * mean(Phi) over the current particles,
 particles strictly below it are absorbed, and each absorbed particle is
 replaced by a copy of a uniformly chosen survivor. The log threshold then
-grows linearly; the measured slope is compared with the exponential-ansatz
-prediction sigma^2/(1 - varepsilon) - tilde_mu from endogenous_alpha.
+grows linearly; the measured slope, fitted from step int(0.3 n) on, is
+compared with the exponential-ansatz prediction sigma^2/(1 - varepsilon) -
+tilde_mu from endogenous_alpha.
 
 The state is carried in centered coordinates Z - log phi0, so rescaling
 phi0 shifts every reported threshold by exactly log(phi0) and changes
@@ -22,6 +23,9 @@ from .errors import Extinction, OutOfRange
 from .model import endogenous_alpha
 from .rng import rng_stream
 from .stats import FitResult, fit_power_law
+
+#: Fraction of the trajectory that the growth fit discards as transient.
+BURN_IN = 0.3
 
 
 def _logsumexp(z: np.ndarray, buf: np.ndarray, mask: np.ndarray) -> float:
@@ -82,7 +86,6 @@ def endogenous_population(
     dt: float = 0.01,
     phi0: float = 1.0,
     seed: int = 0,
-    burn_in: float = 0.3,
 ) -> PopulationRun:
     """Run the self-thresholding population and fit the threshold growth.
 
@@ -90,7 +93,7 @@ def endogenous_population(
     from the diffused population, absorb (strictly below dies, equality
     survives), then clone survivors onto the absorbed slots. Raises
     Extinction if a step leaves no survivors. The growth fit discards the
-    first burn_in fraction of the trajectory.
+    first BURN_IN fraction of the trajectory.
     """
     if sigma <= 0.0:
         raise OutOfRange(f"sigma={sigma} must be positive")
@@ -102,8 +105,6 @@ def endogenous_population(
         raise OutOfRange(f"need 0 < dt <= tau, got dt={dt}, tau={tau}")
     if phi0 <= 0.0:
         raise OutOfRange(f"phi0={phi0} must be positive")
-    if not (0.0 <= burn_in < 1.0):
-        raise OutOfRange(f"burn_in={burn_in} outside [0, 1)")
     rng = rng_stream(seed, 0)
     n_steps = max(1, int(round(tau / dt)))
     dt_eff = tau / n_steps
@@ -140,7 +141,7 @@ def endogenous_population(
         log_xi[step] = cur_xi + log_phi0
         n_survivors[step] = n_particles - n_dead
         mean_z[step] = float(z.mean()) + log_phi0
-    start = int(burn_in * n_steps)
+    start = int(BURN_IN * n_steps)
     if n_steps - start < 2:
         start = max(0, n_steps - 2)
     fit = fit_power_law(times[start:], log_xi[start:])

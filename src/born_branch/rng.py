@@ -12,6 +12,8 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
+from .errors import OutOfRange
+
 _MASK64 = (1 << 64) - 1
 
 #: Paths per RNG block. Fixed so that partitioning, and therefore every
@@ -34,7 +36,7 @@ def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
 def block_sizes(n: int) -> list[int]:
     """Split n items into BLOCK_SIZE blocks; only the last block is short."""
     if n < 0:
-        raise ValueError(f"negative item count {n}")
+        raise OutOfRange(f"negative item count {n}")
     full, rem = divmod(n, BLOCK_SIZE)
     return [BLOCK_SIZE] * full + ([rem] if rem else [])
 
@@ -44,7 +46,7 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers is None:
         return 1
     if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+        raise OutOfRange(f"worker count must be >= 1, got {workers}")
     return workers
 
 

@@ -31,6 +31,12 @@ from .stats import fit_power_law
 #: Half-width of the float decision band around log phi == log xi.
 GUARD_BAND = 1e-9
 
+#: Brute force refuses depths with more than this many paths, K^t.
+MAX_BRUTE_PATHS = 10**8
+
+#: The DP refuses horizons with more compositions than this, C(t + K - 1, K - 1).
+MAX_DP_STATES = 2_000_000
+
 #: Switch from the composition-dict DP to the packed big-integer DP (K=3).
 _PACKED_MIN_T = 64
 
@@ -114,7 +120,7 @@ def _zero_tail(record: Sequence[int], start: int, out: dict[int, int]) -> None:
 
 
 def _brute_levels(
-    spec: BranchingSpec, sched: Exogenous, t: int, phi0: float, max_paths: int
+    spec: BranchingSpec, sched: Exogenous, t: int, phi0: float
 ) -> Iterator[np.ndarray]:
     """Log amplitudes of the surviving paths at each depth 0..t, one array per depth.
 
@@ -127,8 +133,8 @@ def _brute_levels(
     sched = _check_exogenous(sched)
     lphi0 = _log_phi0(phi0)
     k = spec.K
-    if k**t > max_paths:
-        raise TooLarge(f"K^t = {k}**{t} exceeds max_paths={max_paths}")
+    if k**t > MAX_BRUTE_PATHS:
+        raise TooLarge(f"K^t = {k}**{t} exceeds MAX_BRUTE_PATHS={MAX_BRUTE_PATHS}")
     lds = _sorted_log_deltas(spec)
     comps = np.zeros((1, k), dtype=np.int16)
     yield np.array([lphi0])
@@ -153,15 +159,14 @@ def enumerate_brute(
     sched: Exogenous,
     t: int,
     phi0: float,
-    max_paths: int = 10**8,
 ) -> list[TreeResult]:
     """Brute-force oracle: N_s for s = 0..t by enumerating all K^s paths.
 
-    Guarded by max_paths on K^t.
+    Guarded by MAX_BRUTE_PATHS on K^t.
     """
     logk = math.log(spec.K)
     series = []
-    for s, amps in enumerate(_brute_levels(spec, sched, t, phi0, max_paths)):
+    for s, amps in enumerate(_brute_levels(spec, sched, t, phi0)):
         n = amps.size
         series.append(TreeResult(s, (n,), s * logk, (log_bigint(n) - s * logk,)))
     return series
@@ -172,14 +177,13 @@ def brute_leaf_log_amplitudes(
     sched: Exogenous,
     t: int,
     phi0: float,
-    max_paths: int = 10**8,
 ) -> np.ndarray:
     """Log amplitudes of every surviving depth-t path, in enumeration order.
 
     With multiplicity: a composition reached by m distinct paths appears m
     times, so exp of the values sums to the surviving squared amplitude.
     """
-    return deque(_brute_levels(spec, sched, t, phi0, max_paths), maxlen=1)[0]
+    return deque(_brute_levels(spec, sched, t, phi0), maxlen=1)[0]
 
 
 def _dict_dp(
@@ -297,14 +301,13 @@ def count_survivors_dp(
     sched: Exogenous,
     t_max: int,
     phi0s: Sequence[float],
-    max_states: int = 2_000_000,
     record_ts: Iterable[int] | None = None,
 ) -> list[TreeResult]:
     """Exact N_t for each phi0, by composition dynamic programming.
 
     Returns one TreeResult per recorded depth (default: every t in
     0..t_max) with counts aligned to phi0s. The composition count
-    C(t_max + K - 1, K - 1) is guarded by max_states.
+    C(t_max + K - 1, K - 1) is guarded by MAX_DP_STATES.
     """
     sched = _check_exogenous(sched)
     if t_max < 0:
@@ -312,10 +315,10 @@ def count_survivors_dp(
     if not phi0s:
         raise OutOfRange("need at least one phi0")
     n_states = math.comb(t_max + spec.K - 1, spec.K - 1)
-    if n_states > max_states:
+    if n_states > MAX_DP_STATES:
         raise StateExplosion(
             f"C(t_max+K-1, K-1) = {n_states} compositions exceeds "
-            f"max_states={max_states}"
+            f"MAX_DP_STATES={MAX_DP_STATES}"
         )
     if record_ts is None:
         record = list(range(t_max + 1))

@@ -243,25 +243,12 @@ def survival_ratio(
     seed: int = 0,
     workers: int | None = None,
 ) -> RatioEstimate:
-    """Ratio of survival probabilities from two starts, with CRN pairing.
+    """Ratio of survival probabilities from x_a over x_b, with CRN pairing.
 
-    Both arms see identical shock and barrier-noise draws, so the ratio
-    estimate is far tighter than independent runs; the SE is the delta
-    method with the empirical cross-covariance. The theory target is
-    exp((mu/sigma^2) (x_a - x_b)). There is no rare-event screen.
+    The two-start case of walk_survival, with its checks and rare-event
+    screen: both arms see identical shock and barrier-noise draws, so the
+    ratio is far tighter than independent runs. The SE is the delta method
+    with the empirical cross-covariance, and the theory target is
+    exp((mu/sigma^2) (x_a - x_b)).
     """
-    log_eps, noise_sd = _barrier_params(barrier)
-    for name, x in (("x_a", x_a), ("x_b", x_b)):
-        if x < log_eps:
-            raise BadStart(f"{name}={x} below the barrier log eps={log_eps}")
-    if params.sigma == 0.0:
-        raise DegenerateSpec("theory ratio undefined for sigma = 0")
-    if n_paths < 1:
-        raise OutOfRange(f"n_paths={n_paths} must be >= 1")
-    if t < 0:
-        raise OutOfRange(f"t={t} must be >= 0")
-    k_b, k_a = _start_counts(
-        partial(_block_worst, params, log_eps, noise_sd, t),
-        [x_b, x_a], n_paths, seed, workers,
-    )
-    return _ratio_estimate(params, x_a, x_b, k_a, k_b, n_paths)
+    return walk_survival(params, [x_b, x_a], barrier, t, n_paths, seed, workers)[1][0]

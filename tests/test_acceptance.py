@@ -318,12 +318,11 @@ def test_criterion_06_conditioned_law_is_not_shifted_exponential():
     """
     t0 = time.perf_counter()
     ys = conditioned_sample(
-        DiffusionParams.from_mu(1.0, 1.0),
+        DiffusionParams(1.0, 1.0),
         math.exp(-3.0),
         8.0,
         1_000_000,
         seed=61,
-        x0=0.0,
         dt=0.01,
     )
     cdf = image_cdf(1.0, 1.0, 3.0, 8.0)
@@ -371,12 +370,11 @@ def test_criterion_07_conditional_mean_ratio_constants():
     cases = ((1.25, 3.0, 6.0, 600_000, 71), (2.0, 4.0, 4.0, 400_000, 72))
     for mu, d, tau, n_paths, seed in cases:
         res = conditional_mean_ratio(
-            DiffusionParams.from_mu(mu, 1.0),
+            DiffusionParams(mu, 1.0),
             math.exp(-d),
             tau,
             n_paths,
             seed=seed,
-            x0=0.0,
             dt=0.01,
         )
         dens = image_density(mu, 1.0, d, tau)

@@ -345,15 +345,24 @@ class TestMain:
             ("demo_intro", {"parameters": {"n": "1000"}}, "n"),
             ("tree", {"parameters": {"t_max": 20.5}}, "t_max"),
             ("tree", {"parameters": {"t_max": 20, "record_points": -1}}, "record_points"),
+            ("tree", {"experiment": ["tree"]}, "experiment"),
+            ("tree", {"parameters": "abc"}, "parameters"),
+            ("tree", {"parameters": {"t_max": -3}}, "t_max"),
+            ("tree", {"parameters": {"deltas": [0.5, 0.6]}}, "ratios"),
+            ("diffusion", {"parameters": {"mc_n_paths": 0}}, "mc_n_paths"),
+            ("diffusion", {"parameters": {"mc_n_paths": -5}}, "mc_n_paths"),
         ],
         ids=["seed-str", "workers-str", "workers-zero", "int-param-str",
-             "int-param-float", "record-points-negative"],
+             "int-param-float", "record-points-negative", "experiment-list",
+             "parameters-str", "t-max-negative", "deltas-off-simplex",
+             "mc-paths-zero", "mc-paths-negative"],
     )
     def test_bad_config_value_maps_to_exit_one(
         self, experiment, config, key, tmp_path, capsys
     ):
-        """A value of the wrong type or out of range is refused before the
-        output directory is made, with an error line naming its key."""
+        """A value of the wrong type or out of range fails the run, with an
+        error line naming its key, and leaves no output directory: the
+        directory is made only once the runner has returned."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "o"

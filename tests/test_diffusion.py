@@ -207,7 +207,7 @@ class TestConditionedSample:
         5x closer than rate 2 beta. Pinning the ordering pins the limit
         law without waiting for full convergence."""
         ys = conditioned_sample(
-            DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, 60_000, seed=4, x0=0.0, dt=0.01
+            DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, 60_000, seed=4, dt=0.01
         )
         assert ys.size > 1000
         ks_gamma = kstest(ys, gamma(2, scale=1.0).cdf).statistic
@@ -222,7 +222,7 @@ class TestConditionedSample:
         survivors must follow the method-of-images law at (mu = sigma = 1,
         d = 3, tau = 8) within the 0.1% KS critical value."""
         n = 400_000
-        ys = conditioned_sample(DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, n, seed=4, x0=0.0)
+        ys = conditioned_sample(DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, n, seed=4)
         q = survival_closed_form(1.0, 1.0, 3.0, 8.0)
         assert abs(ys.size / n - q) <= 4.0 * math.sqrt(q * (1 - q) / n)
         ks = kstest(ys, image_cdf(1.0, 1.0, 3.0, 8.0)).statistic
@@ -230,7 +230,7 @@ class TestConditionedSample:
 
     def test_sample_sorted_and_above_barrier(self):
         ys = conditioned_sample(
-            DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, 60_000, seed=4, x0=0.0, dt=0.01
+            DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, 60_000, seed=4, dt=0.01
         )
         assert np.all(np.diff(ys) >= 0.0)
         assert np.all(ys > 0.0)
@@ -240,14 +240,14 @@ class TestConditionedSample:
         are simulated: 1000 paths at q ~ 0.018 predict only ~18."""
         with pytest.raises(TooFewSurvivors):
             conditioned_sample(
-                DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, 1000, x0=0.0
+                DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, 1000
             )
 
     def test_validation(self):
         with pytest.raises(OutOfRange):
             conditioned_sample(DiffusionParams(-0.5, 1.0), 1e-3, 1.0, 100)
         with pytest.raises(BadStart):
-            conditioned_sample(DiffusionParams(1.0, 1.0), 1e-3, 1.0, 100, x0=-10.0)
+            conditioned_sample(DiffusionParams(1.0, 1.0), 1.0, 1.0, 100)
 
 
 class TestConditionalMeanRatio:
@@ -268,7 +268,7 @@ class TestConditionalMeanRatio:
         oracle = num / survival_closed_form(mu, sigma, d, tau)
         assert oracle == pytest.approx(2.786931713519756, rel=1e-9)
         res = conditional_mean_ratio(
-            DiffusionParams(mu, sigma), math.exp(-d), tau, 60_000, seed=8, x0=0.0, dt=0.01
+            DiffusionParams(mu, sigma), math.exp(-d), tau, 60_000, seed=8, dt=0.01
         )
         assert res.beta == pytest.approx(2.0)
         assert abs(res.estimate - oracle) <= 4.0 * res.se
@@ -282,5 +282,5 @@ class TestConditionalMeanRatio:
     def test_too_few_survivors_precheck(self):
         with pytest.raises(TooFewSurvivors):
             conditional_mean_ratio(
-                DiffusionParams(0.5, 0.5), math.exp(-1.5), 8.0, 1000, x0=0.0
+                DiffusionParams(0.5, 0.5), math.exp(-1.5), 8.0, 1000
             )

@@ -32,7 +32,6 @@ from born_branch.lcg import (
     M61,
     _is_prime,
     _lcg_block_worst,
-    _mulmod_m31,
     _mulmod_m61,
     _prime_factors,
 )
@@ -57,13 +56,6 @@ class TestModularArithmetic:
                          dtype=np.uint64)
         got = _mulmod_m61(BIG.a_eff, edges)
         expect = [(BIG.a_eff * int(c)) % M61 for c in edges.tolist()]
-        assert got.tolist() == expect
-
-    def test_m31_random_states(self):
-        rng = rng_stream(42, 0)
-        cs = rng.integers(0, M31, size=4096, dtype=np.uint64)
-        got = _mulmod_m31(16807, cs)
-        expect = [(16807 * int(c)) % M31 for c in cs.tolist()]
         assert got.tolist() == expect
 
     def test_multiplier_reduced_at_construction(self):
@@ -105,12 +97,15 @@ class TestTransitions:
             lcg_next(M31, LEHMER, branch=2)
 
     def test_children_match_scalar_transitions(self):
+        """The uint64 path for 2^61 - 1 and the Python-integer path that
+        every other modulus takes, 2^31 - 1 included."""
         rng = rng_stream(43, 0)
-        cs = rng.integers(1, M61, size=256, dtype=np.uint64)
-        c2, c1 = lcg_children(cs, BIG)
-        for c, a2, a1 in zip(cs.tolist(), c2.tolist(), c1.tolist()):
-            assert a2 == lcg_next(int(c), BIG, branch=2)
-            assert a1 == lcg_next(int(c), BIG, branch=1)
+        for spec in (BIG, LEHMER):
+            cs = rng.integers(1, spec.p, size=256, dtype=np.uint64)
+            c2, c1 = lcg_children(cs, spec)
+            for c, a2, a1 in zip(cs.tolist(), c2.tolist(), c1.tolist()):
+                assert a2 == lcg_next(int(c), spec, branch=2)
+                assert a1 == lcg_next(int(c), spec, branch=1)
 
     def test_vectorized_path_rejects_oversized_modulus(self):
         """lcg_children stores states as uint64, so p wider than 62 bits

@@ -285,20 +285,11 @@ class TestWalkParams:
 class TestDiffusionParams:
     """Drift/volatility container for the continuous limit."""
 
-    def test_mu_combines_alpha_and_drift(self):
-        """mu = log alpha + tilde_mu; alpha = 1 makes them equal."""
-        p = DiffusionParams(1.0, 1.0)
-        assert p.mu == pytest.approx(1.0, rel=1e-15)
-        q = DiffusionParams(1.5, 1.0, alpha=math.exp(-0.5))
-        assert q.mu == pytest.approx(1.0, rel=1e-12)
-
-    def test_from_mu_round_trip(self):
-        p = DiffusionParams.from_mu(0.15, 1.1)
-        assert p.mu == pytest.approx(0.15, rel=1e-14)
+    def test_beta_is_mu_over_sigma_squared(self):
+        p = DiffusionParams(0.15, 1.1)
+        assert (p.mu, p.sigma) == (0.15, 1.1)
         assert p.beta == pytest.approx(0.15 / 1.21, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(OutOfRange):
             DiffusionParams(1.0, 0.0)
-        with pytest.raises(OutOfRange):
-            DiffusionParams(1.0, 1.0, alpha=1.5)

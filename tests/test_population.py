@@ -70,8 +70,6 @@ class TestValidation:
             {"dt": 0.0},
             {"dt": 10.0},
             {"phi0": 0.0},
-            {"burn_in": 1.0},
-            {"burn_in": -0.1},
         ],
     )
     def test_out_of_range(self, kw):
@@ -197,8 +195,9 @@ class TestGrowthFit:
             run = endogenous_population(1.0, 1.0, 0.2, 2000, 20.0, dt=0.01, seed=seed)
             assert run.theory_log_alpha < run.slope < 4.0 * run.theory_log_alpha
 
-    def test_zero_burn_in_fits_whole_trajectory(self):
-        run = small_run(burn_in=0.0)
-        refit = fit_power_law(run.times, run.log_xi)
-        assert run.fit.slope == refit.slope
-        assert run.fit.intercept == refit.intercept
+    def test_fit_starts_at_burn_in(self):
+        """137 steps: the fit drops the first int(0.3 * 137) = 41."""
+        run = small_run(tau=1.37)
+        assert run.times.size == 137
+        assert run.fit == fit_power_law(run.times[41:], run.log_xi[41:])
+        assert run.fit.n_points == 96

@@ -191,26 +191,40 @@ class TestQuantile:
 
 
 class TestBootstrapCi:
-    """Percentile bootstrap for arbitrary statistics."""
+    """95% percentile bootstrap for the median."""
 
     def test_deterministic_given_seed(self):
         sample = list(range(40))
-        a = bootstrap_ci(sample, np.median, n_boot=200, seed=9)
-        b = bootstrap_ci(sample, np.median, n_boot=200, seed=9)
+        a = bootstrap_ci(sample, n_boot=200, seed=9)
+        b = bootstrap_ci(sample, n_boot=200, seed=9)
         assert a == b
 
     def test_interval_covers_point_estimate(self):
         rng = rng_stream(3, 0)
         sample = rng.normal(5.0, 1.0, size=300)
-        lo, hi = bootstrap_ci(sample, np.mean, n_boot=500, seed=1)
-        assert lo < sample.mean() < hi
-        # central-limit width: ~ 2 * 1.96 / sqrt(300) ~ 0.23
+        lo, hi = bootstrap_ci(sample, n_boot=500, seed=1)
+        assert lo < np.median(sample) < hi
+        # central-limit width: ~ 2 * 1.96 * 1.2533 / sqrt(300) ~ 0.28
         assert 0.1 < hi - lo < 0.5
 
     def test_narrows_with_sample_size(self):
         rng = rng_stream(4, 0)
         small = rng.normal(0.0, 1.0, size=100)
         large = rng.normal(0.0, 1.0, size=10_000)
-        lo_s, hi_s = bootstrap_ci(small, np.mean, n_boot=300, seed=2)
-        lo_l, hi_l = bootstrap_ci(large, np.mean, n_boot=300, seed=2)
+        lo_s, hi_s = bootstrap_ci(small, n_boot=300, seed=2)
+        lo_l, hi_l = bootstrap_ci(large, n_boot=300, seed=2)
         assert (hi_l - lo_l) < (hi_s - lo_s)
+
+    def test_matches_per_resample_medians(self):
+        """One median per resample row, then the 2.5% and 97.5% points."""
+        sample = rng_stream(5, 0).normal(size=57)
+        idx = rng_stream(6, 0).integers(0, 57, size=(7, 57))
+        meds = [float(np.median(sample[row])) for row in idx]
+        tail = (1.0 - 0.95) / 2.0
+        expect = (float(np.quantile(meds, tail)), float(np.quantile(meds, 1.0 - tail)))
+        assert bootstrap_ci(sample, n_boot=7, seed=6) == expect
+
+    @pytest.mark.parametrize("n_boot", [0, -3])
+    def test_non_positive_n_boot(self, n_boot):
+        with pytest.raises(OutOfRange):
+            bootstrap_ci([1.0, 2.0, 3.0], n_boot=n_boot)

@@ -215,13 +215,13 @@ class TestSeriesShape:
         assert r.log_surviving_fraction[0] <= 0.0
 
     def test_state_guard(self):
+        """C(3002, 2) = 4504501 compositions exceed MAX_DP_STATES."""
         with pytest.raises(StateExplosion):
             count_survivors_dp(
                 BranchingSpec((1 / 6, 1 / 3, 1 / 2)),
                 Exogenous(1e-4, 0.372041),
                 3000,
                 [1.0],
-                max_states=1000,
             )
 
     def test_non_exogenous_schedule_rejected(self):

@@ -217,13 +217,12 @@ class TestSurvivalRatio:
         assert a == b
 
     def test_zero_denominator(self):
-        """A huge drift against a start on the barrier kills every b path
-        in one step (needs a +50 sigma shock to survive), so the ratio is
-        undefined and must raise rather than divide by zero."""
-        params = WalkParams(mu=5.0, sigma=0.1)
-        barrier = Exogenous(1.0 - 1e-12, 0.5)
+        """From x_b on the barrier one step survives only with a +2 sigma
+        shock. The screen lets it through (predicted survival 0.028), but
+        none of the 20 paths at seed 0 draws one, so the ratio must raise
+        rather than divide by zero."""
         with pytest.raises(ZeroDenominator):
-            survival_ratio(params, 1.0, math.log(1.0 - 1e-12), barrier, 1, 2_000, seed=0)
+            survival_ratio(WalkParams(2.0, 1.0), 0.0, -1.0, BARRIER, 1, 20, seed=0)
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(OutOfRange):
@@ -232,7 +231,7 @@ class TestSurvivalRatio:
     def test_validation(self):
         with pytest.raises(DegenerateSpec):
             survival_ratio(WalkParams(0.5, 0.0), 1.0, 0.0, BARRIER, 5, 100, seed=0)
-        with pytest.raises(BadStart, match="x_b"):
+        with pytest.raises(BadStart, match="x0=-5.0 below the barrier"):
             survival_ratio(WalkParams(0.5, 1.0), 1.0, -5.0, BARRIER, 5, 100, seed=0)
 
 
@@ -271,6 +270,10 @@ class TestWalkSurvival:
             walk_survival(params, [], BARRIER, 5, 100)
         with pytest.raises(OutOfRange):
             walk_survival(params, [0.0], BARRIER, 5, 0)
+
+    def test_bad_worker_count(self):
+        with pytest.raises(OutOfRange, match="worker count"):
+            walk_survival(self.PARAMS, self.X0S, self.LOW, 5, 100, workers=0)
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(OutOfRange):

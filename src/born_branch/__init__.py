@@ -51,7 +51,6 @@ from .tree import (
 from .lcg import (
     DEFAULT_LCG_ALPHA,
     LcgSpec,
-    LcgTreeResult,
     LcgWalkResult,
     lcg_children,
     lcg_cycle_length,
@@ -78,7 +77,7 @@ from .diffusion import (
     ratio_convergence_scan,
     survival_closed_form,
 )
-from .population import PopulationRun, PopulationState, endogenous_population
+from .population import PopulationRun, endogenous_population
 from .measure import (
     MeasurementSetup,
     OutcomeStats,

@@ -19,7 +19,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -29,7 +28,10 @@ from . import diffusion as diff
 from .errors import BornBranchError, ConfigError, OutOfRange
 from .lcg import DEFAULT_LCG_ALPHA, LcgSpec, lcg_delta_stream, lcg_walk_survival
 from .measure import MeasurementSetup, measurement_pipeline, prepared_median_reference
-from .model import BranchingSpec, Exogenous, GaussianShocks, LogUniformShocks, RandomBarrier, WalkParams, _alpha_feasible, alpha_for_unit_beta
+from .model import (
+    BranchingSpec, Exogenous, GaussianShocks, LogUniformShocks, RandomBarrier, WalkParams,
+    _alpha_feasible, alpha_for_unit_beta, endogenous_alpha,
+)
 from .population import endogenous_population
 from .rng import map_blocks, resolve_workers
 from .stats import (
@@ -111,11 +113,14 @@ class ExperimentConfig:
 
 
 #: Whether a config value fits each type in a field annotation; float fields
-#: take ints too, and list fields take lists of numbers.
+#: take ints too, but only finite values within float range (no NaN or
+#: infinity), and list fields take lists of them.
 _FITS: dict[str, Callable[[Any], bool]] = {
     "None": lambda v: v is None,
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float))
+    and not isinstance(v, bool)
+    and abs(v) <= sys.float_info.max,
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
     "dict": lambda v: isinstance(v, dict),
@@ -124,8 +129,10 @@ _FITS: dict[str, Callable[[Any], bool]] = {
 
 
 def _check_type(key: str, value: Any, annotation: str) -> None:
-    if not any(_FITS[kind](value) for kind in annotation.split(" | ")):
-        raise ConfigError(f"{key}={value!r} is not of type {annotation}")
+    kinds = annotation.split(" | ")
+    if not any(_FITS[kind](value) for kind in kinds):
+        hint = " (numbers must fit a finite float)" if {"float", "list"} & set(kinds) else ""
+        raise ConfigError(f"{key}={value!r} is not of type {annotation}{hint}")
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -210,7 +217,7 @@ def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
     rows = []
     for res, row in zip(series, scan):
         rows.append(
-            [res.t, res.log_total_paths / math.log(10.0)]
+            [res.t, res.t * math.log(spec.K) / math.log(10.0)]
             + list(res.counts)
             + list(row.ratios)
             + [row.beta_hat]
@@ -361,11 +368,14 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int) -> RunnerOutput:
         RandomBarrier(p.epsilon, p.noise_sd) if p.noise_sd > 0 else Exogenous(p.epsilon, 0.5)
     )
     log_eps = math.log(p.epsilon)
+    # beta raises DegenerateSpec for sigma = 0 here, before any path is drawn
+    beta = params.beta
+    tilt = [math.exp(beta * (p.x0s[i + 1] - p.x0s[i])) for i in range(len(p.x0s) - 1)]
     singles, ratios = walk_survival(
         params, p.x0s, barrier, p.t, p.n_paths, seed=seed, workers=workers
     )
     asym = [
-        _asym_ratio(params.beta, p.sigma, p.x0s[i + 1] - log_eps, p.x0s[i] - log_eps, p.t)
+        _asym_ratio(beta, p.sigma, p.x0s[i + 1] - log_eps, p.x0s[i] - log_eps, p.t)
         for i in range(len(p.x0s) - 1)
     ]
     checks = {}
@@ -379,9 +389,9 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int) -> RunnerOutput:
         "ratio_ses": [r.se for r in ratios],
     }
     targets = {
-        "tilt_ratios": [r.theory for r in ratios],
+        "tilt_ratios": tilt,
         "asymptotic_ratios": asym,
-        "beta": params.beta,
+        "beta": beta,
     }
     columns = ["t", "epsilon", "x0", "p_hat", "se", "asymptotic_ratio_vs_first"]
     rows = []
@@ -389,7 +399,7 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int) -> RunnerOutput:
         a = (
             1.0
             if x0 == p.x0s[0]
-            else _asym_ratio(params.beta, p.sigma, x0 - log_eps, p.x0s[0] - log_eps, p.t)
+            else _asym_ratio(beta, p.sigma, x0 - log_eps, p.x0s[0] - log_eps, p.t)
         )
         rows.append([p.t, p.epsilon, x0, est.p_hat, est.se, a])
     plot = (
@@ -493,10 +503,11 @@ def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutpu
         p.tilde_mu, p.sigma, p.varepsilon, p.n_particles, p.tau, p.dt,
         p.phi0 * p.scale_factor, seed,
     )
+    ansatz = endogenous_alpha(p.tilde_mu, p.sigma, p.varepsilon, p.phi0)
     slope_gap = abs(run1.slope - run2.slope)
     checks = {
         "slope_in_ansatz_band": "pass"
-        if abs(run1.slope - run1.theory_log_alpha) <= SLOPE_TOL
+        if abs(run1.slope - ansatz.log_alpha) <= SLOPE_TOL
         else "fail",
         "scale_invariance": "pass" if slope_gap < INVARIANCE_TOL else "fail",
     }
@@ -508,8 +519,8 @@ def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutpu
         "resample_fraction": run1.resample_count / (p.n_particles * len(run1.times)),
     }
     targets = {
-        "ansatz_log_alpha": run1.theory_log_alpha,
-        "ansatz_c0": run1.theory_c0,
+        "ansatz_log_alpha": ansatz.log_alpha,
+        "ansatz_c0": ansatz.c0,
         "slope_tol": SLOPE_TOL,
     }
     columns = ["tau", "log_xi", "n_survivors", "mean_z"]
@@ -536,7 +547,7 @@ class MeasureParams:
     epsilon: float = 1e-3
     tau: float = 100.0
     n_paths: int = 60_000
-    prep_rate: float | None = None
+    prep_rate: float = 1.0
     n_boot: int = 400
 
 
@@ -719,15 +730,14 @@ def _write_svg(path: Path, title: str, xlabel: str, ylabel: str,
     path.write_text("\n".join(parts))
 
 
-def _bundled_config_text(experiment: str) -> str:
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    return resources.files("born_branch").joinpath(f"configs/{experiment}.json").read_text()
+#: Seeds of the reference runs that do not use seed 0.
+REFERENCE_SEEDS = {"measure": 11}
 
 
 def reference_config(experiment: str) -> ExperimentConfig:
-    """Bundled reference configuration for an experiment family."""
-    return ExperimentConfig.from_json(_bundled_config_text(experiment))
+    """Reference configuration for an experiment family: the parameter
+    defaults above, at the family's reference seed."""
+    return ExperimentConfig(experiment, seed=REFERENCE_SEEDS.get(experiment, 0))
 
 
 def run(
@@ -775,15 +785,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         "diffusion MC, endogenous thresholds, measurement pipeline.",
     )
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    parser.add_argument("--config", help="JSON config file (default: bundled reference)")
+    parser.add_argument("--config", help="JSON config file (default: the reference config)")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--workers", type=int, help="override worker count")
     parser.add_argument("--plot", action="store_true", help="also write plot.svg")
     parser.add_argument("--out", help="output directory (default: out/<experiment>)")
     args = parser.parse_args(argv)
     try:
-        text = Path(args.config).read_text() if args.config else _bundled_config_text(args.experiment)
-        raw = json.loads(text)
+        if args.config:
+            raw = json.loads(Path(args.config).read_text())
+        else:
+            raw = {"seed": REFERENCE_SEEDS.get(args.experiment, 0)}
         if isinstance(raw, dict):
             raw.setdefault("experiment", args.experiment)
             if args.seed is not None:

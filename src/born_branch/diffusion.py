@@ -220,7 +220,6 @@ class MeanRatioResult:
     se: float
     n_paths: int
     n_survivors: int
-    beta: float
 
 
 def conditional_mean_ratio(
@@ -240,12 +239,11 @@ def conditional_mean_ratio(
     its SE is the plain sample error and understates the heavy right tail,
     so treat it as a lower bound on the uncertainty.
     """
-    beta = params.beta
-    if beta <= 1.0:
-        raise DivergentRegime(f"beta={beta:.4g} <= 1: conditional mean diverges")
+    if params.beta <= 1.0:
+        raise DivergentRegime(f"beta={params.beta:.4g} <= 1: conditional mean diverges")
     ys = _survivor_ys(params, epsilon, tau, n_paths, seed, dt, workers)
     vals = np.exp(ys)
     n_surv = int(vals.size)
     estimate = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_surv)) if n_surv > 1 else math.inf
-    return MeanRatioResult(estimate, se, n_paths, n_surv, beta)
+    return MeanRatioResult(estimate, se, n_paths, n_surv)

@@ -217,39 +217,30 @@ def lcg_delta_stream(spec: LcgSpec, n: int, seed: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LcgTreeResult:
-    """Exact survivor count of the LCG tree at depth t over all 2^t paths."""
-
-    t: int
-    n_paths: int
-    n_survivors: int
-    p_hat: float
-    log_total_paths: float
-
-
 def lcg_tree(
     spec: LcgSpec,
     sched: Exogenous,
     t: int,
     phi0: float = 1.0,
-) -> LcgTreeResult:
-    """Survivor count of the depth-t LCG tree, enumerating all 2^t paths.
+) -> int:
+    """Exact survivor count of the depth-t LCG tree over all 2^t paths.
 
-    The exact oracle for lcg_walk_survival, guarded by MAX_TREE_PATHS.
-    Amplitude comparisons are plain float >= in log space. A schedule
-    other than Exogenous raises TypeError.
+    The exact oracle for lcg_walk_survival, guarded by MAX_TREE_PATHS. A
+    path survives while log phi0 >= log xi_s - amps_s, with amps_s its log
+    amplitude from phi0 = 1: the comparison _lcg_block_worst makes, in the
+    same floats, so both decide every path alike. A schedule other than
+    Exogenous raises TypeError.
     """
     sched = _check_exogenous(sched)
     if phi0 <= 0.0:
         raise OutOfRange(f"phi0={phi0} must be positive")
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
-    total = 2**t
-    if total > MAX_TREE_PATHS:
+    if 2**t > MAX_TREE_PATHS:
         raise TooLarge(f"2^{t} paths exceed MAX_TREE_PATHS={MAX_TREE_PATHS}")
+    lphi0 = math.log(phi0)
     states = np.array([spec.c0], dtype=np.uint64)
-    amps = np.array([math.log(phi0)])
+    amps = np.zeros(1)
     for s in range(1, t + 1):
         if states.size == 0:
             break
@@ -258,11 +249,10 @@ def lcg_tree(
         with np.errstate(divide="ignore"):
             damps = np.log(children.astype(np.float64) / spec.p)
         amps = np.concatenate([amps, amps]) + damps
-        keep = amps >= sched.log_xi(s)
+        keep = lphi0 >= sched.log_xi(s) - amps
         states = children[keep]
         amps = amps[keep]
-    n_surv = int(states.size)
-    return LcgTreeResult(t, total, n_surv, n_surv / total, t * math.log(2.0))
+    return int(states.size)
 
 
 def _lcg_block_worst(

@@ -13,7 +13,7 @@ the start distance, the survivors in arm k have unnormalized mass
       = delta_k^r * r * integral_0^inf e^{-r y} q_tau(y) dy
 (substitute y = u + log delta_k and use that q_tau vanishes below the
 barrier), so conditioned frequencies are exactly proportional to delta_k^r
-at every tau. The default prep_rate mu/sigma^2 = 1 reproduces frequencies
+at every tau. The default prep_rate 1 = mu/sigma^2 reproduces frequencies
 delta_k; the alternate 2 mu/sigma^2 gives delta_k^2.
 """
 from __future__ import annotations
@@ -63,13 +63,9 @@ class MeasurementSetup:
         """Drift under the critical tuning: mu = sigma^2, so beta = 1."""
         return self.sigma * self.sigma
 
-    @property
-    def beta(self) -> float:
-        return 1.0
-
 
 def outcome_weights(
-    setup: MeasurementSetup, prep_rate: float | None = None
+    setup: MeasurementSetup, prep_rate: float = 1.0
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Exact conditioned frequencies and per-arm survival probabilities.
 
@@ -81,7 +77,7 @@ def outcome_weights(
     # imported here: scipy.integrate is a third of the package's import time
     from scipy.integrate import quad
 
-    r = setup.mu / setup.sigma**2 if prep_rate is None else prep_rate
+    r = prep_rate
     if r <= 0.0:
         raise OutOfRange(f"prep_rate={r} must be positive")
     powers = [d**r for d in setup.deltas]
@@ -121,7 +117,6 @@ class PipelineResult:
     outcomes: tuple[OutcomeStats, ...]
     n_paths: int
     n_survivors: int
-    prep_rate: float
     expected_frequencies: tuple[float, ...]
 
 
@@ -129,7 +124,7 @@ def measurement_pipeline(
     setup: MeasurementSetup,
     n_paths: int,
     seed: int = 0,
-    prep_rate: float | None = None,
+    prep_rate: float = 1.0,
     n_boot: int = 400,
     workers: int | None = None,
 ) -> PipelineResult:
@@ -152,10 +147,7 @@ def measurement_pipeline(
             f"tau * min(delta) = {setup.tau * min(setup.deltas):.3g} < 20: horizon "
             "too short for the conditioned regime at the smallest outcome"
         )
-    rate = setup.mu / setup.sigma**2 if prep_rate is None else prep_rate
-    if rate <= 0.0:
-        raise OutOfRange(f"prep_rate={rate} must be positive")
-    weights, survival = outcome_weights(setup, rate)
+    weights, survival = outcome_weights(setup, prep_rate)
     k_arms = setup.K
     expected = [n_paths / k_arms * s for s in survival]
     too_few = [
@@ -172,7 +164,7 @@ def measurement_pipeline(
     log_deltas = np.asarray(setup.log_deltas)
 
     def block(i: int, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        u = rng.exponential(scale=1.0 / rate, size=size)
+        u = rng.exponential(scale=1.0 / prep_rate, size=size)
         arm = rng.integers(0, k_arms, size=size)
         y0 = u + log_deltas[arm]
         alive, _ = batch_survive(setup.mu, setup.sigma, y0, setup.tau, setup.tau, rng, size)
@@ -198,7 +190,7 @@ def measurement_pipeline(
             med = math.nan
             ci = (math.nan, math.nan)
         outcomes.append(OutcomeStats(setup.deltas[k], n_k, freq, freq_se, med, ci))
-    return PipelineResult(tuple(outcomes), n_paths, n_surv, rate, weights)
+    return PipelineResult(tuple(outcomes), n_paths, n_surv, weights)
 
 
 def prepared_median_reference(setup: MeasurementSetup) -> float:

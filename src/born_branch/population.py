@@ -4,9 +4,9 @@ N particles diffuse in log amplitude; after each step the threshold is
 recomputed as xi = varepsilon * mean(Phi) over the current particles,
 particles strictly below it are absorbed, and each absorbed particle is
 replaced by a copy of a uniformly chosen survivor. The log threshold then
-grows linearly; the measured slope, fitted from step int(0.3 n) on, is
-compared with the exponential-ansatz prediction sigma^2/(1 - varepsilon) -
-tilde_mu from endogenous_alpha.
+grows linearly; its slope is fitted from step int(0.3 n) on. Targets for
+the slope, such as model.endogenous_alpha's exponential ansatz, live in
+the checks that judge it.
 
 The state is carried in centered coordinates Z - log phi0, so rescaling
 phi0 shifts every reported threshold by exactly log(phi0) and changes
@@ -20,57 +20,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Extinction, OutOfRange
-from .model import endogenous_alpha
 from .rng import rng_stream
-from .stats import FitResult, fit_power_law
+from .stats import FitResult, _logsumexp, fit_power_law
 
 #: Fraction of the trajectory that the growth fit discards as transient.
 BURN_IN = 0.3
 
 
-def _logsumexp(z: np.ndarray, buf: np.ndarray, mask: np.ndarray) -> float:
-    """log sum exp(z), overwriting buf and mask, in scipy's floats.
-
-    The maximum's m ties are split out of the shifted sum, which is taken
-    in numpy's pairwise order over all of buf with the ties zeroed, and
-    log1p(s / m) + log(m) + max is formed with numpy's float64 log1p and
-    log: scipy.special.logsumexp (1.17) yields the same bits.
-    """
-    top = z.max()
-    np.equal(z, top, out=mask)
-    m = np.float64(np.count_nonzero(mask))
-    np.subtract(z, top, out=buf)
-    np.exp(buf, out=buf)
-    buf[mask] = 0.0
-    s = buf.sum()
-    if s != 0:
-        s = s / m
-    return float(np.log1p(s) + np.log(m) + top)
-
-
-@dataclass(frozen=True)
-class PopulationState:
-    """Particle log amplitudes with the current threshold and clone count."""
-
-    z: np.ndarray
-    log_xi: float
-    time: float
-    resample_count: int
-
-
 @dataclass(frozen=True)
 class PopulationRun:
-    """Threshold trajectory of one run with its fitted growth rate."""
+    """Threshold trajectory of one run, its fitted growth rate, and the
+    final particle log amplitudes z."""
 
     times: np.ndarray
     log_xi: np.ndarray
     n_survivors: np.ndarray
     mean_z: np.ndarray
     fit: FitResult
-    theory_log_alpha: float
-    theory_c0: float
     resample_count: int
-    final: PopulationState
+    z: np.ndarray
 
     @property
     def slope(self) -> float:
@@ -121,7 +89,6 @@ def endogenous_population(
     n_survivors = np.empty(n_steps, dtype=np.int64)
     mean_z = np.empty(n_steps)
     resampled = 0
-    cur_xi = -math.inf
     for step in range(n_steps):
         rng.standard_normal(out=buf)
         buf *= sdt
@@ -145,21 +112,12 @@ def endogenous_population(
     if n_steps - start < 2:
         start = max(0, n_steps - 2)
     fit = fit_power_law(times[start:], log_xi[start:])
-    theory = endogenous_alpha(tilde_mu, sigma, varepsilon, phi0)
-    final = PopulationState(
-        z=z + log_phi0,
-        log_xi=cur_xi + log_phi0,
-        time=float(times[-1]),
-        resample_count=resampled,
-    )
     return PopulationRun(
         times=times,
         log_xi=log_xi,
         n_survivors=n_survivors,
         mean_z=mean_z,
         fit=fit,
-        theory_log_alpha=theory.log_alpha,
-        theory_c0=theory.c0,
         resample_count=resampled,
-        final=final,
+        z=z + log_phi0,
     )

@@ -28,6 +28,29 @@ class FitResult:
     n_points: int
 
 
+def _logsumexp(z: np.ndarray, buf: np.ndarray, mask: np.ndarray) -> float:
+    """log sum exp(z), overwriting buf and mask, in scipy's floats.
+
+    The maximum's m ties are split out of the shifted sum, which is taken
+    in numpy's pairwise order over all of buf with the ties zeroed, and
+    log1p(s / m) + log(m) + max is formed with numpy's float64 log1p and
+    log: scipy.special.logsumexp (1.17) yields the same bits. A maximum
+    that is not finite (all of z -inf, say) is the result itself.
+    """
+    top = z.max()
+    if not math.isfinite(top):
+        return float(top)
+    np.equal(z, top, out=mask)
+    m = np.float64(np.count_nonzero(mask))
+    np.subtract(z, top, out=buf)
+    np.exp(buf, out=buf)
+    buf[mask] = 0.0
+    s = buf.sum()
+    if s != 0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + top)
+
+
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
     """OLS fit ys ~ slope * xs + intercept on already-transformed data.
 
@@ -103,13 +126,15 @@ def binomial_interval_logprob(n: int, p: float, lo: int, hi: int) -> tuple[float
         raise OutOfRange(f"need 0 <= lo <= hi <= n, got lo={lo}, hi={hi}, n={n}")
     if not (0.0 <= p <= 1.0):
         raise OutOfRange(f"p={p} outside [0, 1]")
-    from scipy.special import logsumexp
+
+    def logsumexp(a: np.ndarray) -> float:
+        return _logsumexp(a, np.empty_like(a), np.empty(a.shape, dtype=bool))
 
     ks = np.arange(0, n + 1, dtype=float)
     lp = binomial_logpmf(n, p, ks)
-    log_in = min(float(logsumexp(lp[lo : hi + 1])), 0.0)
+    log_in = min(logsumexp(lp[lo : hi + 1]), 0.0)
     tails = np.concatenate([lp[:lo], lp[hi + 1 :]])
-    log_out = float(logsumexp(tails)) if tails.size else -math.inf
+    log_out = logsumexp(tails) if tails.size else -math.inf
     return log_in, log_out
 
 

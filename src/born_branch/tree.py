@@ -47,8 +47,6 @@ class TreeResult:
 
     t: int
     counts: tuple[int, ...]
-    log_total_paths: float
-    log_surviving_fraction: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -164,12 +162,10 @@ def enumerate_brute(
 
     Guarded by MAX_BRUTE_PATHS on K^t.
     """
-    logk = math.log(spec.K)
-    series = []
-    for s, amps in enumerate(_brute_levels(spec, sched, t, phi0)):
-        n = amps.size
-        series.append(TreeResult(s, (n,), s * logk, (log_bigint(n) - s * logk,)))
-    return series
+    return [
+        TreeResult(s, (amps.size,))
+        for s, amps in enumerate(_brute_levels(spec, sched, t, phi0))
+    ]
 
 
 def brute_leaf_log_amplitudes(
@@ -335,13 +331,7 @@ def count_survivors_dp(
             per_phi.append(_packed_dp3(lphi0, lds, sched, t_max, record))
         else:
             per_phi.append(_dict_dp(lphi0, lds, sched, t_max, record))
-    logk = math.log(spec.K)
-    series = []
-    for t in record:
-        counts = tuple(d[t] for d in per_phi)
-        fracs = tuple(log_bigint(n) - t * logk for n in counts)
-        series.append(TreeResult(t, counts, t * logk, fracs))
-    return series
+    return [TreeResult(t, tuple(d[t] for d in per_phi)) for t in record]
 
 
 def scan_rows_from_series(

@@ -23,13 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadStart,
-    DegenerateSpec,
-    OutOfRange,
-    RareEventRegime,
-    ZeroDenominator,
-)
+from .errors import BadStart, OutOfRange, RareEventRegime, ZeroDenominator
 from .model import Exogenous, RandomBarrier, ThresholdSchedule, WalkParams
 from .rng import map_blocks
 
@@ -54,11 +48,10 @@ class SurvivalEstimate:
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    """Survival ratio of two starts with delta-method SE and theory target."""
+    """Survival ratio of two starts with delta-method SE."""
 
     ratio: float
     se: float
-    theory: float
     n_paths: int
     n_survivors_a: int
     n_survivors_b: int
@@ -131,10 +124,8 @@ def _estimates(counts: Sequence[int], n: int) -> tuple[SurvivalEstimate, ...]:
     return tuple(estimates)
 
 
-def _ratio_estimate(
-    params: WalkParams, x_a: float, x_b: float, k_a: int, k_b: int, n: int
-) -> RatioEstimate:
-    """Survival ratio of x_a over x_b from CRN counts, with delta-method SE.
+def _ratio_estimate(x_b: float, k_a: int, k_b: int, n: int) -> RatioEstimate:
+    """Survival ratio of k_a over k_b CRN survivors, with delta-method SE.
 
     Survivor sets on shared draws are nested, so min(k_a, k_b) paths
     survive from both starts; the SE uses the cross-covariance this gives.
@@ -149,10 +140,7 @@ def _ratio_estimate(
     var_ratio = (
         var_a / p_b**2 + p_a**2 * var_b / p_b**4 - 2.0 * p_a * cov / p_b**3
     )
-    theory = math.exp(params.beta * (x_a - x_b))
-    return RatioEstimate(
-        ratio, math.sqrt(max(var_ratio, 0.0)), theory, n, int(k_a), int(k_b)
-    )
+    return RatioEstimate(ratio, math.sqrt(max(var_ratio, 0.0)), n, int(k_a), int(k_b))
 
 
 def walk_survival(
@@ -177,8 +165,7 @@ def walk_survival(
     survival of a start, at the discrete-monitoring distance d + 0.5826
     sigma, is below 1e-8, the op refuses naive MC and points to the closed
     form instead. A ratio raises ZeroDenominator when start i has no
-    survivors. Two or more starts with sigma = 0 raise DegenerateSpec
-    before any path is drawn.
+    survivors; a deterministic walk (sigma = 0) gets its exact ratio.
     """
     log_eps, noise_sd = _barrier_params(barrier)
     if len(x0s) == 0:
@@ -190,8 +177,6 @@ def walk_survival(
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
-    if params.sigma == 0.0 and len(x0s) > 1:
-        raise DegenerateSpec("theory ratio undefined for sigma = 0")
     if params.sigma > 0.0 and t > 0:
         from .diffusion import survival_closed_form
 
@@ -209,7 +194,7 @@ def walk_survival(
         x0s, n_paths, seed, workers,
     )
     ratios = [
-        _ratio_estimate(params, x0s[i + 1], x0s[i], k[i + 1], k[i], n_paths)
+        _ratio_estimate(x0s[i], k[i + 1], k[i], n_paths)
         for i in range(len(x0s) - 1)
     ]
     return _estimates(k, n_paths), tuple(ratios)
@@ -248,7 +233,6 @@ def survival_ratio(
     The two-start case of walk_survival, with its checks and rare-event
     screen: both arms see identical shock and barrier-noise draws, so the
     ratio is far tighter than independent runs. The SE is the delta method
-    with the empirical cross-covariance, and the theory target is
-    exp((mu/sigma^2) (x_a - x_b)).
+    with the empirical cross-covariance.
     """
     return walk_survival(params, [x_b, x_a], barrier, t, n_paths, seed, workers)[1][0]

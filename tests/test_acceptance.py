@@ -53,6 +53,7 @@ from born_branch import (
     conditional_mean_ratio,
     conditioned_sample,
     count_survivors_dp,
+    endogenous_alpha,
     endogenous_population,
     enumerate_brute,
     ks_distance,
@@ -380,15 +381,16 @@ def test_criterion_07_conditional_mean_ratio_constants():
         dens = image_density(mu, 1.0, d, tau)
         num, _ = quad(lambda y: math.exp(y) * dens(y), 0.0, 60.0)
         exact = num / image_survival(mu, 1.0, d, tau)
-        verdicts.append((res, exact, abs(res.estimate / exact - 1.0)))
+        # sigma = 1, so beta = mu / sigma^2 = mu
+        verdicts.append((mu, res, exact, abs(res.estimate / exact - 1.0)))
     elapsed = time.perf_counter() - t0
     _verdict(
         7,
-        all(err <= 0.10 for _, _, err in verdicts) and elapsed < 120.0,
+        all(err <= 0.10 for _, _, _, err in verdicts) and elapsed < 120.0,
         "; ".join(
-            f"beta={res.beta:g}: {res.estimate:.3f} +- {res.se:.3f} vs image law "
+            f"beta={beta:g}: {res.estimate:.3f} +- {res.se:.3f} vs image law "
             f"{exact:.4f} (err {100 * err:.1f}%, tol 10%)"
-            for res, exact, err in verdicts
+            for beta, res, exact, err in verdicts
         )
         + f" ({elapsed:.0f}s, budget 120s)",
     )
@@ -424,6 +426,7 @@ def test_criterion_08_endogenous_growth_and_scale_invariance():
     run_b = endogenous_population(
         1.0, 1.0, 0.2, 100_000, 100.0, dt=0.01, phi0=100.0, seed=81
     )
+    ansatz = endogenous_alpha(1.0, 1.0, 0.2, 1.0).log_alpha
     slope_err = abs(run_a.slope - 0.25)
     d_slope = abs(run_a.slope - run_b.slope)
     elapsed = time.perf_counter() - t0
@@ -431,7 +434,7 @@ def test_criterion_08_endogenous_growth_and_scale_invariance():
         8,
         slope_err <= 0.03 and d_slope < 0.005 and elapsed < 300.0,
         f"slope {run_a.slope:.4f} vs 0.25 +- 0.03 (ansatz "
-        f"{run_a.theory_log_alpha:.2f}); scale-invariance slope change "
+        f"{ansatz:.2f}); scale-invariance slope change "
         f"{d_slope:.1e} (tol 0.005) ({elapsed:.0f}s, budget 300s)",
     )
 

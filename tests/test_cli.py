@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from born_branch import ConfigError
+from born_branch import ConfigError, WalkParams
+from born_branch import walk as walk_module
 from born_branch.cli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -66,6 +67,23 @@ class TestExperimentConfig:
     def test_reference_config_unknown(self):
         with pytest.raises(ConfigError):
             reference_config("bogus")
+
+    @pytest.mark.parametrize(
+        "experiment, digest",
+        [
+            ("tree", "d1d5dcac24523727"),
+            ("lcg", "e334867a05b83680"),
+            ("walk", "09dcb7f798b71873"),
+            ("diffusion", "238d4bcf07f8eb0c"),
+            ("endogenous", "f9c6a728e1c6a9bd"),
+            ("measure", "e849f25981fd70b4"),
+            ("demo_intro", "ab01750a2d48c283"),
+        ],
+    )
+    def test_reference_config_hash_is_pinned(self, experiment, digest):
+        """The reference configs are the parameter defaults at the family's
+        reference seed, so a silently changed default changes this hash."""
+        assert config_hash(reference_config(experiment)) == digest
 
     @pytest.mark.parametrize(
         "experiment, key, value",
@@ -134,6 +152,9 @@ class TestRunSmallConfigs:
         assert results["estimates"]["extinction_t"] == 45
         assert header[:2] == ["t", "log10_total_paths"]
         assert len(rows) == 13
+        # K = 3 branches: t log10(3) for every recorded depth t
+        for row in rows:
+            assert float(row[1]) == pytest.approx(int(row[0]) * math.log10(3.0), rel=1e-14)
 
     def test_tree_oracle_records_brute_force_agreement(self, tmp_path):
         cfg = ExperimentConfig(
@@ -178,6 +199,24 @@ class TestRunSmallConfigs:
         results, _, _ = read_outputs(tmp_path)
         assert results["checks"]["ratio_x1_over_x0_near_asymptotic"] == "pass"
         assert results["checks"]["tilt_ratio"] == "report"
+        beta = WalkParams(0.15, 1.1).beta
+        assert results["targets"]["beta"] == beta
+        assert results["targets"]["tilt_ratios"] == [math.exp(beta)]
+
+    def test_deterministic_walk_rejected_before_drawing(self, tmp_path, monkeypatch, capsys):
+        """With sigma = 0 the walk's tilt target mu/sigma^2 is undefined, so
+        the run fails with exit code 1 before any path is drawn."""
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("paths drawn before DegenerateSpec")
+
+        monkeypatch.setattr(walk_module, "map_blocks", no_draws)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"parameters": {"sigma": 0, "n_paths": 400_000}}))
+        out = tmp_path / "o"
+        assert main(["walk", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "sigma = 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diffusion_small_run_passes(self, tmp_path):
         cfg = ExperimentConfig(
@@ -253,7 +292,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("experiment", ["walk", "measure"])
     def test_bundled_config_same_at_one_and_two_workers(self, experiment, tmp_path):
-        """The bundled walk (one shared-draw pass) and measure (one exact
+        """The reference walk (one shared-draw pass) and measure (one exact
         step) configs run in seconds, so their full reference runs are
         checked: identical estimates and series.csv bytes at 1 and 2
         workers, and every check passing."""
@@ -351,11 +390,17 @@ class TestMain:
             ("tree", {"parameters": {"deltas": [0.5, 0.6]}}, "ratios"),
             ("diffusion", {"parameters": {"mc_n_paths": 0}}, "mc_n_paths"),
             ("diffusion", {"parameters": {"mc_n_paths": -5}}, "mc_n_paths"),
+            ("endogenous", {"parameters": {"tau": math.nan}}, "tau"),
+            ("tree", {"parameters": {"epsilon": math.nan}}, "epsilon"),
+            ("walk", {"parameters": {"epsilon": math.inf}}, "epsilon"),
+            ("walk", {"parameters": {"x0s": [0.0, math.nan]}}, "x0s"),
+            ("measure", {"parameters": {"tau": 10**400}}, "tau"),
         ],
         ids=["seed-str", "workers-str", "workers-zero", "int-param-str",
              "int-param-float", "record-points-negative", "experiment-list",
              "parameters-str", "t-max-negative", "deltas-off-simplex",
-             "mc-paths-zero", "mc-paths-negative"],
+             "mc-paths-zero", "mc-paths-negative", "tau-nan", "epsilon-nan",
+             "epsilon-infinity", "list-entry-nan", "int-beyond-float-range"],
     )
     def test_bad_config_value_maps_to_exit_one(
         self, experiment, config, key, tmp_path, capsys

@@ -286,22 +286,16 @@ class TestLcgTree:
     def test_exact_counts_all_paths(self):
         """t=10 with a negligible threshold: all 2^10 paths survive."""
         sched = Exogenous(1e-12, DEFAULT_LCG_ALPHA)
-        res = lcg_tree(BIG, sched, 10)
-        assert res.n_paths == 1024
-        assert res.n_survivors == 1024
-        assert res.p_hat == 1.0
-        assert res.log_total_paths == pytest.approx(10 * math.log(2), rel=1e-14)
+        assert lcg_tree(BIG, sched, 10) == 1024
 
     def test_exact_truncation_reduces_count(self):
         sched = Exogenous(1e-2, DEFAULT_LCG_ALPHA)
-        res = lcg_tree(BIG, sched, 14)
-        assert 0 < res.n_survivors < res.n_paths
+        assert 0 < lcg_tree(BIG, sched, 14) < 2**14
 
     def test_sampled_agrees_with_exact(self):
         """Sampled survival estimate within 4 SE of the exact fraction."""
         sched = Exogenous(1e-2, DEFAULT_LCG_ALPHA)
-        exact = lcg_tree(BIG, sched, 14)
-        p_true = exact.n_survivors / exact.n_paths
+        p_true = lcg_tree(BIG, sched, 14) / 2**14
         sampled = lcg_walk_survival(BIG, sched, 14, [1.0], 40_000, seed=5).estimates[0]
         se = math.sqrt(p_true * (1 - p_true) / sampled.n_paths)
         assert abs(sampled.p_hat - p_true) < 4 * se
@@ -321,6 +315,48 @@ class TestLcgTree:
         noisy schedule raises the TypeError the tree ops raise."""
         with pytest.raises(TypeError, match="RandomBarrier"):
             lcg_tree(BIG, RandomBarrier(1e-2, 0.3), 5)
+
+    @pytest.mark.parametrize(
+        "spec, t",
+        [(BIG, 12), (LEHMER, 10), (LcgSpec(101, 2), 12)],
+        ids=["m61", "lehmer", "small_modulus"],
+    )
+    def test_same_decision_as_walk_kernel(self, spec, t):
+        """lcg_tree and _lcg_block_worst decide every path alike, even for
+        a start exactly on a path's worst gap or one ulp either side of it.
+        The kernel runs over all 2^t branch sequences, and a start's count
+        from its worst gaps must equal the tree's."""
+        sched = Exogenous(1e-2, DEFAULT_LCG_ALPHA)
+        worst = _lcg_block_worst(spec, sched, t, _PathBits(2**t), 2**t)
+        gaps = np.unique(worst[np.isfinite(worst)])
+        phis, on_gap = [], 0
+        for w in gaps[:: max(1, gaps.size // 40)]:
+            phi = math.exp(w)
+            # nudge phi until log(phi) lands on the gap, if one does
+            for _ in range(8):
+                if math.log(phi) == w:
+                    on_gap += 1
+                    break
+                phi = math.nextafter(phi, math.inf if math.log(phi) < w else 0.0)
+            phis += [math.nextafter(phi, 0.0), phi, math.nextafter(phi, math.inf)]
+        assert on_gap >= 30
+        for phi in phis:
+            expect = int(np.count_nonzero(math.log(phi) >= worst))
+            assert lcg_tree(spec, sched, t, phi) == expect, phi
+
+
+class _PathBits:
+    """Stand-in rng: the branch picks of step s are bit s - 1 of each path
+    index, so a block of 2^t paths runs every branch sequence once."""
+
+    def __init__(self, size):
+        self.index = np.arange(size)
+        self.step = 0
+
+    def integers(self, low, high, size):
+        bits = (self.index >> self.step) & 1
+        self.step += 1
+        return bits
 
 
 def _lcg_alive_reference(spec, sched, t, lphis, rng, size):

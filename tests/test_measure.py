@@ -61,7 +61,6 @@ class TestMeasurementSetup:
     def test_critical_tuning(self):
         setup = MeasurementSetup((0.5, 0.5), 0.4, 1e-3, 50.0)
         assert setup.mu == pytest.approx(0.16)
-        assert setup.beta == 1.0
 
 
 class TestOutcomeWeights:
@@ -132,7 +131,6 @@ class TestPipeline:
     def test_tallies_consistent(self, fast_result):
         assert fast_result.n_survivors == sum(o.n_survivors for o in fast_result.outcomes)
         assert math.fsum(o.frequency for o in fast_result.outcomes) == pytest.approx(1.0)
-        assert fast_result.prep_rate == 1.0
         assert fast_result.n_survivors > 100
 
     def test_conditioned_medians_arm_independent(self, fast_result):

@@ -1,6 +1,7 @@
 """Tests for fitting, KS distance, binomial tail arithmetic, and resampling."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +130,22 @@ class TestBinomialIntervalLogprob:
         ref = logsumexp(sps.binom.logpmf(np.arange(900, 1001), 1000, 0.2))
         assert log_in == pytest.approx(float(ref), rel=1e-12)
         assert log_in < -900
+
+    @pytest.mark.parametrize(
+        "p, lo, hi, expect",
+        [
+            (0.0, 0, 4, (0.0, -math.inf)),
+            (0.0, 1, 10, (-math.inf, 0.0)),
+            (1.0, 0, 9, (-math.inf, 0.0)),
+            (1.0, 6, 10, (0.0, -math.inf)),
+        ],
+    )
+    def test_certain_outcome_sums_all_minus_inf(self, p, lo, hi, expect):
+        """At p = 0 or 1 every log-pmf but one is -inf, so one of the two
+        sums is over -inf alone; it is -inf, with no floating-point warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert binomial_interval_logprob(10, p, lo, hi) == expect
 
     def test_domain_checks(self):
         with pytest.raises(OutOfRange):

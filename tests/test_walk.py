@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from born_branch import (
     BadStart,
     BranchingSpec,
-    DegenerateSpec,
     Exogenous,
     FiniteSupportShocks,
     LogUniformShocks,
@@ -27,7 +26,6 @@ from born_branch import (
     survival_ratio,
     walk_survival,
 )
-from born_branch import walk as walk_module
 from born_branch.rng import BLOCK_SIZE
 from born_branch.walk import RARE_EVENT_FLOOR, _block_worst, _start_counts
 
@@ -184,7 +182,7 @@ class TestBlockWorst:
 
 
 class TestSurvivalRatio:
-    """CRN ratio estimate with delta-method SE and tilt theory target."""
+    """CRN ratio estimate with delta-method SE."""
 
     def test_ratio_consistent_with_counts(self):
         params = WalkParams(mu=0.5, sigma=1.0)
@@ -193,7 +191,6 @@ class TestSurvivalRatio:
         assert res.n_survivors_a >= res.n_survivors_b
         assert res.ratio >= 1.0
         assert res.se > 0.0
-        assert res.theory == pytest.approx(math.exp(params.beta * 1.0))
 
     def test_crn_se_beats_independent_runs(self):
         """The paired estimate reuses draws across arms, so its SE must be
@@ -228,9 +225,17 @@ class TestSurvivalRatio:
         with pytest.raises(OutOfRange):
             survival_ratio(WalkParams(0.5, 1.0), 1.0, 0.0, BARRIER, -3, 100)
 
+    def test_deterministic_walk_gets_its_exact_ratio(self):
+        """With sigma = 0 every path steps down by mu = 0.5 onto log eps =
+        -1 exactly: from 0 all survive 2 steps and die at the third, from
+        1 all survive 4, so the ratios are exactly 1 and 0."""
+        params = WalkParams(0.5, 0.0)
+        res = survival_ratio(params, 1.0, 0.0, BARRIER, 2, 100, seed=0)
+        assert (res.ratio, res.se, res.n_survivors_a, res.n_survivors_b) == (1.0, 0.0, 100, 100)
+        res = survival_ratio(params, 0.0, 1.0, BARRIER, 4, 100, seed=0)
+        assert (res.ratio, res.se, res.n_survivors_a, res.n_survivors_b) == (0.0, 0.0, 0, 100)
+
     def test_validation(self):
-        with pytest.raises(DegenerateSpec):
-            survival_ratio(WalkParams(0.5, 0.0), 1.0, 0.0, BARRIER, 5, 100, seed=0)
         with pytest.raises(BadStart, match="x0=-5.0 below the barrier"):
             survival_ratio(WalkParams(0.5, 1.0), 1.0, -5.0, BARRIER, 5, 100, seed=0)
 
@@ -291,17 +296,6 @@ class TestWalkSurvival:
         """A bare epsilon is not a barrier schedule."""
         with pytest.raises(TypeError):
             walk_survival(self.PARAMS, self.X0S, self.LOW.epsilon, 5, 100)
-
-    def test_deterministic_walk_ratio_rejected_before_drawing(self, monkeypatch):
-        """With sigma = 0 the ratio's theory target is undefined; two starts
-        raise DegenerateSpec with the input checks, before any block runs."""
-
-        def no_draws(*args, **kwargs):
-            raise AssertionError("paths drawn before DegenerateSpec")
-
-        monkeypatch.setattr(walk_module, "map_blocks", no_draws)
-        with pytest.raises(DegenerateSpec):
-            walk_survival(WalkParams(0.01, 0.0), [0.0, 1.0], BARRIER, 50, 400_000)
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(

@@ -33,10 +33,8 @@ from .model import (
     LogUniformShocks,
     RandomBarrier,
     ThresholdSchedule,
-    WalkMoments,
     WalkParams,
     alpha_for_unit_beta,
-    basic_params,
     endogenous_alpha,
 )
 from .tree import (
@@ -51,7 +49,6 @@ from .tree import (
 from .lcg import (
     DEFAULT_LCG_ALPHA,
     LcgSpec,
-    LcgWalkResult,
     lcg_children,
     lcg_cycle_length,
     lcg_delta_stream,
@@ -95,6 +92,7 @@ from .stats import (
     fit_power_law,
     ks_distance,
     quantile,
+    start_exponent,
 )
 from .rng import BLOCK_SIZE, rng_stream
 

@@ -25,7 +25,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import diffusion as diff
-from .errors import BornBranchError, ConfigError, OutOfRange
+from .errors import BadStart, BornBranchError, ConfigError, OutOfRange
 from .lcg import DEFAULT_LCG_ALPHA, LcgSpec, lcg_delta_stream, lcg_walk_survival
 from .measure import MeasurementSetup, measurement_pipeline, prepared_median_reference
 from .model import (
@@ -39,6 +39,7 @@ from .stats import (
     binomial_interval_logprob,
     binomial_logpmf,
     ks_distance,
+    start_exponent,
 )
 from .tree import count_survivors_dp, enumerate_brute, log_bigint, scan_rows_from_series
 from .walk import walk_survival
@@ -190,8 +191,9 @@ class TreeParams:
     oracle: bool = False
 
     def __post_init__(self) -> None:
-        if self.record_points < 0:
-            raise ConfigError(f"record_points={self.record_points} must be >= 0")
+        for key in ("t_max", "record_points"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key}={getattr(self, key)} must be >= 0")
 
 
 def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
@@ -199,11 +201,12 @@ def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
     alpha = alpha_for_unit_beta(spec).alpha if p.alpha is None else float(p.alpha)
     feasible = _alpha_feasible(spec, alpha)
     sched = Exogenous(p.epsilon, alpha)
-    grid = sorted({int(t) for t in np.linspace(0, p.t_max, p.record_points + 1)})
+    # t_max + 1 points already give every depth
+    grid = sorted({int(t) for t in np.linspace(0, p.t_max, min(p.record_points, p.t_max) + 1)})
     phis = [float(v) for v in p.phis]
     series = count_survivors_dp(spec, sched, p.t_max, phis, record_ts=grid)
     pairs = [(phi, phis[0]) for phi in phis[1:]]
-    scan = scan_rows_from_series(series, phis, pairs)
+    scan = scan_rows_from_series(series, phis)
     extinct_t = next(
         (r.t for r in series if all(c == 0 for c in r.counts)), None
     )
@@ -287,6 +290,16 @@ class LcgParams:
 
 def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
     spec = LcgSpec(p.p, p.a)
+    phis = [float(v) for v in p.phis]
+    # the walk first: a modulus too wide for its kernel fails before the
+    # scalar stream runs (the two draw from independent seeds)
+    walk = lcg_walk_survival(
+        spec, Exogenous(p.epsilon, p.alpha), p.t, phis, p.n_paths,
+        seed=seed + 1_000_003, workers=workers,
+    )
+    lx = [math.log(g) for g in phis]
+    ly = [math.log(e.p_hat) if e.p_hat > 0 else -math.inf for e in walk]
+    beta_hat = start_exponent(lx, ly)
     deltas = lcg_delta_stream(spec, p.n_transitions, seed)
     ks = ks_distance(deltas, lambda v: np.clip(v, 0.0, 1.0))
     # 0.1% level of the one-sample Kolmogorov statistic sqrt(n) * KS
@@ -294,26 +307,18 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
     logs = np.log(deltas)
     mean_neg_log = float(-logs.mean())
     var_log = float(logs.var())
-    sched = Exogenous(p.epsilon, p.alpha)
-    walk = lcg_walk_survival(
-        spec, sched, p.t, [float(v) for v in p.phis], p.n_paths,
-        seed=seed + 1_000_003, workers=workers,
-    )
-    beta_hat = walk.beta_hat
     checks = {
         "delta_ks_uniform": "pass" if ks < ks_tol else "fail",
         "mean_neg_log_delta": "pass" if abs(mean_neg_log - 1.0) <= LCG_MEAN_TOL else "fail",
         "var_log_delta": "pass" if abs(var_log - 1.0) <= LCG_VAR_REL_TOL else "fail",
-        "walk_beta_hat_in_band": _band_check(beta_hat, *BETA_BAND)
-        if math.isfinite(beta_hat)
-        else "fail",
+        "walk_beta_hat_in_band": _band_check(beta_hat, *BETA_BAND),
     }
     estimates = {
         "ks_uniform": ks,
         "mean_neg_log_delta": mean_neg_log,
         "var_log_delta": var_log,
         "beta_hat": beta_hat,
-        "p_hat": {f"{g:g}": e.p_hat for g, e in zip(walk.phi0s, walk.estimates)},
+        "p_hat": {f"{g:g}": e.p_hat for g, e in zip(phis, walk)},
     }
     targets = {
         "ks_tol": ks_tol,
@@ -322,11 +327,7 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
         "beta_band": list(BETA_BAND),
     }
     columns = ["phi0", "p_hat", "se", "n_survivors"]
-    rows = [
-        [g, e.p_hat, e.se, e.n_survivors] for g, e in zip(walk.phi0s, walk.estimates)
-    ]
-    lx = [math.log(g) for g in walk.phi0s]
-    ly = [math.log(e.p_hat) if e.p_hat > 0 else math.nan for e in walk.estimates]
+    rows = [[g, e.p_hat, e.se, e.n_survivors] for g, e in zip(phis, walk)]
     plot = ("LCG walk survival", "log phi0", "log p_hat", [("log p_hat", lx, ly)])
     return RunnerOutput(estimates, targets, checks, columns, rows, plot)
 
@@ -364,10 +365,10 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int) -> RunnerOutput:
     if shocks is None:
         raise ConfigError(f"shock must be 'gaussian' or 'log_uniform', got {p.shock!r}")
     params = WalkParams(p.mu, p.sigma, shocks)
-    barrier = (
-        RandomBarrier(p.epsilon, p.noise_sd) if p.noise_sd > 0 else Exogenous(p.epsilon, 0.5)
-    )
+    barrier = RandomBarrier(p.epsilon, p.noise_sd)
     log_eps = math.log(p.epsilon)
+    if len(p.x0s) > 1 and log_eps in p.x0s:
+        raise BadStart(f"x0={log_eps} on the barrier: a survival ratio needs starts above it")
     # beta raises DegenerateSpec for sigma = 0 here, before any path is drawn
     beta = params.beta
     tilt = [math.exp(beta * (p.x0s[i + 1] - p.x0s[i])) for i in range(len(p.x0s) - 1)]
@@ -437,6 +438,7 @@ def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutp
 
     params = DiffusionParams(p.mu, p.sigma)
     scan = diff.ratio_convergence_scan(params, p.x_a, p.x_b, p.epsilon, p.tau_grid)
+    target = math.exp(params.beta * (p.x_a - p.x_b))  # the bare tilt
     q = diff.survival_closed_form(p.mu, p.sigma, p.mc_d, p.mc_tau)
 
     def block(i: int, rng: np.random.Generator, size: int) -> int:
@@ -458,19 +460,19 @@ def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutp
     }
     targets = {
         "closed_form_q": q,
-        "ratio_target": scan[-1].target,
-        "limit_ratio": scan[-1].target
+        "ratio_target": target,
+        "limit_ratio": target
         * ((p.x_a - math.log(p.epsilon)) / (p.x_b - math.log(p.epsilon))),
     }
     columns = ["tau", "ratio", "target"]
-    rows = [[pt.tau, pt.ratio, pt.target] for pt in scan]
+    rows = [[pt.tau, pt.ratio, target] for pt in scan]
     plot = (
         "survival ratio vs horizon",
         "tau",
         "ratio",
         [
             ("exact ratio", [pt.tau for pt in scan], [pt.ratio for pt in scan]),
-            ("power-law target", [pt.tau for pt in scan], [pt.target for pt in scan]),
+            ("power-law target", [pt.tau for pt in scan], [target] * len(scan)),
         ],
     )
     return RunnerOutput(estimates, targets, checks, columns, rows, plot)
@@ -493,6 +495,10 @@ class EndogenousParams:
     dt: float = 0.01
     phi0: float = 1.0
     scale_factor: float = 100.0
+
+    def __post_init__(self) -> None:
+        if self.scale_factor <= 0.0:
+            raise OutOfRange(f"scale_factor={self.scale_factor} must be positive")
 
 
 def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutput:

@@ -127,11 +127,10 @@ def batch_survive(
 
 @dataclass(frozen=True)
 class RatioPoint:
-    """Closed-form survival ratio at one horizon against the theory target."""
+    """Closed-form survival ratio at one horizon."""
 
     tau: float
     ratio: float
-    target: float
 
 
 def ratio_convergence_scan(
@@ -143,19 +142,18 @@ def ratio_convergence_scan(
 ) -> list[RatioPoint]:
     """Deterministic survival ratios q(x_a)/q(x_b) over a horizon grid.
 
-    The target exp((mu/sigma^2)(x_a - x_b)) is the pure power law in the
-    start amplitudes; the exact ratio approaches (d_a/d_b) times it as tau
-    grows, so finite-tau values sit above the target for x_a > x_b.
+    The exact ratio approaches (d_a/d_b) exp((mu/sigma^2)(x_a - x_b)) as
+    tau grows, with d the start's distance above the barrier, so for
+    x_a > x_b finite-tau values sit above the bare tilt.
     """
     if epsilon <= 0.0:
         raise OutOfRange(f"epsilon={epsilon} must be positive")
     log_eps = math.log(epsilon)
-    target = math.exp(params.beta * (x_a - x_b))
     pts = []
     for tau in tau_grid:
         la = log_survival_closed_form(params.mu, params.sigma, x_a - log_eps, tau)
         lb = log_survival_closed_form(params.mu, params.sigma, x_b - log_eps, tau)
-        pts.append(RatioPoint(float(tau), math.exp(la - lb), target))
+        pts.append(RatioPoint(float(tau), math.exp(la - lb)))
     return pts
 
 

@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import OutOfRange, TooLarge
 from .model import Exogenous
-from .stats import FitResult, fit_power_law
 from .tree import _check_exogenous
-from .walk import SurvivalEstimate, _estimates, _start_counts
+from .walk import SurvivalEstimate, _start_estimates
 
 M61 = (1 << 61) - 1
 M31 = (1 << 31) - 1
@@ -277,19 +276,6 @@ def _lcg_block_worst(
     return worst
 
 
-@dataclass(frozen=True)
-class LcgWalkResult:
-    """Per-start survival estimates and the fitted start-value exponent."""
-
-    phi0s: tuple[float, ...]
-    estimates: tuple[SurvivalEstimate, ...]
-    fit: FitResult | None
-
-    @property
-    def beta_hat(self) -> float:
-        return self.fit.slope if self.fit is not None else math.nan
-
-
 def lcg_walk_survival(
     spec: LcgSpec,
     sched: Exogenous,
@@ -298,14 +284,12 @@ def lcg_walk_survival(
     n_paths: int,
     seed: int = 0,
     workers: int | None = None,
-) -> LcgWalkResult:
-    """Monte Carlo survival of the LCG log-amplitude walk from several starts.
+) -> tuple[SurvivalEstimate, ...]:
+    """Monte Carlo survival of the LCG log-amplitude walk, one estimate per start.
 
     All starts share each path's chain and branch choices (common random
-    numbers), so survivor sets are nested and the fitted exponent of
-    p_hat against phi0 is smooth. The exponent fit drops starts with zero
-    survivors and needs two distinct surviving starts, else fit is None.
-    A schedule other than Exogenous raises TypeError before any draw.
+    numbers), so survivor sets are nested, as in walk_survival. A schedule
+    other than Exogenous raises TypeError before any draw.
     """
     sched = _check_exogenous(sched)
     if not phi0s:
@@ -317,17 +301,6 @@ def lcg_walk_survival(
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
     lphis = [math.log(p) for p in phi0s]
-    counts = _start_counts(
+    return _start_estimates(
         partial(_lcg_block_worst, spec, sched, t), lphis, n_paths, seed, workers
     )
-    estimates = _estimates(counts, n_paths)
-    pts = [
-        (lp, math.log(est.p_hat))
-        for lp, est in zip(lphis, estimates)
-        if est.n_survivors > 0
-    ]
-    if len({x for x, _ in pts}) >= 2:
-        fit = fit_power_law([x for x, _ in pts], [y for _, y in pts])
-    else:
-        fit = None
-    return LcgWalkResult(tuple(float(p) for p in phi0s), estimates, fit)

@@ -86,12 +86,6 @@ class AlphaResult(NamedTuple):
     feasible: bool
 
 
-class WalkMoments(NamedTuple):
-    mu: float
-    sigma: float
-    beta: float
-
-
 class EndogenousAlpha(NamedTuple):
     log_alpha: float
     c0: float
@@ -111,19 +105,6 @@ def alpha_for_unit_beta(spec: BranchingSpec) -> AlphaResult:
 def _alpha_feasible(spec: BranchingSpec, alpha: float) -> bool:
     # decay rates at which the truncated tree can keep growing
     return spec.sigma2 > 0.0 and spec.delta_bar < alpha < max(spec.deltas)
-
-
-def basic_params(spec: BranchingSpec, alpha: float) -> WalkMoments:
-    """Walk parameters (mu, sigma, beta) induced by decay rate alpha.
-
-    mu = log(alpha / delta_bar), sigma from the spec, beta = mu / sigma^2.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise OutOfRange(f"decay rate alpha={alpha} outside (0, 1)")
-    if spec.sigma2 == 0.0:
-        raise DegenerateSpec("all branching ratios equal: sigma = 0, beta undefined")
-    mu = math.log(alpha) - spec.log_delta_bar
-    return WalkMoments(mu, spec.sigma, mu / spec.sigma2)
 
 
 def endogenous_alpha(
@@ -238,9 +219,13 @@ class WalkParams:
 
     @classmethod
     def from_branching(cls, spec: BranchingSpec, alpha: float) -> "WalkParams":
-        """Walk induced by a branching spec under decay rate alpha."""
-        mu, sigma, _ = basic_params(spec, alpha)
-        return cls(mu, sigma, FiniteSupportShocks.from_spec(spec))
+        """Walk induced by a branching spec under decay rate alpha: mu =
+        log(alpha / delta_bar), sigma and shocks from the spec. alpha outside
+        (0, 1) raises OutOfRange, a zero-variance spec DegenerateSpec."""
+        if not (0.0 < alpha < 1.0):
+            raise OutOfRange(f"decay rate alpha={alpha} outside (0, 1)")
+        shocks = FiniteSupportShocks.from_spec(spec)
+        return cls(math.log(alpha) - spec.log_delta_bar, spec.sigma, shocks)
 
     @property
     def beta(self) -> float:

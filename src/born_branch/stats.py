@@ -82,6 +82,18 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
     return FitResult(slope, intercept, stderr, r_squared, n)
 
 
+def start_exponent(log_starts: Sequence[float], log_values: Sequence[float]) -> float:
+    """fit_power_law slope of log_values on log_starts over the starts whose
+    log value is above -inf (those with survivors): nan while fewer than two
+    distinct starts remain, OutOfRange for unequal lengths."""
+    if len(log_starts) != len(log_values):
+        raise OutOfRange(f"{len(log_starts)} starts for {len(log_values)} values")
+    pts = [(x, y) for x, y in zip(log_starts, log_values) if y > -math.inf]
+    if len({x for x, _ in pts}) < 2:
+        return math.nan
+    return fit_power_law([x for x, _ in pts], [y for _, y in pts]).slope
+
+
 def ks_distance(sample: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Two-sided KS distance between a sample and a vectorized CDF.
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import OutOfRange, StateExplosion, TooLarge
 from .model import BranchingSpec, Exogenous
-from .stats import fit_power_law
+from .stats import start_exponent
 
 #: Half-width of the float decision band around log phi == log xi.
 GUARD_BAND = 1e-9
@@ -51,7 +51,7 @@ class TreeResult:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One depth of a Born-ratio scan: pair ratios and the fitted exponent."""
+    """One depth of a Born-ratio scan: start ratios and the fitted exponent."""
 
     t: int
     ratios: tuple[float, ...]
@@ -335,35 +335,22 @@ def count_survivors_dp(
 
 
 def scan_rows_from_series(
-    series: Sequence[TreeResult],
-    phis: Sequence[float],
-    phi_pairs: Sequence[tuple[float, float]],
+    series: Sequence[TreeResult], phis: Sequence[float]
 ) -> list[ScanRow]:
-    """Survivor-count ratios N_t(phi_a)/N_t(phi_b) and the fitted exponent.
+    """Survivor-count ratios over the first start and the fitted exponent.
 
-    phis must list the start values in the same order as each
-    TreeResult.counts; every value in phi_pairs must appear in phis.
-    beta_hat(t) is the OLS slope of log N_t against log phi0 over phis
-    (nan while fewer than two of them have survivors). Pair ratios are
-    exact big-integer fractions converted to float; a zero denominator
-    yields nan.
+    phis lists the start values in the order of each TreeResult.counts; a
+    grid of another length raises OutOfRange. Ratio i - 1 is
+    N_t(phis[i])/N_t(phis[0]), an exact big-integer fraction converted to
+    float, or nan while the first start has no survivors. beta_hat(t) is
+    start_exponent of log N_t against log phi0 (nan while fewer than two
+    starts have survivors).
     """
-    index = {float(p): i for i, p in enumerate(phis)}
-    for a, b in phi_pairs:
-        if float(a) not in index or float(b) not in index:
-            raise OutOfRange(f"pair ({a}, {b}) not covered by the phi grid")
     log_grid = [math.log(p) for p in phis]
     rows = []
     for res in series:
-        ratios = []
-        for a, b in phi_pairs:
-            na = res.counts[index[float(a)]]
-            nb = res.counts[index[float(b)]]
-            ratios.append(float(Fraction(na, nb)) if nb > 0 else math.nan)
-        pts = [(lp, log_bigint(n)) for lp, n in zip(log_grid, res.counts) if n > 0]
-        if len({x for x, _ in pts}) >= 2:
-            beta_hat = fit_power_law([x for x, _ in pts], [y for _, y in pts]).slope
-        else:
-            beta_hat = math.nan
-        rows.append(ScanRow(res.t, tuple(ratios), beta_hat))
+        beta_hat = start_exponent(log_grid, [log_bigint(n) for n in res.counts])
+        n0 = res.counts[0]
+        ratios = tuple(float(Fraction(n, n0)) if n0 > 0 else math.nan for n in res.counts[1:])
+        rows.append(ScanRow(res.t, ratios, beta_hat))
     return rows

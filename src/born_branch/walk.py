@@ -96,28 +96,23 @@ def _block_worst(
     return worst
 
 
-def _start_counts(
+def _start_estimates(
     block_worst: Callable[[np.random.Generator, int], np.ndarray],
     starts: Sequence[float],
-    n_paths: int,
+    n: int,
     seed: int,
     workers: int | None,
-) -> list[int]:
-    """Survivors per start against the worst gaps block_worst(rng, size)
-    gives; every start meets the same gaps, so survivor sets are nested."""
+) -> tuple[SurvivalEstimate, ...]:
+    """Binomial survival estimate per start from n paths against the worst
+    gaps block_worst(rng, size) gives; every start meets the same gaps, so
+    survivor sets are nested."""
     column = np.asarray(starts, dtype=float)[:, None]
 
     def block(i: int, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.count_nonzero(column >= block_worst(rng, size), axis=1)
 
-    counts = np.sum(map_blocks(block, n_paths, seed, workers=workers), axis=0)
-    return [int(c) for c in counts]
-
-
-def _estimates(counts: Sequence[int], n: int) -> tuple[SurvivalEstimate, ...]:
-    """Binomial survival estimates from survivor counts out of n paths."""
     estimates = []
-    for k in counts:
+    for k in np.sum(map_blocks(block, n, seed, workers=workers), axis=0).tolist():
         p_hat = k / n
         se = math.sqrt(p_hat * (1.0 - p_hat) / n)
         estimates.append(SurvivalEstimate(p_hat, se, n, k))
@@ -189,15 +184,15 @@ def walk_survival(
                     f"x0={x0}; naive MC cannot resolve it, use "
                     "diffusion.survival_closed_form"
                 )
-    k = _start_counts(
+    est = _start_estimates(
         partial(_block_worst, params, log_eps, noise_sd, t),
         x0s, n_paths, seed, workers,
     )
     ratios = [
-        _ratio_estimate(x0s[i], k[i + 1], k[i], n_paths)
+        _ratio_estimate(x0s[i], est[i + 1].n_survivors, est[i].n_survivors, n_paths)
         for i in range(len(x0s) - 1)
     ]
-    return _estimates(k, n_paths), tuple(ratios)
+    return est, tuple(ratios)
 
 
 def estimate_survival(

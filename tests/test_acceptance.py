@@ -63,6 +63,7 @@ from born_branch import (
     measurement_pipeline,
     rng_stream,
     scan_rows_from_series,
+    start_exponent,
     survival_closed_form,
     survival_ratio,
 )
@@ -163,7 +164,7 @@ def test_criterion_02_critical_tuning_exponent_and_ratio():
         phis,
         record_ts=range(400, 1001, 100),
     )
-    rows = scan_rows_from_series(series, phis, [(4.0, 1.0)])
+    rows = scan_rows_from_series(series, phis)  # ratios[1] is N_t(4)/N_t(1)
 
     def expansion(t: int) -> list[float]:
         out = []
@@ -175,7 +176,7 @@ def test_criterion_02_critical_tuning_exponent_and_ratio():
     ratio_errs, beta_gaps = [], []
     for r in rows:
         log_n = expansion(r.t)
-        ratio_errs.append(r.ratios[0] / math.exp(log_n[2] - log_n[0]) - 1.0)
+        ratio_errs.append(r.ratios[1] / math.exp(log_n[2] - log_n[0]) - 1.0)
         beta_gaps.append(r.beta_hat - float(np.polyfit(np.log(phis), log_n, 1)[0]))
     elapsed = time.perf_counter() - t0
     worst_r = max(ratio_errs, key=abs)
@@ -183,8 +184,8 @@ def test_criterion_02_critical_tuning_exponent_and_ratio():
     _verdict(
         2,
         abs(worst_r) <= 0.15 and abs(worst_b) <= 0.15 and elapsed < 180.0,
-        f"alpha_1 {alpha:.6f}; ratio(4:1) {rows[0].ratios[0]:.3f} at t={rows[0].t} "
-        f"to {rows[-1].ratios[0]:.3f} at t={rows[-1].t}, worst {100 * worst_r:+.1f}% "
+        f"alpha_1 {alpha:.6f}; ratio(4:1) {rows[0].ratios[1]:.3f} at t={rows[0].t} "
+        f"to {rows[-1].ratios[1]:.3f} at t={rows[-1].t}, worst {100 * worst_r:+.1f}% "
         f"vs the theta=1 expansion (tol 15%); beta_hat "
         f"{min(r.beta_hat for r in rows):.3f}..{max(r.beta_hat for r in rows):.3f}, "
         f"worst gap {worst_b:+.3f} to the expansion slope (tol 0.15) "
@@ -576,13 +577,18 @@ def test_criterion_12_lcg_shock_moments_and_walk_exponent():
     logs = np.log(deltas)
     mean_neg = float(-logs.mean())
     var_log = float(logs.var())
+    phis = [1.0, 4.0, 16.0, 64.0]
     walk = lcg_walk_survival(
         spec,
         Exogenous(1e-4, DEFAULT_LCG_ALPHA),
         200,
-        [1.0, 4.0, 16.0, 64.0],
+        phis,
         20_000,
         seed=121,
+    )
+    beta_hat = start_exponent(
+        [math.log(p) for p in phis],
+        [math.log(e.p_hat) if e.p_hat > 0 else -math.inf for e in walk],
     )
     elapsed = time.perf_counter() - t0
     clauses = [
@@ -590,8 +596,8 @@ def test_criterion_12_lcg_shock_moments_and_walk_exponent():
         (f"mean(-log delta) {mean_neg:.4f} (1 +- 0.01)", abs(mean_neg - 1.0) <= 0.01),
         (f"var(log delta) {var_log:.4f} (1 +- 2%)", abs(var_log - 1.0) <= 0.02),
         (
-            f"beta_hat {walk.beta_hat:.3f} ([0.85, 1.15])",
-            0.85 <= walk.beta_hat <= 1.15,
+            f"beta_hat {beta_hat:.3f} ([0.85, 1.15])",
+            0.85 <= beta_hat <= 1.15,
         ),
     ]
     detail = "; ".join(f"{txt} {'pass' if ok else 'FAIL'}" for txt, ok in clauses)

@@ -4,11 +4,13 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from born_branch import ConfigError, WalkParams
+from born_branch import cli as cli_module
 from born_branch import walk as walk_module
 from born_branch.cli import (
     EXPERIMENTS,
@@ -31,6 +33,14 @@ FIXED_BOUNDS = [
     ("endogenous", "invariance_tol", 0.005),
     ("demo_intro", "outside_rel_tol", 0.2),
 ]
+
+# The first costly step of each family that has one: paths for walk, the
+# delta stream for lcg, a whole population for endogenous.
+FIRST_WORK = {
+    "walk": (walk_module, "map_blocks"),
+    "lcg": (cli_module, "lcg_delta_stream"),
+    "endogenous": (cli_module, "endogenous_population"),
+}
 
 
 def read_outputs(out_dir):
@@ -155,6 +165,20 @@ class TestRunSmallConfigs:
         # K = 3 branches: t log10(3) for every recorded depth t
         for row in rows:
             assert float(row[1]) == pytest.approx(int(row[0]) * math.log10(3.0), rel=1e-14)
+
+    def test_tree_record_points_beyond_t_max(self, tmp_path):
+        """record_points far above t_max records every depth once, without
+        a grid of record_points floats (80 MB here)."""
+        cfg = ExperimentConfig("tree", {"t_max": 20, "record_points": 10**7})
+        tracemalloc.start()
+        try:
+            run(cfg, out_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _, _, rows = read_outputs(tmp_path)
+        assert [int(row[0]) for row in rows] == list(range(21))
+        assert peak < 10 * 2**20
 
     def test_tree_oracle_records_brute_force_agreement(self, tmp_path):
         cfg = ExperimentConfig(
@@ -395,19 +419,32 @@ class TestMain:
             ("walk", {"parameters": {"epsilon": math.inf}}, "epsilon"),
             ("walk", {"parameters": {"x0s": [0.0, math.nan]}}, "x0s"),
             ("measure", {"parameters": {"tau": 10**400}}, "tau"),
+            ("walk", {"parameters": {"noise_sd": -0.5}}, "noise_sd"),
+            ("walk", {"parameters": {"epsilon": 1.0, "x0s": [0.0, 1.0]}}, "x0=0.0"),
+            ("endogenous", {"parameters": {"scale_factor": 0.0}}, "scale_factor"),
+            ("lcg", {"parameters": {"p": (1 << 63) + 1}}, "modulus p"),
         ],
         ids=["seed-str", "workers-str", "workers-zero", "int-param-str",
              "int-param-float", "record-points-negative", "experiment-list",
              "parameters-str", "t-max-negative", "deltas-off-simplex",
              "mc-paths-zero", "mc-paths-negative", "tau-nan", "epsilon-nan",
-             "epsilon-infinity", "list-entry-nan", "int-beyond-float-range"],
+             "epsilon-infinity", "list-entry-nan", "int-beyond-float-range",
+             "noise-sd-negative", "start-on-barrier", "scale-factor-zero",
+             "modulus-beyond-62-bits"],
     )
     def test_bad_config_value_maps_to_exit_one(
-        self, experiment, config, key, tmp_path, capsys
+        self, experiment, config, key, tmp_path, capsys, monkeypatch
     ):
         """A value of the wrong type or out of range fails the run, with an
-        error line naming its key, and leaves no output directory: the
-        directory is made only once the runner has returned."""
+        error line naming its key (or start), before the family's first
+        costly step, and leaves no output directory: the directory is made
+        only once the runner has returned."""
+        if experiment in FIRST_WORK:
+
+            def no_work(*args, **kwargs):
+                raise AssertionError(f"{experiment} started work on a bad config")
+
+            monkeypatch.setattr(*FIRST_WORK[experiment], no_work)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "o"

@@ -166,7 +166,7 @@ class TestBatchSurvive:
 
 
 class TestRatioScan:
-    """Deterministic closed-form ratio sweep against the tilt target."""
+    """Deterministic closed-form ratio sweep."""
 
     def test_points_recompute_from_log_closed_form(self):
         params = DiffusionParams(1.0, 1.0)
@@ -177,7 +177,6 @@ class TestRatioScan:
             la = log_survival_closed_form(1.0, 1.0, 2.0 - log_eps, p.tau)
             lb = log_survival_closed_form(1.0, 1.0, -log_eps, p.tau)
             assert p.ratio == pytest.approx(math.exp(la - lb), rel=1e-12)
-            assert p.target == pytest.approx(math.exp(2.0), rel=1e-12)
 
     def test_converges_to_prefactored_target(self):
         """The exact ratio tends to (d_a/d_b) e^{beta(x_a - x_b)}, sitting
@@ -187,9 +186,10 @@ class TestRatioScan:
         log_eps = math.log(1e-8)
         d_a, d_b = 2.0 - log_eps, -log_eps
         (pt,) = ratio_convergence_scan(params, 2.0, 0.0, 1e-8, [500.0])
-        limit = (d_a / d_b) * pt.target
+        tilt = math.exp(params.beta * 2.0)
+        limit = (d_a / d_b) * tilt
         gauss = math.exp(-(d_a * d_a - d_b * d_b) / (2.0 * 500.0))
-        assert pt.ratio > pt.target
+        assert pt.ratio > tilt
         assert pt.ratio == pytest.approx(limit * gauss, rel=0.01)
 
     def test_epsilon_validation(self):

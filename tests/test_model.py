@@ -20,7 +20,6 @@ from born_branch import (
     RandomBarrier,
     WalkParams,
     alpha_for_unit_beta,
-    basic_params,
     endogenous_alpha,
     rng_stream,
 )
@@ -94,16 +93,16 @@ class TestAlphaForUnitBeta:
         assert not res.feasible
 
     def test_unit_beta_closes_the_loop(self):
-        """basic_params at the returned alpha yields beta = mu/sigma^2 = 1."""
+        """The walk at the returned alpha has beta = mu/sigma^2 = 1."""
         spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
-        moments = basic_params(spec, alpha_for_unit_beta(spec).alpha)
+        moments = WalkParams.from_branching(spec, alpha_for_unit_beta(spec).alpha)
         assert moments.beta == pytest.approx(1.0, abs=1e-12)
         assert moments.mu == pytest.approx(spec.sigma2, rel=1e-12)
         assert moments.sigma == pytest.approx(spec.sigma, rel=1e-14)
 
 
 class TestBasicParams:
-    """Walk moments mu = log alpha - E[log Delta], sigma from the spec."""
+    """WalkParams.from_branching: mu = log alpha - E[log Delta], sigma from the spec."""
 
     def test_frozen_reference_moments(self):
         """At alpha = 0.372041: mu = 0.205755, sigma = 0.453603 (frozen).
@@ -112,21 +111,22 @@ class TestBasicParams:
         value, so beta lands at 0.9999957 rather than 1.
         """
         spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
-        m = basic_params(spec, 0.372041)
+        m = WalkParams.from_branching(spec, 0.372041)
         assert m.mu == pytest.approx(0.20575509709024342, rel=1e-12)
         assert m.sigma == pytest.approx(0.45360334221578175, rel=1e-12)
         assert m.beta == pytest.approx(0.9999956502890865, rel=1e-12)
+        assert m.shocks == FiniteSupportShocks.from_spec(spec)
 
     def test_alpha_domain(self):
         spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
         for bad in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(OutOfRange):
-                basic_params(spec, bad)
+                WalkParams.from_branching(spec, bad)
 
     def test_zero_variance_raises(self):
         """beta = mu/sigma^2 is undefined when all ratios are equal."""
         with pytest.raises(DegenerateSpec):
-            basic_params(BranchingSpec((0.5, 0.5)), 0.4)
+            WalkParams.from_branching(BranchingSpec((0.5, 0.5)), 0.4)
 
 
 class TestMinDeltaCondition:
@@ -271,15 +271,6 @@ class TestWalkParams:
         assert WalkParams(0.5, 0.5).beta == pytest.approx(2.0, rel=1e-14)
         with pytest.raises(DegenerateSpec):
             _ = WalkParams(0.5, 0.0).beta
-
-    def test_from_branching_matches_basic_params(self):
-        spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
-        alpha = 0.372041
-        params = WalkParams.from_branching(spec, alpha)
-        m = basic_params(spec, alpha)
-        assert params.mu == pytest.approx(m.mu, rel=1e-14)
-        assert params.sigma == pytest.approx(m.sigma, rel=1e-14)
-        assert isinstance(params.shocks, FiniteSupportShocks)
 
 
 class TestDiffusionParams:

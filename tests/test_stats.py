@@ -21,6 +21,7 @@ from born_branch import (
     ks_distance,
     quantile,
     rng_stream,
+    start_exponent,
 )
 
 
@@ -66,6 +67,34 @@ class TestFitPowerLaw:
         fit = fit_power_law([0.0, 1.0, 2.0], [4.0, 4.0, 4.0])
         assert fit.slope == 0.0
         assert fit.r_squared == 1.0
+
+
+class TestStartExponent:
+    """Slope of log value against log start over the starts with survivors."""
+
+    def test_drops_starts_without_survivors(self):
+        lx = [0.0, 1.0, 2.0, 3.0]
+        ly = [-math.inf, 0.5, 1.0, 1.5]
+        assert start_exponent(lx, ly) == fit_power_law(lx[1:], ly[1:]).slope
+        assert start_exponent(lx, ly) == pytest.approx(0.5, rel=1e-13)
+
+    def test_nan_below_two_distinct_surviving_starts(self):
+        assert math.isnan(start_exponent([], []))
+        assert math.isnan(start_exponent([0.0, 1.0], [-math.inf, 2.0]))
+        assert math.isnan(start_exponent([1.0, 1.0, 2.0], [0.5, 0.7, -math.inf]))
+        assert math.isnan(start_exponent([0.0, 1.0], [-math.inf, -math.inf]))
+
+    def test_two_points_give_the_log_ratio(self):
+        """Two starts phi_a, phi_b: log(N_a/N_b) / log(phi_a/phi_b)."""
+        n_a, n_b = 310, 97
+        got = start_exponent([math.log(4.0), math.log(1.0)], [math.log(n_a), math.log(n_b)])
+        assert got == pytest.approx(math.log(n_a / n_b) / math.log(4.0), rel=1e-13)
+
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(OutOfRange):
+            start_exponent([0.0, 1.0], [0.0, 1.0, 2.0])
+        with pytest.raises(OutOfRange):
+            start_exponent([0.0, 1.0, 2.0], [0.0, 1.0])
 
 
 class TestKsDistance:

@@ -227,21 +227,21 @@ class TestSeriesShape:
 
 
 class TestRatioScan:
-    """Pair ratios and fitted exponents over the phi0 grid."""
+    """Ratios over the first start and fitted exponents over the phi0 grid."""
 
     def test_ratios_are_exact_fractions_of_counts(self):
         spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
         sched = Exogenous(1e-4, 0.372041)
         series = count_survivors_dp(spec, sched, 40, [1.0, 2.0, 4.0])
-        rows = scan_rows_from_series(series, [1.0, 2.0, 4.0], [(4.0, 1.0), (2.0, 1.0)])
+        rows = scan_rows_from_series(series, [1.0, 2.0, 4.0])
         for row, res in zip(rows, series):
             n1, n2, n4 = res.counts
             if n1 > 0:
                 assert row.ratios[0] == pytest.approx(
-                    float(Fraction(n4, n1)), rel=1e-15
+                    float(Fraction(n2, n1)), rel=1e-15
                 )
                 assert row.ratios[1] == pytest.approx(
-                    float(Fraction(n2, n1)), rel=1e-15
+                    float(Fraction(n4, n1)), rel=1e-15
                 )
             else:
                 assert math.isnan(row.ratios[0])
@@ -251,23 +251,31 @@ class TestRatioScan:
         spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
         sched = Exogenous(1e-4, 0.372041)
         series = count_survivors_dp(spec, sched, 60, [1.0, 4.0], record_ts=[60])
-        row = scan_rows_from_series(series, [1.0, 4.0], [(4.0, 1.0)])[-1]
+        row = scan_rows_from_series(series, [1.0, 4.0])[-1]
         assert row.beta_hat == pytest.approx(
             math.log(row.ratios[0]) / math.log(4.0), rel=1e-12
         )
 
     def test_scan_rows_from_series_requires_covered_pairs(self):
+        """A phi grid of another length than the counts is refused, not
+        truncated: [1, 2] against counts for [1, 2, 4] fitted 0.0787 where
+        the full grid gives 0.0642."""
         spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
-        series = count_survivors_dp(spec, Exogenous(1e-4, 0.372041), 5, [1.0, 2.0])
+        series = count_survivors_dp(spec, Exogenous(1e-4, 0.372041), 30, [1.0, 2.0, 4.0])
         with pytest.raises(OutOfRange):
-            scan_rows_from_series(series, [1.0, 2.0], [(4.0, 1.0)])
+            scan_rows_from_series(series, [1.0, 2.0])
+        with pytest.raises(OutOfRange):
+            scan_rows_from_series(series, [1.0, 2.0, 4.0, 8.0])
+        assert scan_rows_from_series(series, [1.0, 2.0, 4.0])[-1].beta_hat == pytest.approx(
+            0.0642, abs=5e-5
+        )
 
     def test_nan_before_enough_grid_points(self):
         """beta_hat is nan whenever fewer than two grid points have survivors."""
         spec = BranchingSpec((0.05, 0.45, 0.5))
         sched = Exogenous(1e-2, 0.691397)  # infeasible tuning: extinction
         series = count_survivors_dp(spec, sched, 60, [1.0, 4.0], record_ts=[60])
-        rows = scan_rows_from_series(series, [1.0, 4.0], [(4.0, 1.0)])
+        rows = scan_rows_from_series(series, [1.0, 4.0])
         assert math.isnan(rows[-1].beta_hat)
         assert math.isnan(rows[-1].ratios[0])
 

@@ -27,7 +27,7 @@ from born_branch import (
     walk_survival,
 )
 from born_branch.rng import BLOCK_SIZE
-from born_branch.walk import RARE_EVENT_FLOOR, _block_worst, _start_counts
+from born_branch.walk import RARE_EVENT_FLOOR, _block_worst, _start_estimates
 
 # alpha is folded into mu for walks, so its value here is inert
 BARRIER = Exogenous(math.exp(-1.0), 0.5)
@@ -173,8 +173,8 @@ class TestBlockWorst:
         assert 0 < alive[0].sum() < alive[-1].sum() < 2_000
         # one block of 2_000 paths draws from rng_stream(11, 0)
         block_worst = partial(_block_worst, params, -2.0, noise_sd, 12)
-        counts = _start_counts(block_worst, x0s, 2_000, seed=11, workers=None)
-        assert counts == reference.sum(axis=1).tolist()
+        est = _start_estimates(block_worst, x0s, 2_000, seed=11, workers=None)
+        assert [e.n_survivors for e in est] == reference.sum(axis=1).tolist()
 
     def test_zero_horizon_keeps_every_start(self):
         worst = _block_worst(WalkParams(0.1, 1.0), -2.0, 0.0, 0, rng_stream(1, 0), 10)

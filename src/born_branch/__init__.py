@@ -66,7 +66,6 @@ from .walk import (
 )
 from .diffusion import (
     MeanRatioResult,
-    RatioPoint,
     batch_survive,
     conditional_mean_ratio,
     conditioned_sample,

@@ -3,9 +3,10 @@
 Each experiment family loads a strict parameter schema (unknown keys are
 rejected), runs deterministically for a given (seed, parameters) pair at
 any worker count, and writes results.json, series.csv, and optionally
-plot.svg into the output directory. Exit code 0 means every check passed
-(or was informational), 2 means at least one check failed its stated
-tolerance, 1 means the run errored.
+plot.svg into the output directory. Runners return data only; ``run``
+renders their checks as "pass"/"fail" and their plot from named series
+columns. Exit code 0 means every check passed, 2 means at least one check
+failed its stated tolerance, 1 means the run errored.
 """
 from __future__ import annotations
 
@@ -49,10 +50,11 @@ from .walk import walk_survival
 class RunnerOutput:
     estimates: dict[str, Any]
     targets: dict[str, Any]
-    checks: dict[str, str]
+    checks: dict[str, bool]
     columns: list[str]
     rows: list[list[Any]]
-    plot: tuple[str, str, str, list[tuple[str, list[float], list[float]]]] | None
+    #: (title, x column, y label, y columns), naming entries of ``columns``
+    plot: tuple[str, str, str, list[str]]
 
 
 @dataclass(frozen=True)
@@ -167,10 +169,6 @@ def _jsonable(value):
     return value
 
 
-def _band_check(value: float, lo: float, hi: float) -> str:
-    return "pass" if lo <= value <= hi else "fail"
-
-
 # Each experiment's check bounds are constants next to it, so a config sets
 # what is computed, not how it is judged.
 
@@ -225,23 +223,13 @@ def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
             + list(row.ratios)
             + [row.beta_hat]
         )
-    checks: dict[str, str] = {}
     if feasible:
-        checks["beta_hat_in_band"] = _band_check(final.beta_hat, *BETA_BAND)
-        checks["no_premature_extinction"] = "pass" if extinct_t is None else "fail"
+        checks = {
+            "beta_hat_in_band": BETA_BAND[0] <= final.beta_hat <= BETA_BAND[1],
+            "no_premature_extinction": extinct_t is None,
+        }
     else:
-        checks["beta_hat_in_band"] = "report"
-        checks["infeasible_goes_extinct"] = "pass" if extinct_t is not None else "fail"
-    oracle_agrees = None
-    if p.oracle:
-        # brute force is K^t_max paths, so this is only for small horizons
-        oracle_agrees = True
-        for i in range(len(phis)):
-            brute = {
-                r.t: r.counts[0] for r in enumerate_brute(spec, sched, p.t_max, phis[i])
-            }
-            oracle_agrees &= all(res.counts[i] == brute[res.t] for res in series)
-        checks["dp_equals_bruteforce"] = "pass" if oracle_agrees else "fail"
+        checks = {"infeasible_goes_extinct": extinct_t is not None}
     estimates = {
         "beta_hat_final": final.beta_hat,
         "ratios_final": dict(zip([f"{a:g}/{b:g}" for a, b in pairs], final.ratios)),
@@ -251,21 +239,20 @@ def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
             for g, n in zip(phis, series[-1].counts)
         },
     }
-    if oracle_agrees is not None:
-        estimates["dp_equals_bruteforce"] = oracle_agrees
+    if p.oracle:
+        # brute force is K^t_max paths, so this is only for small horizons
+        agrees = True
+        for i, phi in enumerate(phis):
+            brute = {r.t: r.counts[0] for r in enumerate_brute(spec, sched, p.t_max, phi)}
+            agrees &= all(res.counts[i] == brute[res.t] for res in series)
+        estimates["dp_equals_bruteforce"] = checks["dp_equals_bruteforce"] = agrees
     targets = {
         "alpha": alpha,
         "alpha_feasible": feasible,
         "beta": 1.0 if p.alpha is None else None,
         "ratio_targets": {f"{a:g}/{b:g}": a / b for a, b in pairs},
     }
-    ts = [r.t for r in scan]
-    plot = (
-        "survivor-count exponent",
-        "t",
-        "beta_hat",
-        [("beta_hat", [float(t) for t in ts], [r.beta_hat for r in scan])],
-    )
+    plot = ("survivor-count exponent", "t", "beta_hat", ["beta_hat"])
     return RunnerOutput(estimates, targets, checks, columns, rows, plot)
 
 
@@ -308,10 +295,10 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
     mean_neg_log = float(-logs.mean())
     var_log = float(logs.var())
     checks = {
-        "delta_ks_uniform": "pass" if ks < ks_tol else "fail",
-        "mean_neg_log_delta": "pass" if abs(mean_neg_log - 1.0) <= LCG_MEAN_TOL else "fail",
-        "var_log_delta": "pass" if abs(var_log - 1.0) <= LCG_VAR_REL_TOL else "fail",
-        "walk_beta_hat_in_band": _band_check(beta_hat, *BETA_BAND),
+        "delta_ks_uniform": ks < ks_tol,
+        "mean_neg_log_delta": abs(mean_neg_log - 1.0) <= LCG_MEAN_TOL,
+        "var_log_delta": abs(var_log - 1.0) <= LCG_VAR_REL_TOL,
+        "walk_beta_hat_in_band": BETA_BAND[0] <= beta_hat <= BETA_BAND[1],
     }
     estimates = {
         "ks_uniform": ks,
@@ -326,9 +313,11 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
         "var_log_delta": 1.0,
         "beta_band": list(BETA_BAND),
     }
-    columns = ["phi0", "p_hat", "se", "n_survivors"]
-    rows = [[g, e.p_hat, e.se, e.n_survivors] for g, e in zip(phis, walk)]
-    plot = ("LCG walk survival", "log phi0", "log p_hat", [("log p_hat", lx, ly)])
+    columns = ["phi0", "p_hat", "se", "n_survivors", "log_phi0", "log_p_hat"]
+    rows = [
+        [g, e.p_hat, e.se, e.n_survivors, a, b] for g, e, a, b in zip(phis, walk, lx, ly)
+    ]
+    plot = ("LCG walk survival", "log_phi0", "log p_hat", ["log_p_hat"])
     return RunnerOutput(estimates, targets, checks, columns, rows, plot)
 
 
@@ -348,6 +337,11 @@ class WalkExpParams:
     t: int = 300
     n_paths: int = 150_000
     noise_sd: float = 0.0
+
+    def __post_init__(self) -> None:
+        # the asymptotic ratio's Gaussian-bulk factor divides by t
+        if self.t < 1:
+            raise ConfigError(f"t={self.t} must be >= 1")
 
 
 def _asym_ratio(beta: float, sigma: float, d_a: float, d_b: float, t: float) -> float:
@@ -379,11 +373,10 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int) -> RunnerOutput:
         _asym_ratio(beta, p.sigma, p.x0s[i + 1] - log_eps, p.x0s[i] - log_eps, p.t)
         for i in range(len(p.x0s) - 1)
     ]
-    checks = {}
-    for i, (r, a) in enumerate(zip(ratios, asym)):
-        name = f"ratio_x{i + 1}_over_x{i}_near_asymptotic"
-        checks[name] = "pass" if abs(r.ratio / a - 1.0) <= WALK_RATIO_REL_TOL else "fail"
-    checks["tilt_ratio"] = "report"
+    checks = {
+        f"ratio_x{i + 1}_over_x{i}_near_asymptotic": abs(r.ratio / a - 1.0) <= WALK_RATIO_REL_TOL
+        for i, (r, a) in enumerate(zip(ratios, asym))
+    }
     estimates = {
         "p_hat": {f"{x:g}": e.p_hat for x, e in zip(p.x0s, singles)},
         "ratios": [r.ratio for r in ratios],
@@ -403,12 +396,7 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int) -> RunnerOutput:
             else _asym_ratio(beta, p.sigma, x0 - log_eps, p.x0s[0] - log_eps, p.t)
         )
         rows.append([p.t, p.epsilon, x0, est.p_hat, est.se, a])
-    plot = (
-        "walk survival by start",
-        "x0",
-        "p_hat",
-        [("p_hat", [float(x) for x in p.x0s], [e.p_hat for e in singles])],
-    )
+    plot = ("walk survival by start", "x0", "p_hat", ["p_hat"])
     return RunnerOutput(estimates, targets, checks, columns, rows, plot)
 
 
@@ -431,13 +419,15 @@ class DiffusionExpParams:
     def __post_init__(self) -> None:
         if self.mc_n_paths < 1:
             raise OutOfRange(f"mc_n_paths={self.mc_n_paths} must be >= 1")
+        if not self.tau_grid:
+            raise ConfigError("tau_grid is empty: the ratio scan needs at least one horizon")
 
 
 def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutput:
     from .model import DiffusionParams
 
     params = DiffusionParams(p.mu, p.sigma)
-    scan = diff.ratio_convergence_scan(params, p.x_a, p.x_b, p.epsilon, p.tau_grid)
+    ratios = diff.ratio_convergence_scan(params, p.x_a, p.x_b, p.epsilon, p.tau_grid)
     target = math.exp(params.beta * (p.x_a - p.x_b))  # the bare tilt
     q = diff.survival_closed_form(p.mu, p.sigma, p.mc_d, p.mc_tau)
 
@@ -449,14 +439,11 @@ def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutp
     p_hat = survivors / p.mc_n_paths
     se = math.sqrt(max(p_hat * (1 - p_hat), 1e-300) / p.mc_n_paths)
     z = (p_hat - q) / se
-    checks = {
-        "bridge_mc_z_within_3": "pass" if abs(z) < 3.0 else "fail",
-        "ratio_convergence": "report",
-    }
+    checks = {"bridge_mc_z_within_3": abs(z) < 3.0}
     estimates = {
         "mc_p_hat": p_hat,
         "mc_z": z,
-        "ratio_final": scan[-1].ratio,
+        "ratio_final": ratios[-1],
     }
     targets = {
         "closed_form_q": q,
@@ -465,16 +452,8 @@ def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutp
         * ((p.x_a - math.log(p.epsilon)) / (p.x_b - math.log(p.epsilon))),
     }
     columns = ["tau", "ratio", "target"]
-    rows = [[pt.tau, pt.ratio, target] for pt in scan]
-    plot = (
-        "survival ratio vs horizon",
-        "tau",
-        "ratio",
-        [
-            ("exact ratio", [pt.tau for pt in scan], [pt.ratio for pt in scan]),
-            ("power-law target", [pt.tau for pt in scan], [target] * len(scan)),
-        ],
-    )
+    rows = [[float(tau), r, target] for tau, r in zip(p.tau_grid, ratios)]
+    plot = ("survival ratio vs horizon", "tau", "ratio", ["ratio", "target"])
     return RunnerOutput(estimates, targets, checks, columns, rows, plot)
 
 
@@ -512,10 +491,8 @@ def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutpu
     ansatz = endogenous_alpha(p.tilde_mu, p.sigma, p.varepsilon, p.phi0)
     slope_gap = abs(run1.slope - run2.slope)
     checks = {
-        "slope_in_ansatz_band": "pass"
-        if abs(run1.slope - ansatz.log_alpha) <= SLOPE_TOL
-        else "fail",
-        "scale_invariance": "pass" if slope_gap < INVARIANCE_TOL else "fail",
+        "slope_in_ansatz_band": abs(run1.slope - ansatz.log_alpha) <= SLOPE_TOL,
+        "scale_invariance": slope_gap < INVARIANCE_TOL,
     }
     estimates = {
         "slope": run1.slope,
@@ -534,12 +511,7 @@ def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutpu
         [float(t), float(x), int(n), float(m)]
         for t, x, n, m in zip(run1.times, run1.log_xi, run1.n_survivors, run1.mean_z)
     ]
-    plot = (
-        "endogenous threshold growth",
-        "tau",
-        "log xi",
-        [("log xi", [float(t) for t in run1.times], [float(v) for v in run1.log_xi])],
-    )
+    plot = ("endogenous threshold growth", "tau", "log xi", ["log_xi"])
     return RunnerOutput(estimates, targets, checks, columns, rows, plot)
 
 
@@ -567,10 +539,7 @@ def _run_measure(p: MeasureParams, seed: int, workers: int) -> RunnerOutput:
     checks = {}
     for o, w in zip(res.outcomes, weights):
         tol = 3.0 * o.freq_se if o.freq_se > 0 else 3.0 / max(res.n_survivors, 1)
-        checks[f"freq_delta_{o.delta:g}_within_3se"] = (
-            "pass" if abs(o.frequency - w) <= tol else "fail"
-        )
-    checks["median_scaling"] = "report"
+        checks[f"freq_delta_{o.delta:g}_within_3se"] = abs(o.frequency - w) <= tol
     estimates = {
         "frequencies": {f"{o.delta:g}": o.frequency for o in res.outcomes},
         "medians_x0": {f"{o.delta:g}": o.median_x0 for o in res.outcomes},
@@ -583,22 +552,14 @@ def _run_measure(p: MeasureParams, seed: int, workers: int) -> RunnerOutput:
     }
     columns = [
         "delta", "n_survivors", "frequency", "freq_se",
-        "median_x0", "median_lo", "median_hi",
+        "median_x0", "median_lo", "median_hi", "born_weight",
     ]
     rows = [
         [o.delta, o.n_survivors, o.frequency, o.freq_se, o.median_x0,
-         o.median_ci[0], o.median_ci[1]]
-        for o in res.outcomes
+         o.median_ci[0], o.median_ci[1], w]
+        for o, w in zip(res.outcomes, weights)
     ]
-    plot = (
-        "conditioned outcome frequencies",
-        "delta",
-        "frequency",
-        [
-            ("measured", [o.delta for o in res.outcomes], [o.frequency for o in res.outcomes]),
-            ("weights", list(setup.deltas), list(weights)),
-        ],
-    )
+    plot = ("conditioned outcome frequencies", "delta", "frequency", ["frequency", "born_weight"])
     return RunnerOutput(estimates, targets, checks, columns, rows, plot)
 
 
@@ -617,6 +578,10 @@ class DemoIntroParams:
     outside_target: float = 2.2e-14
     count_log10_bound: float = -37.0
 
+    def __post_init__(self) -> None:
+        if self.outside_target <= 0.0:
+            raise ConfigError(f"outside_target={self.outside_target} must be positive")
+
 
 def _run_demo_intro(p: DemoIntroParams, seed: int, workers: int) -> RunnerOutput:
     """Weighted mass vs equal-weight path count over a success-count interval.
@@ -629,12 +594,8 @@ def _run_demo_intro(p: DemoIntroParams, seed: int, workers: int) -> RunnerOutput
     outside_prob = math.exp(log_out)
     count_log10, frac = binomial_count_fraction(p.n, p.lo, p.hi)
     checks = {
-        "outside_prob_matches": "pass"
-        if abs(outside_prob / p.outside_target - 1.0) <= OUTSIDE_REL_TOL
-        else "fail",
-        "count_fraction_below_bound": "pass"
-        if count_log10 < p.count_log10_bound
-        else "fail",
+        "outside_prob_matches": abs(outside_prob / p.outside_target - 1.0) <= OUTSIDE_REL_TOL,
+        "count_fraction_below_bound": count_log10 < p.count_log10_bound,
     }
     estimates = {
         "outside_prob": outside_prob,
@@ -653,15 +614,7 @@ def _run_demo_intro(p: DemoIntroParams, seed: int, workers: int) -> RunnerOutput
     )
     columns = ["k", "log10_pmf", "log10_count_fraction"]
     rows = [[int(k), float(a), float(b)] for k, a, b in zip(ks, lp10, lc10)]
-    plot = (
-        "weighted mass vs path count",
-        "k",
-        "log10",
-        [
-            ("log10 pmf", [float(k) for k in ks], [float(v) for v in lp10]),
-            ("log10 count fraction", [float(k) for k in ks], [float(v) for v in lc10]),
-        ],
-    )
+    plot = ("weighted mass vs path count", "k", "log10", ["log10_pmf", "log10_count_fraction"])
     return RunnerOutput(estimates, targets, checks, columns, rows, plot)
 
 
@@ -753,9 +706,9 @@ def run(
 ) -> int:
     """Execute one experiment and write results.json / series.csv (/ plot.svg).
 
-    Returns 0 when every check passed or was informational, 2 when at least
-    one check failed. Errors raise (the CLI maps them to exit code 1); the
-    output directory is made only once the runner returns, so they leave none.
+    Returns 0 when every check passed, 2 when at least one check failed.
+    Errors raise (the CLI maps them to exit code 1); the output directory
+    is made only once the runner returns, so they leave none.
     """
     runner = EXPERIMENTS[config.experiment][1]
     workers = resolve_workers(config.workers)
@@ -770,7 +723,7 @@ def run(
         "seed": config.seed,
         "estimates": _jsonable(result.estimates),
         "targets": _jsonable(result.targets),
-        "checks": result.checks,
+        "checks": {k: "pass" if ok else "fail" for k, ok in result.checks.items()},
         "runtime_seconds": runtime,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -779,9 +732,13 @@ def run(
         writer = csv.writer(fh)
         writer.writerow(result.columns)
         writer.writerows(result.rows)
-    if plot and result.plot is not None:
-        _write_svg(out / "plot.svg", *result.plot)
-    return 2 if any(v == "fail" for v in result.checks.values()) else 0
+    if plot:
+        title, x, ylabel, ys = result.plot
+        col = result.columns.index
+        xs = [float(row[col(x)]) for row in result.rows]
+        lines = [(y, xs, [float(row[col(y)]) for row in result.rows]) for y in ys]
+        _write_svg(out / "plot.svg", title, x, ylabel, lines)
+    return 0 if all(result.checks.values()) else 2
 
 
 def main(argv: Sequence[str] | None = None) -> int:

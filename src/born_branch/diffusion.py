@@ -125,22 +125,14 @@ def batch_survive(
     return alive, y
 
 
-@dataclass(frozen=True)
-class RatioPoint:
-    """Closed-form survival ratio at one horizon."""
-
-    tau: float
-    ratio: float
-
-
 def ratio_convergence_scan(
     params: DiffusionParams,
     x_a: float,
     x_b: float,
     epsilon: float,
     tau_grid: Sequence[float],
-) -> list[RatioPoint]:
-    """Deterministic survival ratios q(x_a)/q(x_b) over a horizon grid.
+) -> list[float]:
+    """Deterministic survival ratios q(x_a)/q(x_b), one per horizon in tau_grid.
 
     The exact ratio approaches (d_a/d_b) exp((mu/sigma^2)(x_a - x_b)) as
     tau grows, with d the start's distance above the barrier, so for
@@ -149,12 +141,13 @@ def ratio_convergence_scan(
     if epsilon <= 0.0:
         raise OutOfRange(f"epsilon={epsilon} must be positive")
     log_eps = math.log(epsilon)
-    pts = []
-    for tau in tau_grid:
-        la = log_survival_closed_form(params.mu, params.sigma, x_a - log_eps, tau)
-        lb = log_survival_closed_form(params.mu, params.sigma, x_b - log_eps, tau)
-        pts.append(RatioPoint(float(tau), math.exp(la - lb)))
-    return pts
+    return [
+        math.exp(
+            log_survival_closed_form(params.mu, params.sigma, x_a - log_eps, tau)
+            - log_survival_closed_form(params.mu, params.sigma, x_b - log_eps, tau)
+        )
+        for tau in tau_grid
+    ]
 
 
 def _survivor_ys(

@@ -34,12 +34,24 @@ FIXED_BOUNDS = [
     ("demo_intro", "outside_rel_tol", 0.2),
 ]
 
-# The first costly step of each family that has one: paths for walk, the
-# delta stream for lcg, a whole population for endogenous.
+# The first costly step of each family that has one: paths for walk and
+# diffusion, the delta stream for lcg, a whole population for endogenous.
 FIRST_WORK = {
     "walk": (walk_module, "map_blocks"),
+    "diffusion": (cli_module, "map_blocks"),
     "lcg": (cli_module, "lcg_delta_stream"),
     "endogenous": (cli_module, "endogenous_population"),
+}
+
+# A config per family that runs in about a second.
+SMALL_CONFIGS = {
+    "tree": {"t_max": 30, "record_points": 10},
+    "lcg": {"n_transitions": 20_000, "t": 30, "n_paths": 2_000, "phis": [1.0, 4.0]},
+    "walk": {"t": 40, "n_paths": 4_000, "x0s": [0.0, 1.0], "epsilon": math.exp(-3.0)},
+    "diffusion": {"tau_grid": [5, 10], "mc_n_paths": 2_000, "mc_tau": 5, "mc_dt": 0.5},
+    "endogenous": {"n_particles": 400, "tau": 5.0},
+    "measure": {"deltas": [0.3, 0.7], "tau": 70.0, "n_paths": 12_000, "n_boot": 100},
+    "demo_intro": {},
 }
 
 
@@ -151,14 +163,14 @@ class TestRunSmallConfigs:
     def test_tree_infeasible_alpha_goes_extinct(self, tmp_path):
         """alpha = 0.6 above max delta = 1/2 kills even the best path by
         t = 45 from the largest start; the run passes its extinction check
-        and reports (not judges) the beta fit."""
+        and records the beta fit without judging it."""
         cfg = ExperimentConfig(
             "tree", {"t_max": 60, "alpha": 0.6, "epsilon": 0.01, "record_points": 12}
         )
         assert run(cfg, out_dir=tmp_path) == 0
         results, header, rows = read_outputs(tmp_path)
         assert results["checks"]["infeasible_goes_extinct"] == "pass"
-        assert results["checks"]["beta_hat_in_band"] == "report"
+        assert "beta_hat_in_band" not in results["checks"]
         assert results["estimates"]["extinction_t"] == 45
         assert header[:2] == ["t", "log10_total_paths"]
         assert len(rows) == 13
@@ -222,7 +234,7 @@ class TestRunSmallConfigs:
         assert run(cfg, out_dir=tmp_path) == 0
         results, _, _ = read_outputs(tmp_path)
         assert results["checks"]["ratio_x1_over_x0_near_asymptotic"] == "pass"
-        assert results["checks"]["tilt_ratio"] == "report"
+        assert "tilt_ratio" not in results["checks"]
         beta = WalkParams(0.15, 1.1).beta
         assert results["targets"]["beta"] == beta
         assert results["targets"]["tilt_ratios"] == [math.exp(beta)]
@@ -283,7 +295,7 @@ class TestRunSmallConfigs:
         assert set(results["targets"]) == {"born_weights", "median_sqrt_tau_reference"}
         assert header == [
             "delta", "n_survivors", "frequency", "freq_se",
-            "median_x0", "median_lo", "median_hi",
+            "median_x0", "median_lo", "median_hi", "born_weight",
         ]
 
     def test_demo_intro_defaults_pass(self, tmp_path):
@@ -369,6 +381,25 @@ class TestMain:
         svg = (tmp_path / "plot.svg").read_text()
         assert svg.startswith("<svg")
 
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_plot_draws_named_series_columns(self, experiment, tmp_path, monkeypatch):
+        """A runner's plot names series.csv columns, and plot.svg draws
+        one line per named y column."""
+        schema, runner = EXPERIMENTS[experiment]
+        outputs = []
+
+        def keep(*args):
+            outputs.append(runner(*args))
+            return outputs[-1]
+
+        monkeypatch.setitem(EXPERIMENTS, experiment, (schema, keep))
+        cfg = ExperimentConfig(experiment, SMALL_CONFIGS[experiment], seed=5)
+        run(cfg, out_dir=tmp_path, plot=True)
+        _, x, _, ys = outputs[0].plot
+        _, header, _ = read_outputs(tmp_path)
+        assert {x, *ys} <= set(header)
+        assert (tmp_path / "plot.svg").read_text().count("<polyline") == len(ys)
+
     def test_config_file_and_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
@@ -423,6 +454,9 @@ class TestMain:
             ("walk", {"parameters": {"epsilon": 1.0, "x0s": [0.0, 1.0]}}, "x0=0.0"),
             ("endogenous", {"parameters": {"scale_factor": 0.0}}, "scale_factor"),
             ("lcg", {"parameters": {"p": (1 << 63) + 1}}, "modulus p"),
+            ("diffusion", {"parameters": {"tau_grid": [], "mc_n_paths": 2000}}, "tau_grid"),
+            ("walk", {"parameters": {"t": 0, "n_paths": 2000}}, "t"),
+            ("demo_intro", {"parameters": {"outside_target": 0}}, "outside_target"),
         ],
         ids=["seed-str", "workers-str", "workers-zero", "int-param-str",
              "int-param-float", "record-points-negative", "experiment-list",
@@ -430,7 +464,8 @@ class TestMain:
              "mc-paths-zero", "mc-paths-negative", "tau-nan", "epsilon-nan",
              "epsilon-infinity", "list-entry-nan", "int-beyond-float-range",
              "noise-sd-negative", "start-on-barrier", "scale-factor-zero",
-             "modulus-beyond-62-bits"],
+             "modulus-beyond-62-bits", "tau-grid-empty", "walk-t-zero",
+             "outside-target-zero"],
     )
     def test_bad_config_value_maps_to_exit_one(
         self, experiment, config, key, tmp_path, capsys, monkeypatch

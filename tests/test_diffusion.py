@@ -171,12 +171,13 @@ class TestRatioScan:
     def test_points_recompute_from_log_closed_form(self):
         params = DiffusionParams(1.0, 1.0)
         log_eps = math.log(1e-8)
-        pts = ratio_convergence_scan(params, 2.0, 0.0, 1e-8, [5.0, 50.0, 500.0])
-        assert [p.tau for p in pts] == [5.0, 50.0, 500.0]
-        for p in pts:
-            la = log_survival_closed_form(1.0, 1.0, 2.0 - log_eps, p.tau)
-            lb = log_survival_closed_form(1.0, 1.0, -log_eps, p.tau)
-            assert p.ratio == pytest.approx(math.exp(la - lb), rel=1e-12)
+        taus = [5.0, 50.0, 500.0]
+        ratios = ratio_convergence_scan(params, 2.0, 0.0, 1e-8, taus)
+        assert len(ratios) == len(taus)
+        for tau, ratio in zip(taus, ratios):
+            la = log_survival_closed_form(1.0, 1.0, 2.0 - log_eps, tau)
+            lb = log_survival_closed_form(1.0, 1.0, -log_eps, tau)
+            assert ratio == pytest.approx(math.exp(la - lb), rel=1e-12)
 
     def test_converges_to_prefactored_target(self):
         """The exact ratio tends to (d_a/d_b) e^{beta(x_a - x_b)}, sitting
@@ -185,12 +186,12 @@ class TestRatioScan:
         params = DiffusionParams(1.0, 1.0)
         log_eps = math.log(1e-8)
         d_a, d_b = 2.0 - log_eps, -log_eps
-        (pt,) = ratio_convergence_scan(params, 2.0, 0.0, 1e-8, [500.0])
+        (ratio,) = ratio_convergence_scan(params, 2.0, 0.0, 1e-8, [500.0])
         tilt = math.exp(params.beta * 2.0)
         limit = (d_a / d_b) * tilt
         gauss = math.exp(-(d_a * d_a - d_b * d_b) / (2.0 * 500.0))
-        assert pt.ratio > tilt
-        assert pt.ratio == pytest.approx(limit * gauss, rel=0.01)
+        assert ratio > tilt
+        assert ratio == pytest.approx(limit * gauss, rel=0.01)
 
     def test_epsilon_validation(self):
         with pytest.raises(OutOfRange):

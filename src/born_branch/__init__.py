@@ -50,10 +50,7 @@ from .lcg import (
     DEFAULT_LCG_ALPHA,
     LcgSpec,
     lcg_children,
-    lcg_cycle_length,
     lcg_delta_stream,
-    lcg_full_period,
-    lcg_next,
     lcg_tree,
     lcg_walk_survival,
 )

@@ -42,7 +42,9 @@ from .stats import (
     ks_distance,
     start_exponent,
 )
-from .tree import count_survivors_dp, enumerate_brute, log_bigint, scan_rows_from_series
+from .tree import (
+    _check_brute_size, count_survivors_dp, enumerate_brute, log_bigint, scan_rows_from_series,
+)
 from .walk import walk_survival
 
 
@@ -192,6 +194,8 @@ class TreeParams:
         for key in ("t_max", "record_points"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key}={getattr(self, key)} must be >= 0")
+        if any(v <= 0 for v in self.phis):
+            raise ConfigError(f"phis={self.phis} must all be positive")
 
 
 def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
@@ -202,6 +206,8 @@ def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
     # t_max + 1 points already give every depth
     grid = sorted({int(t) for t in np.linspace(0, p.t_max, min(p.record_points, p.t_max) + 1)})
     phis = [float(v) for v in p.phis]
+    if p.oracle:
+        _check_brute_size(spec.K, p.t_max)
     series = count_survivors_dp(spec, sched, p.t_max, phis, record_ts=grid)
     pairs = [(phi, phis[0]) for phi in phis[1:]]
     scan = scan_rows_from_series(series, phis)
@@ -274,12 +280,16 @@ class LcgParams:
     phis: list = field(default_factory=lambda: [1.0, 4.0, 16.0, 64.0])
     n_paths: int = 20_000
 
+    def __post_init__(self) -> None:
+        if self.n_transitions < 1:
+            raise ConfigError(f"n_transitions={self.n_transitions} must be >= 1")
+        if self.p.bit_length() > 62:
+            raise ConfigError(f"modulus p={self.p} exceeds the walk's 62-bit state width")
+
 
 def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
     spec = LcgSpec(p.p, p.a)
     phis = [float(v) for v in p.phis]
-    # the walk first: a modulus too wide for its kernel fails before the
-    # scalar stream runs (the two draw from independent seeds)
     walk = lcg_walk_survival(
         spec, Exogenous(p.epsilon, p.alpha), p.t, phis, p.n_paths,
         seed=seed + 1_000_003, workers=workers,

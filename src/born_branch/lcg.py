@@ -7,14 +7,16 @@ Ratios are then nearly uniform on (0, 1), the branch pair nearly conserves
 total amplitude, and the induced log-ratio walk has E[-log delta] = 1 and
 Var[log delta] = 1.
 
-Multipliers are reduced mod p at construction. For the Mersenne modulus
-2^61 - 1 the chain update is vectorized in uint64 with carry-free
-splitting; every other modulus, 2^31 - 1 included, takes exact Python
-integers.
+Multipliers are reduced mod p at construction. lcg_children, the child
+map of the walk and of the exact tree, holds states in uint64, so p must
+fit 62 bits there: for the Mersenne modulus 2^61 - 1 it multiplies with
+carry-free splitting, and every other modulus, 2^31 - 1 included, takes
+exact Python integers. The scalar delta stream takes Python integers at
+any width. No run depends on the orbit length, so the module makes no
+primality or period checks.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -24,11 +26,11 @@ import numpy as np
 
 from .errors import OutOfRange, TooLarge
 from .model import Exogenous
+from .rng import rng_stream
 from .tree import _check_exogenous
 from .walk import SurvivalEstimate, _start_estimates
 
 M61 = (1 << 61) - 1
-M31 = (1 << 31) - 1
 
 #: lcg_tree refuses depths with more than this many paths.
 MAX_TREE_PATHS = 2**25
@@ -58,18 +60,6 @@ class LcgSpec:
         if not (0 < self.c0 < self.p):
             raise OutOfRange(f"start state c0={self.c0} outside (0, p)")
         object.__setattr__(self, "a_eff", a_eff)
-
-
-def lcg_next(c: int, spec: LcgSpec, branch: int) -> int:
-    """Next state: branch 2 multiplies, branch 1 reflects the product."""
-    if not (0 <= c < spec.p):
-        raise OutOfRange(f"state c={c} outside [0, p)")
-    base = (spec.a_eff * c) % spec.p
-    if branch == 2:
-        return base
-    if branch == 1:
-        return spec.p - 1 - base
-    raise OutOfRange(f"branch must be 1 or 2, got {branch}")
 
 
 def _mulmod_m61(a: int, c: np.ndarray) -> np.ndarray:
@@ -108,100 +98,12 @@ def lcg_children(c: np.ndarray, spec: LcgSpec) -> tuple[np.ndarray, np.ndarray]:
     return base, np.uint64(spec.p - 1) - base
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Strong-probable-prime test on the first 12 prime bases.
-
-    Deterministic for n < 3.18e23, the smallest strong pseudoprime to all
-    of them, which covers every n < 2^64.
-    """
-    if n < 2 or any(n % q == 0 for q in _SMALL_PRIMES):
-        return n in _SMALL_PRIMES
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_factor(n: int) -> int:
-    """A nontrivial factor of a composite n with no prime factor <= 37.
-
-    Pollard's rho with Brent's cycle search; a constant c whose cycle
-    closes modulo n itself is replaced by the next one.
-    """
-    for c in itertools.count(1):
-        y, r, g = 2, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-                g = math.gcd(x - y, n)
-                if g != 1:
-                    break
-            r *= 2
-        if g != n:
-            return g
-
-
-def _prime_factors(n: int) -> set[int]:
-    """Distinct prime factors of n >= 1."""
-    found, rest = set(), [n] if n > 1 else []
-    while rest:
-        m = rest.pop()
-        if _is_prime(m):
-            found.add(m)
-            continue
-        f = next((q for q in _SMALL_PRIMES if m % q == 0), None) or _rho_factor(m)
-        rest += [f, m // f]
-    return found
-
-
-def lcg_full_period(spec: LcgSpec) -> bool:
-    """Whether the multiplicative order of a mod p is exactly p - 1.
-
-    Exact test: factor p - 1 and check a^((p-1)/q) != 1 mod p for every
-    prime factor q. Requires p prime (not verified here).
-    """
-    n = spec.p - 1
-    return all(pow(spec.a_eff, n // q, spec.p) != 1 for q in _prime_factors(n))
-
-
-def lcg_cycle_length(spec: LcgSpec, limit: int = 10**7) -> int | None:
-    """Length of the pure branch-2 orbit of c0, or None if it exceeds limit.
-
-    Brute-force walk, meant for small moduli to cross-validate
-    lcg_full_period; full-size moduli should use the order test.
-    """
-    c = lcg_next(spec.c0, spec, 2)
-    steps = 1
-    while c != spec.c0:
-        if steps >= limit:
-            return None
-        c = (spec.a_eff * c) % spec.p
-        steps += 1
-    return steps
-
-
 def lcg_delta_stream(spec: LcgSpec, n: int, seed: int) -> np.ndarray:
     """Ratios along one chain of n transitions with fair random branches.
 
     Branch choices come from the harness RNG stream (seed, 0), never from
     the LCG itself.
     """
-    from .rng import rng_stream
-
     if n < 1:
         raise OutOfRange(f"need n >= 1 transitions, got {n}")
     branches = rng_stream(seed, 0).integers(1, 3, size=n)

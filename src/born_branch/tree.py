@@ -117,6 +117,14 @@ def _zero_tail(record: Sequence[int], start: int, out: dict[int, int]) -> None:
             out[t] = 0
 
 
+def _check_brute_size(k: int, t: int) -> None:
+    """Refuse brute force over K^t > MAX_BRUTE_PATHS paths without forming
+    K^t: 2^64 > MAX_BRUTE_PATHS, so K^min(t, 64) exceeds it exactly when
+    K^t does, and K = 1 stays 1."""
+    if k ** min(t, 64) > MAX_BRUTE_PATHS:
+        raise TooLarge(f"K^t = {k}**{t} exceeds MAX_BRUTE_PATHS={MAX_BRUTE_PATHS}")
+
+
 def _brute_levels(
     spec: BranchingSpec, sched: Exogenous, t: int, phi0: float
 ) -> Iterator[np.ndarray]:
@@ -131,8 +139,7 @@ def _brute_levels(
     sched = _check_exogenous(sched)
     lphi0 = _log_phi0(phi0)
     k = spec.K
-    if k**t > MAX_BRUTE_PATHS:
-        raise TooLarge(f"K^t = {k}**{t} exceeds MAX_BRUTE_PATHS={MAX_BRUTE_PATHS}")
+    _check_brute_size(k, t)
     lds = _sorted_log_deltas(spec)
     comps = np.zeros((1, k), dtype=np.int16)
     yield np.array([lphi0])
@@ -324,9 +331,9 @@ def count_survivors_dp(
             raise OutOfRange("record_ts outside [0, t_max]")
     lds = _sorted_log_deltas(spec)
     packed = spec.K == 3 and t_max > _PACKED_MIN_T
+    lphis = [_log_phi0(phi0) for phi0 in phi0s]
     per_phi: list[dict[int, int]] = []
-    for phi0 in phi0s:
-        lphi0 = _log_phi0(phi0)
+    for lphi0 in lphis:
         if packed:
             per_phi.append(_packed_dp3(lphi0, lds, sched, t_max, record))
         else:

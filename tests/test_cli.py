@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import born_branch
 from born_branch import ConfigError, WalkParams
 from born_branch import cli as cli_module
 from born_branch import walk as walk_module
@@ -34,12 +35,13 @@ FIXED_BOUNDS = [
     ("demo_intro", "outside_rel_tol", 0.2),
 ]
 
-# The first costly step of each family that has one: paths for walk and
-# diffusion, the delta stream for lcg, a whole population for endogenous.
+# The first costly step of each family that has one: the DP for tree, paths
+# for walk and diffusion, the walk for lcg, a whole population for endogenous.
 FIRST_WORK = {
+    "tree": (cli_module, "count_survivors_dp"),
     "walk": (walk_module, "map_blocks"),
     "diffusion": (cli_module, "map_blocks"),
-    "lcg": (cli_module, "lcg_delta_stream"),
+    "lcg": (cli_module, "lcg_walk_survival"),
     "endogenous": (cli_module, "endogenous_population"),
 }
 
@@ -130,6 +132,12 @@ class TestExperimentConfig:
         assert blocks
         for block in blocks:
             ExperimentConfig.from_json(block)
+
+    def test_readme_export_count_matches_all(self):
+        """README.md states how many public names the package exports."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        stated = re.search(r"exports (\d+) public names", readme)
+        assert stated and int(stated.group(1)) == len(born_branch.__all__)
 
 
 class TestConfigHash:
@@ -457,6 +465,9 @@ class TestMain:
             ("diffusion", {"parameters": {"tau_grid": [], "mc_n_paths": 2000}}, "tau_grid"),
             ("walk", {"parameters": {"t": 0, "n_paths": 2000}}, "t"),
             ("demo_intro", {"parameters": {"outside_target": 0}}, "outside_target"),
+            ("lcg", {"parameters": {"n_transitions": 0}}, "n_transitions"),
+            ("tree", {"parameters": {"phis": [1.0, 2.0, -1.0]}}, "phis"),
+            ("tree", {"parameters": {"oracle": True}}, "MAX_BRUTE_PATHS"),
         ],
         ids=["seed-str", "workers-str", "workers-zero", "int-param-str",
              "int-param-float", "record-points-negative", "experiment-list",
@@ -465,7 +476,8 @@ class TestMain:
              "epsilon-infinity", "list-entry-nan", "int-beyond-float-range",
              "noise-sd-negative", "start-on-barrier", "scale-factor-zero",
              "modulus-beyond-62-bits", "tau-grid-empty", "walk-t-zero",
-             "outside-target-zero"],
+             "outside-target-zero", "n-transitions-zero", "tree-late-bad-start",
+             "oracle-beyond-brute-force"],
     )
     def test_bad_config_value_maps_to_exit_one(
         self, experiment, config, key, tmp_path, capsys, monkeypatch

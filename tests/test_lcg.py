@@ -17,10 +17,7 @@ from born_branch import (
     OutOfRange,
     RandomBarrier,
     TooLarge,
-    lcg_cycle_length,
     lcg_delta_stream,
-    lcg_full_period,
-    lcg_next,
     lcg_children,
     lcg_tree,
     lcg_walk_survival,
@@ -28,15 +25,9 @@ from born_branch import (
     start_exponent,
 )
 from born_branch import walk as walk_module
-from born_branch.lcg import (
-    M31,
-    M61,
-    _is_prime,
-    _lcg_block_worst,
-    _mulmod_m61,
-    _prime_factors,
-)
+from born_branch.lcg import M61, _lcg_block_worst, _mulmod_m61
 
+M31 = (1 << 31) - 1
 LEHMER = LcgSpec(M31, 16807)
 BIG = LcgSpec()  # p = 2^61 - 1 with the 64-bit MCG multiplier reduced mod p
 
@@ -80,33 +71,29 @@ class TestTransitions:
 
     def test_lehmer_reference_chain(self):
         """From c=1: 16807 -> 282475249 -> 1622650073 (classic sequence)."""
-        c = 1
+        c = np.array([1], dtype=np.uint64)
         seq = []
         for _ in range(3):
-            c = lcg_next(c, LEHMER, branch=2)
-            seq.append(c)
+            c, _ = lcg_children(c, LEHMER)
+            seq.append(int(c[0]))
         assert seq == [16807, 282475249, 1622650073]
 
     def test_reflection_branch(self):
         """Branch 1 returns p - 1 - (a c mod p): 2147466839 from c=1."""
-        assert lcg_next(1, LEHMER, branch=1) == M31 - 1 - 16807 == 2147466839
-
-    def test_branch_and_state_validation(self):
-        with pytest.raises(OutOfRange):
-            lcg_next(1, LEHMER, branch=3)
-        with pytest.raises(OutOfRange):
-            lcg_next(M31, LEHMER, branch=2)
+        _, c1 = lcg_children(np.array([1], dtype=np.uint64), LEHMER)
+        assert int(c1[0]) == M31 - 1 - 16807 == 2147466839
 
     def test_children_match_scalar_transitions(self):
         """The uint64 path for 2^61 - 1 and the Python-integer path that
-        every other modulus takes, 2^31 - 1 included."""
+        every other modulus takes, 2^31 - 1 included, against big-integer
+        arithmetic."""
         rng = rng_stream(43, 0)
         for spec in (BIG, LEHMER):
             cs = rng.integers(1, spec.p, size=256, dtype=np.uint64)
             c2, c1 = lcg_children(cs, spec)
-            for c, a2, a1 in zip(cs.tolist(), c2.tolist(), c1.tolist()):
-                assert a2 == lcg_next(int(c), spec, branch=2)
-                assert a1 == lcg_next(int(c), spec, branch=1)
+            expect = [(spec.a_eff * c) % spec.p for c in cs.tolist()]
+            assert c2.tolist() == expect
+            assert c1.tolist() == [spec.p - 1 - b for b in expect]
 
     def test_vectorized_path_rejects_oversized_modulus(self):
         """lcg_children stores states as uint64, so p wider than 62 bits
@@ -119,115 +106,27 @@ class TestTransitions:
 
 
 class TestPeriod:
-    """Full period <=> the multiplier is a primitive root mod p."""
-
-    def test_reference_multipliers_are_full_period(self):
-        assert lcg_full_period(LEHMER)
-        assert lcg_full_period(BIG)
-
-    def test_quadratic_residue_is_not_full_period(self):
-        """a = 4 = 2^2 is a square, so its order divides (p-1)/2."""
-        assert not lcg_full_period(LcgSpec(M31, 4))
-
-    def test_cycle_detection_cross_checks_order_test(self):
-        """On p=1021 the cycle length is walked explicitly: a primitive
-        root gives period p-1 = 1020, a square gives a proper divisor."""
-        root = next(a for a in range(2, 1021) if lcg_cycle_length(LcgSpec(1021, a)) == 1020)
-        spec = LcgSpec(1021, root)
-        assert lcg_full_period(spec)
-        square = LcgSpec(1021, (root * root) % 1021)
-        assert not lcg_full_period(square)
-        assert lcg_cycle_length(square) == 510
-
-    @pytest.mark.parametrize("p", [211, 1021])
-    def test_order_test_matches_cycle_length_for_every_multiplier(self, p):
-        """From c0 = 1 the branch-2 orbit length is the multiplicative
-        order of a, so full period <=> that orbit has length p - 1."""
-        for a in range(2, p):
-            spec = LcgSpec(p, a)
-            assert lcg_full_period(spec) == (lcg_cycle_length(spec) == p - 1), a
-
-    def test_factor_hidden_in_a_chernick_number(self):
-        """p - 1 = 10 * 211 * 421 * 631 for p = 560523611. The product
-        56052361 = 211 * 421 * 631 passes a^((n-1)/2) = 1 for every base,
-        so a test that misses its factors accepts a = 2^211, whose order
-        is (p - 1)/211."""
-        p = 560523611
-        assert lcg_full_period(LcgSpec(p, 2))
-        assert not lcg_full_period(LcgSpec(p, pow(2, 211, p)))
-
-    def test_cycle_length_respects_limit(self):
-        assert lcg_cycle_length(LEHMER, limit=1000) is None
-
-
-def _trial_division_factors(n):
-    factors = set()
-    q = 2
-    while q * q <= n:
-        while n % q == 0:
-            factors.add(q)
-            n //= q
-        q += 1
-    if n > 1:
-        factors.add(n)
-    return factors
-
-
-class TestPrimeFactors:
-    """The factoriser behind lcg_full_period."""
-
-    def test_matches_trial_division_below_1e5(self):
-        for n in range(1, 100_000):
-            assert _prime_factors(n) == _trial_division_factors(n), n
+    """The reference multipliers are primitive roots, so the pure branch-2
+    orbit of any nonzero state runs through all p - 1 of them."""
 
     @pytest.mark.parametrize(
-        "primes",
+        "spec, factors",
         [
-            (2147483647, 2147483629),
-            (2147483647, 2147483647),
-            (2147483629, 2147483659),
-            (3, 5, 65521, 4294967291),
+            (BIG, (2, 3, 3, 5, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321)),
+            (LEHMER, (2, 3, 3, 7, 11, 31, 151, 331)),
         ],
+        ids=["m61", "lehmer"],
     )
-    def test_products_of_known_primes(self, primes):
-        """Products of two primes above 37 need the rho branch."""
-        assert _prime_factors(math.prod(primes)) == set(primes)
-
-    @pytest.mark.parametrize(
-        "n, factors",
-        [
-            (56052361, {211, 421, 631}),
-            (8 * 56052361, {2, 211, 421, 631}),
-        ],
-    )
-    def test_absolute_euler_pseudoprime(self, n, factors):
-        """211 * 421 * 631 has a^((n-1)/2) = 1 mod n for every base a."""
-        assert _prime_factors(n) == factors
-
-    @pytest.mark.parametrize(
-        "n",
-        [
-            1373653,
-            25326001,
-            3215031751,
-            2152302898747,
-            3474749660383,
-            341550071728321,
-            3825123056546413051,
-        ],
-    )
-    def test_strong_pseudoprimes_are_composite(self, n):
-        """The smallest strong pseudoprimes to the first 1 to 11 prime
-        bases (OEIS A014233); each has no prime factor <= 37."""
-        assert not _is_prime(n)
-        assert math.prod(_prime_factors(n)) == n
-
-    def test_reference_moduli(self):
-        assert _prime_factors(M31 - 1) == {2, 3, 7, 11, 31, 151, 331}
-        assert _prime_factors(M61 - 1) == {
-            2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321
-        }
-        assert _prime_factors(M61) == {M61}
+    def test_reference_multipliers_are_full_period(self, spec, factors):
+        """The listed primes multiply to p - 1 with cofactor 1, so a^(p-1)
+        = 1 and a^((p-1)/q) != 1 for each of them pin the order of a at
+        exactly p - 1, which also proves p prime."""
+        n = spec.p - 1
+        assert all(q > 1 and all(q % d for d in range(2, q)) for q in factors)
+        assert math.prod(factors) == n
+        assert pow(spec.a_eff, n, spec.p) == 1
+        for q in set(factors):
+            assert pow(spec.a_eff, n // q, spec.p) != 1, q
 
 
 def _loaded_by_import(module):

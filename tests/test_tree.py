@@ -14,6 +14,7 @@ from born_branch import (
     OutOfRange,
     RandomBarrier,
     StateExplosion,
+    TooLarge,
     brute_leaf_log_amplitudes,
     count_survivors_dp,
     enumerate_brute,
@@ -21,6 +22,7 @@ from born_branch import (
     rng_stream,
     scan_rows_from_series,
 )
+from born_branch import tree as tree_module
 from born_branch.tree import GUARD_BAND, _decide, _dict_dp, _packed_dp3, _sorted_log_deltas
 
 
@@ -216,6 +218,24 @@ class TestSeriesShape:
                 Exogenous(1e-4, 0.372041),
                 3000,
                 [1.0],
+            )
+
+    def test_brute_guard_does_not_form_k_to_the_t(self):
+        """3^(10^9) has over 10^9 bits; the guard refuses without it."""
+        spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
+        with pytest.raises(TooLarge):
+            enumerate_brute(spec, Exogenous(1e-4, 0.372041), 10**9, 1.0)
+
+    def test_every_start_checked_before_the_dp(self, monkeypatch):
+        """A bad start anywhere in phi0s fails before any start's DP runs."""
+
+        def no_dp(*args, **kwargs):
+            raise AssertionError("a DP ran before every start was checked")
+
+        monkeypatch.setattr(tree_module, "_dict_dp", no_dp)
+        with pytest.raises(OutOfRange, match="phi0=-1.0"):
+            count_survivors_dp(
+                BranchingSpec((1 / 2, 1 / 2)), Exogenous(0.2, 0.9), 5, [1.0, 2.0, -1.0]
             )
 
     def test_non_exogenous_schedule_rejected(self):

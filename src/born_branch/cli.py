@@ -28,7 +28,9 @@ import numpy as np
 from . import diffusion as diff
 from .errors import BadStart, BornBranchError, ConfigError, OutOfRange
 from .lcg import DEFAULT_LCG_ALPHA, LcgSpec, lcg_delta_stream, lcg_walk_survival
-from .measure import MeasurementSetup, measurement_pipeline, prepared_median_reference
+from .measure import (
+    MeasurementSetup, measurement_pipeline, outcome_weights, prepared_median_reference,
+)
 from .model import (
     BranchingSpec, Exogenous, GaussianShocks, LogUniformShocks, RandomBarrier, WalkParams,
     _alpha_feasible, alpha_for_unit_beta, endogenous_alpha,
@@ -545,7 +547,7 @@ def _run_measure(p: MeasureParams, seed: int, workers: int) -> RunnerOutput:
         setup, p.n_paths, seed=seed, prep_rate=p.prep_rate, n_boot=p.n_boot,
         workers=workers,
     )
-    weights = res.expected_frequencies
+    weights = outcome_weights(setup, p.prep_rate)[0]
     checks = {}
     for o, w in zip(res.outcomes, weights):
         tol = 3.0 * o.freq_se if o.freq_se > 0 else 3.0 / max(res.n_survivors, 1)

@@ -137,7 +137,7 @@ def lcg_tree(
         raise OutOfRange(f"phi0={phi0} must be positive")
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
-    if 2**t > MAX_TREE_PATHS:
+    if 2 ** min(t, 64) > MAX_TREE_PATHS:  # 2^t itself has t bits
         raise TooLarge(f"2^{t} paths exceed MAX_TREE_PATHS={MAX_TREE_PATHS}")
     lphi0 = math.log(phi0)
     states = np.array([spec.c0], dtype=np.uint64)

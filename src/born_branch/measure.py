@@ -15,6 +15,15 @@ the start distance, the survivors in arm k have unnormalized mass
 barrier), so conditioned frequencies are exactly proportional to delta_k^r
 at every tau. The default prep_rate 1 = mu/sigma^2 reproduces frequencies
 delta_k; the alternate 2 mu/sigma^2 gives delta_k^2.
+
+The constant C = r * integral_0^inf e^{-r y} q_tau(y) dy, a Laplace
+transform of the running maximum of drifted Brownian motion (Borodin &
+Salminen, Handbook of Brownian Motion, 2002), has a closed form at
+mu = sigma^2. With w = sigma sqrt(tau), v = (r - 1) w and
+g(x) = 2 x exp((x^2 - w^2)/2) Phi(-x), integration by parts and two
+completed squares give C = (g(w) - g(v)) / (w - v). Its r = 2 limit is
+2 (1 + w^2) Phi(-w) - 2 w phi(w), and at r = 1 it is erfc(sigma sqrt(tau/2)).
+g is finite wherever x^2 is, so C can underflow to 0 but never overflows.
 """
 from __future__ import annotations
 
@@ -23,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import batch_survive, log_survival_closed_form
+from .diffusion import batch_survive
 from .errors import OutOfRange, TooFewSurvivors
 from .model import BranchingSpec
 from .rng import map_blocks
@@ -45,12 +54,10 @@ class MeasurementSetup:
 
     def __post_init__(self) -> None:
         spec = BranchingSpec(self.deltas)
-        if self.sigma <= 0.0:
-            raise OutOfRange(f"sigma={self.sigma} must be positive")
-        if self.epsilon <= 0.0:
-            raise OutOfRange(f"epsilon={self.epsilon} must be positive")
-        if self.tau <= 0.0:
-            raise OutOfRange(f"tau={self.tau} must be positive")
+        for name in ("sigma", "epsilon", "tau"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise OutOfRange(f"{name}={value} must be finite and positive")
         object.__setattr__(self, "deltas", spec.deltas)
         object.__setattr__(self, "log_deltas", spec.log_deltas)
 
@@ -67,33 +74,27 @@ class MeasurementSetup:
 def outcome_weights(
     setup: MeasurementSetup, prep_rate: float = 1.0
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Exact conditioned frequencies and per-arm survival probabilities.
-
-    Frequencies are delta_k^r normalized (r = prep_rate), by the
-    factorization in the module docstring; the per-arm absolute survival
-    probabilities delta_k^r * C(tau, r) use one quadrature of the closed
-    form against the preparation density.
-    """
-    # imported here: scipy.integrate is a third of the package's import time
-    from scipy.integrate import quad
+    """Exact conditioned frequencies delta_k^r normalized (r = prep_rate) and
+    per-arm survival probabilities delta_k^r * C, by the factorization and
+    the closed form of C in the module docstring."""
+    # imported here: scipy.special is half of the package's import time
+    from scipy.special import erfcx, log_ndtr
 
     r = prep_rate
-    if r <= 0.0:
-        raise OutOfRange(f"prep_rate={r} must be positive")
+    if not 0.0 < r < math.inf:
+        raise OutOfRange(f"prep_rate={r} must be finite and positive")
     powers = [d**r for d in setup.deltas]
     total = math.fsum(powers)
     weights = tuple(p / total for p in powers)
-
-    def integrand(y: float) -> float:
-        return r * math.exp(-r * y + log_survival_closed_form(setup.mu, setup.sigma, y, setup.tau))
-
-    # integrable spike at 0 and exponential tail: split for quad stability
-    c_val = 0.0
-    for lo, hi in ((0.0, 1.0), (1.0, 10.0 / r), (10.0 / r, np.inf)):
-        if hi <= lo:
-            continue
-        val, _ = quad(integrand, lo, hi, limit=200)
-        c_val += val
+    w = setup.sigma * math.sqrt(setup.tau)
+    v = (r - 1.0) * w
+    if v == w:  # r = 2: the limit, through the Mills ratio, which cancels less
+        c_val = math.exp(-w * w / 2.0) * (
+            (1.0 + w * w) * erfcx(w / math.sqrt(2.0)) - w * math.sqrt(2.0 / math.pi)
+        )
+    else:
+        g_w, g_v = (2.0 * x * math.exp((x * x - w * w) / 2.0 + log_ndtr(-x)) for x in (w, v))
+        c_val = (g_w - g_v) / (w - v)
     survival = tuple(p * c_val for p in powers)
     return weights, survival
 
@@ -117,7 +118,6 @@ class PipelineResult:
     outcomes: tuple[OutcomeStats, ...]
     n_paths: int
     n_survivors: int
-    expected_frequencies: tuple[float, ...]
 
 
 def measurement_pipeline(
@@ -137,23 +137,18 @@ def measurement_pipeline(
     medians of the post-measurement start X_0 carry percentile-bootstrap
     intervals; prepared_median_reference gives their large-tau law.
 
-    Preconditions: tau * min(delta) >= 20 and every arm's expected survivor
-    count (closed-form quadrature) at least MIN_EXPECTED_PER_ARM.
+    Any tau runs, as the factorization is exact. The one precondition is an
+    expected survivor count (exact C) of at least MIN_EXPECTED_PER_ARM per arm.
     """
     if n_paths < 1:
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")
-    if setup.tau * min(setup.deltas) < 20.0:
-        raise OutOfRange(
-            f"tau * min(delta) = {setup.tau * min(setup.deltas):.3g} < 20: horizon "
-            "too short for the conditioned regime at the smallest outcome"
-        )
-    weights, survival = outcome_weights(setup, prep_rate)
+    _, survival = outcome_weights(setup, prep_rate)
     k_arms = setup.K
     expected = [n_paths / k_arms * s for s in survival]
     too_few = [
         f"arm {k} (delta={setup.deltas[k]}): expected {e:.3g}"
         for k, e in enumerate(expected)
-        if e < MIN_EXPECTED_PER_ARM
+        if not e >= MIN_EXPECTED_PER_ARM  # a NaN count is refused too
     ]
     if too_few:
         raise TooFewSurvivors(
@@ -190,7 +185,7 @@ def measurement_pipeline(
             med = math.nan
             ci = (math.nan, math.nan)
         outcomes.append(OutcomeStats(setup.deltas[k], n_k, freq, freq_se, med, ci))
-    return PipelineResult(tuple(outcomes), n_paths, n_surv, weights)
+    return PipelineResult(tuple(outcomes), n_paths, n_surv)
 
 
 def prepared_median_reference(setup: MeasurementSetup) -> float:

@@ -129,11 +129,12 @@ class TestPeriod:
             assert pow(spec.a_eff, n // q, spec.p) != 1, q
 
 
-def _loaded_by_import(module):
-    """Whether `import born_branch` in a fresh interpreter loads module."""
+def _loaded_by_import(module, then=""):
+    """Whether `import born_branch`, followed by the statements `then`, loads
+    module in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(born_branch.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, born_branch; print({module!r} in sys.modules)"
+    code = f"import sys, born_branch\n{then}\nprint({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
@@ -147,9 +148,20 @@ def test_import_does_not_load_sympy():
 
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special"])
 def test_import_does_not_load_scipy_submodule(module):
-    """Quadrature and the special functions are imported where they are
-    used, so runs that never call them do not pay their import time."""
+    """The special functions are imported where they are used, so runs
+    that never call them do not pay their import time; the package never
+    imports scipy.integrate."""
     assert not _loaded_by_import(module)
+
+
+def test_measure_run_does_not_load_scipy_integrate():
+    """The measurement pipeline's survival constant is a closed form, so a
+    whole run leaves the quadrature module unloaded."""
+    run = (
+        "born_branch.measurement_pipeline(born_branch.MeasurementSetup("
+        "(0.3, 0.7), 0.05 ** 0.5, 1e-3, 70.0), 12_000, n_boot=20, workers=1)"
+    )
+    assert not _loaded_by_import("scipy.integrate", then=run)
 
 
 class TestDeltaStream:
@@ -203,6 +215,11 @@ class TestLcgTree:
     def test_exact_guard_on_depth(self):
         with pytest.raises(TooLarge):
             lcg_tree(BIG, Exogenous(1e-2, 0.5), 40)
+
+    def test_exact_guard_does_not_form_two_to_the_t(self):
+        """2^(10^9) has over 10^9 bits; the guard refuses without it."""
+        with pytest.raises(TooLarge):
+            lcg_tree(BIG, Exogenous(1e-2, 0.5), 10**9)
 
     def test_validation(self):
         with pytest.raises(OutOfRange):

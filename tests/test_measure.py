@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from born_branch import (
     MeasurementSetup,
@@ -16,11 +17,12 @@ from born_branch import (
     prepared_median_reference,
     rng_stream,
 )
-from born_branch.diffusion import survival_closed_form
+from born_branch import measure as measure_module
+from born_branch.diffusion import log_survival_closed_form, survival_closed_form
 from born_branch.rng import BLOCK_SIZE
 
-# tau * min(delta) = 21 >= 20 and survival ~ 0.018/0.043 per arm: a few
-# thousand paths already clear the 50-per-arm floor, keeping tests fast
+# survival delta_k * C = 0.018/0.043 per arm (C = erfc(sqrt(1.75)) = 0.061):
+# a few thousand paths already clear the 50-per-arm floor, keeping tests fast
 FAST = MeasurementSetup((0.3, 0.7), math.sqrt(0.05), 1e-3, 70.0)
 
 
@@ -48,15 +50,13 @@ class TestMeasurementSetup:
         assert setup.log_deltas == (0.0,)
 
     def test_scale_validation(self):
-        for kw in [
-            dict(sigma=0.0),
-            dict(epsilon=0.0),
-            dict(tau=0.0),
-        ]:
-            args = dict(deltas=(0.5, 0.5), sigma=1.0, epsilon=1e-3, tau=50.0)
-            args.update(kw)
-            with pytest.raises(OutOfRange):
-                MeasurementSetup(**args)
+        """Each scale must be finite and positive."""
+        for name in ("sigma", "epsilon", "tau"):
+            for value in (0.0, math.nan, math.inf):
+                args = dict(deltas=(0.5, 0.5), sigma=1.0, epsilon=1e-3, tau=50.0)
+                args[name] = value
+                with pytest.raises(OutOfRange, match=name):
+                    MeasurementSetup(**args)
 
     def test_critical_tuning(self):
         setup = MeasurementSetup((0.5, 0.5), 0.4, 1e-3, 50.0)
@@ -64,7 +64,8 @@ class TestMeasurementSetup:
 
 
 class TestOutcomeWeights:
-    """Exact conditioned frequencies delta_k^r and the survival quadrature."""
+    """Exact conditioned frequencies delta_k^r and the closed-form survival
+    constant C."""
 
     def test_default_rate_reproduces_weights(self):
         """At prep_rate = mu/sigma^2 = 1 the factorization gives
@@ -80,25 +81,53 @@ class TestOutcomeWeights:
         assert weights == pytest.approx((0.09 / 0.58, 0.49 / 0.58), rel=1e-12)
 
     def test_survival_proportional_to_weight_powers(self):
-        """survival_k / delta_k^r is the same quadrature constant for all
-        arms, and it is a probabilistic mass: strictly inside (0, 1)."""
+        """survival_k / delta_k^r is the same constant C for all arms, and
+        it is a probabilistic mass: strictly inside (0, 1)."""
         _, survival = outcome_weights(FAST)
         cs = [s / d for s, d in zip(survival, FAST.deltas)]
         assert cs[0] == pytest.approx(cs[1], rel=1e-12)
         assert 0.0 < cs[0] < 1.0
 
-    def test_quadrature_against_direct_mc(self):
-        """The quadrature constant integral r e^{-r u} q(u) du is also the
-        mean of q(U) for U ~ Exp(r); 50k exact closed-form draws agree
-        within 4 SEs."""
+    def test_survival_constant_against_direct_mc(self):
+        """The constant C = integral r e^{-r u} q(u) du is also the mean of
+        q(U) for U ~ Exp(r); 50k exact closed-form draws agree within 4
+        SEs."""
         _, survival = outcome_weights(FAST)
-        c_quad = survival[0] / FAST.deltas[0]
+        c_exact = survival[0] / FAST.deltas[0]
         u = rng_stream(99, 0).exponential(1.0, 50_000)
         qs = np.array(
             [survival_closed_form(FAST.mu, FAST.sigma, float(ui), FAST.tau) for ui in u]
         )
         se = qs.std(ddof=1) / math.sqrt(qs.size)
-        assert abs(qs.mean() - c_quad) <= 4.0 * se
+        assert abs(qs.mean() - c_exact) <= 4.0 * se
+
+    def test_rate_one_is_erfc(self):
+        """At r = 1, C = 2 Phi(-w) = erfc(sigma sqrt(tau/2)), here erfc(10)
+        = 2.1e-45, a depth at which an absolute quadrature tolerance
+        stops early."""
+        setup = MeasurementSetup((1.0,), 1.0, 1e-3, 200.0)
+        _, (c_val,) = outcome_weights(setup)
+        assert math.isclose(c_val, math.erfc(10.0), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("sigma2, tau", [(0.05, 70.0), (1.0, 200.0), (1.0, 1000.0)])
+    def test_closed_form_against_tight_quadrature(self, sigma2, tau, r):
+        """C against r * integral_0^inf e^{-r y} q_tau(y) dy by quadrature
+        with no absolute tolerance, split at the integrand's peak
+        (1 - r) sigma^2 tau, down to C ~ 1e-222 at tau = 1000."""
+        setup = MeasurementSetup((1.0,), math.sqrt(sigma2), 1e-3, tau)
+        _, (c_val,) = outcome_weights(setup, prep_rate=r)
+
+        def integrand(y):
+            return r * math.exp(-r * y + log_survival_closed_form(setup.mu, setup.sigma, y, tau))
+
+        peak = (1.0 - r) * setup.mu * tau
+        edges = [0.0, peak, math.inf] if peak > 0.0 else [0.0, math.inf]
+        ref = math.fsum(
+            quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            for lo, hi in zip(edges, edges[1:])
+        )
+        assert math.isclose(c_val, ref, rel_tol=1e-6)
 
     def test_single_outcome_is_certain(self):
         setup = MeasurementSetup((1.0,), math.sqrt(0.05), 1e-3, 70.0)
@@ -115,13 +144,12 @@ class TestPipeline:
 
     def test_frequencies_match_exact_weights(self, fast_result):
         weights, _ = outcome_weights(FAST)
-        assert fast_result.expected_frequencies == pytest.approx(weights)
         for o, w in zip(fast_result.outcomes, weights):
             assert abs(o.frequency - w) <= 4.0 * o.freq_se
 
     def test_survivor_fraction_matches_quadrature(self, fast_result):
         """Arms are picked uniformly, so the overall survival probability
-        is the mean of the per-arm quadrature survivals; the one-step
+        is the mean of the per-arm exact survivals; the one-step
         pipeline's survivor count must sit within 4 binomial SEs of it."""
         _, survival = outcome_weights(FAST)
         q = math.fsum(survival) / FAST.K
@@ -145,6 +173,14 @@ class TestPipeline:
         for o in (o0, o1):
             assert o.median_ci[0] <= o.median_x0 <= o.median_ci[1]
 
+    def test_short_horizon_runs(self):
+        """The factorization is exact at every tau, so a horizon with
+        tau * min(delta) = 4 still gives frequencies delta_k."""
+        setup = MeasurementSetup((0.2, 0.3, 0.5), math.sqrt(0.05), 1e-3, 20.0)
+        res = measurement_pipeline(setup, 20_000, seed=3, n_boot=20)
+        for o in res.outcomes:
+            assert abs(o.frequency - o.delta) <= 4.0 * o.freq_se
+
     def test_deterministic_and_worker_invariant(self, fast_result):
         again = measurement_pipeline(FAST, 12_000, seed=5, workers=3)
         assert again == fast_result
@@ -164,13 +200,8 @@ class TestPipeline:
 class TestPreconditions:
     """The pipeline refuses configurations it cannot resolve."""
 
-    def test_short_horizon_rejected(self):
-        setup = MeasurementSetup((0.2, 0.3, 0.5), 1.0, 1e-3, 50.0)
-        with pytest.raises(OutOfRange, match="tau"):
-            measurement_pipeline(setup, 10_000)
-
     def test_too_few_survivors_precheck_names_arms(self):
-        """The floor check uses the closed-form quadrature, so it fires
+        """The floor check uses the exact constant C, so it fires
         before any simulation: 300 paths at ~0.018 survival predict ~3
         survivors in the lighter arm."""
         with pytest.raises(TooFewSurvivors, match="delta=0.3"):
@@ -181,6 +212,15 @@ class TestPreconditions:
             measurement_pipeline(FAST, 0)
         with pytest.raises(OutOfRange):
             measurement_pipeline(FAST, 12_000, prep_rate=-1.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_refused_before_any_draw(self, rate, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("paths were drawn before prep_rate was checked")
+
+        monkeypatch.setattr(measure_module, "map_blocks", no_draws)
+        with pytest.raises(OutOfRange, match="prep_rate"):
+            measurement_pipeline(FAST, 12_000, prep_rate=rate)
 
 
 class TestPreparedMedianReference:

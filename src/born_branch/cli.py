@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,9 +45,7 @@ from .stats import (
     ks_distance,
     start_exponent,
 )
-from .tree import (
-    _check_brute_size, count_survivors_dp, enumerate_brute, log_bigint, scan_rows_from_series,
-)
+from .tree import count_survivors_dp, log_bigint, scan_rows_from_series
 from .walk import walk_survival
 
 
@@ -176,6 +175,17 @@ def _jsonable(value):
 # Each experiment's check bounds are constants next to it, so a config sets
 # what is computed, not how it is judged.
 
+
+@contextmanager
+def _targets_in_float_range(sigma: float):
+    """Refuse, as OutOfRange naming sigma, a closed-form target whose
+    exponent (it scales as 1/sigma^2) overflows a float."""
+    try:
+        yield
+    except OverflowError:
+        raise OutOfRange(f"sigma={sigma} puts a closed-form target beyond float range") from None
+
+
 # ---------------------------------------------------------------- tree
 
 #: Band that the fitted survival exponent must fall in (tree and lcg).
@@ -190,7 +200,6 @@ class TreeParams:
     t_max: int = 400
     phis: list = field(default_factory=lambda: [1.0, 2.0, 4.0, 8.0, 16.0])
     record_points: int = 40
-    oracle: bool = False
 
     def __post_init__(self) -> None:
         for key in ("t_max", "record_points"):
@@ -208,8 +217,6 @@ def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
     # t_max + 1 points already give every depth
     grid = sorted({int(t) for t in np.linspace(0, p.t_max, min(p.record_points, p.t_max) + 1)})
     phis = [float(v) for v in p.phis]
-    if p.oracle:
-        _check_brute_size(spec.K, p.t_max)
     series = count_survivors_dp(spec, sched, p.t_max, phis, record_ts=grid)
     pairs = [(phi, phis[0]) for phi in phis[1:]]
     scan = scan_rows_from_series(series, phis)
@@ -247,13 +254,6 @@ def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
             for g, n in zip(phis, series[-1].counts)
         },
     }
-    if p.oracle:
-        # brute force is K^t_max paths, so this is only for small horizons
-        agrees = True
-        for i, phi in enumerate(phis):
-            brute = {r.t: r.counts[0] for r in enumerate_brute(spec, sched, p.t_max, phi)}
-            agrees &= all(res.counts[i] == brute[res.t] for res in series)
-        estimates["dp_equals_bruteforce"] = checks["dp_equals_bruteforce"] = agrees
     targets = {
         "alpha": alpha,
         "alpha_feasible": feasible,
@@ -375,16 +375,21 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int) -> RunnerOutput:
     log_eps = math.log(p.epsilon)
     if len(p.x0s) > 1 and log_eps in p.x0s:
         raise BadStart(f"x0={log_eps} on the barrier: a survival ratio needs starts above it")
-    # beta raises DegenerateSpec for sigma = 0 here, before any path is drawn
+    # the targets are refused here, before any path is drawn: beta raises
+    # DegenerateSpec when sigma^2 is 0, and an exponent beyond float range
+    # raises OutOfRange
     beta = params.beta
-    tilt = [math.exp(beta * (p.x0s[i + 1] - p.x0s[i])) for i in range(len(p.x0s) - 1)]
+    d0 = p.x0s[0] - log_eps
+    with _targets_in_float_range(p.sigma):
+        tilt = [math.exp(beta * (p.x0s[i + 1] - p.x0s[i])) for i in range(len(p.x0s) - 1)]
+        asym = [
+            _asym_ratio(beta, p.sigma, p.x0s[i + 1] - log_eps, p.x0s[i] - log_eps, p.t)
+            for i in range(len(p.x0s) - 1)
+        ]
+        asym_first = [1.0] + [_asym_ratio(beta, p.sigma, x - log_eps, d0, p.t) for x in p.x0s[1:]]
     singles, ratios = walk_survival(
         params, p.x0s, barrier, p.t, p.n_paths, seed=seed, workers=workers
     )
-    asym = [
-        _asym_ratio(beta, p.sigma, p.x0s[i + 1] - log_eps, p.x0s[i] - log_eps, p.t)
-        for i in range(len(p.x0s) - 1)
-    ]
     checks = {
         f"ratio_x{i + 1}_over_x{i}_near_asymptotic": abs(r.ratio / a - 1.0) <= WALK_RATIO_REL_TOL
         for i, (r, a) in enumerate(zip(ratios, asym))
@@ -400,14 +405,10 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int) -> RunnerOutput:
         "beta": beta,
     }
     columns = ["t", "epsilon", "x0", "p_hat", "se", "asymptotic_ratio_vs_first"]
-    rows = []
-    for x0, est in zip(p.x0s, singles):
-        a = (
-            1.0
-            if x0 == p.x0s[0]
-            else _asym_ratio(beta, p.sigma, x0 - log_eps, p.x0s[0] - log_eps, p.t)
-        )
-        rows.append([p.t, p.epsilon, x0, est.p_hat, est.se, a])
+    rows = [
+        [p.t, p.epsilon, x0, est.p_hat, est.se, a]
+        for x0, est, a in zip(p.x0s, singles, asym_first)
+    ]
     plot = ("walk survival by start", "x0", "p_hat", ["p_hat"])
     return RunnerOutput(estimates, targets, checks, columns, rows, plot)
 
@@ -439,9 +440,10 @@ def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutp
     from .model import DiffusionParams
 
     params = DiffusionParams(p.mu, p.sigma)
-    ratios = diff.ratio_convergence_scan(params, p.x_a, p.x_b, p.epsilon, p.tau_grid)
-    target = math.exp(params.beta * (p.x_a - p.x_b))  # the bare tilt
-    q = diff.survival_closed_form(p.mu, p.sigma, p.mc_d, p.mc_tau)
+    with _targets_in_float_range(p.sigma):
+        ratios = diff.ratio_convergence_scan(params, p.x_a, p.x_b, p.epsilon, p.tau_grid)
+        target = math.exp(params.beta * (p.x_a - p.x_b))  # the bare tilt
+        q = diff.survival_closed_form(p.mu, p.sigma, p.mc_d, p.mc_tau)
 
     def block(i: int, rng: np.random.Generator, size: int) -> int:
         alive, _ = diff.batch_survive(p.mu, p.sigma, p.mc_d, p.mc_tau, p.mc_dt, rng, size)
@@ -471,9 +473,11 @@ def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutp
 
 # ---------------------------------------------------------------- endogenous
 
-#: Bounds on |slope - ansatz log alpha| and on the slope gap when phi0 is scaled.
+#: Bounds on |slope - ansatz log alpha| and on the slope gap when phi0 = 1 is
+#: scaled by SCALE_FACTOR.
 SLOPE_TOL = 0.03
 INVARIANCE_TOL = 0.005
+SCALE_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -484,23 +488,16 @@ class EndogenousParams:
     n_particles: int = 20_000
     tau: float = 60.0
     dt: float = 0.01
-    phi0: float = 1.0
-    scale_factor: float = 100.0
-
-    def __post_init__(self) -> None:
-        if self.scale_factor <= 0.0:
-            raise OutOfRange(f"scale_factor={self.scale_factor} must be positive")
 
 
 def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutput:
-    run1 = endogenous_population(
-        p.tilde_mu, p.sigma, p.varepsilon, p.n_particles, p.tau, p.dt, p.phi0, seed
+    run1, run2 = (
+        endogenous_population(
+            p.tilde_mu, p.sigma, p.varepsilon, p.n_particles, p.tau, p.dt, phi0, seed
+        )
+        for phi0 in (1.0, SCALE_FACTOR)
     )
-    run2 = endogenous_population(
-        p.tilde_mu, p.sigma, p.varepsilon, p.n_particles, p.tau, p.dt,
-        p.phi0 * p.scale_factor, seed,
-    )
-    ansatz = endogenous_alpha(p.tilde_mu, p.sigma, p.varepsilon, p.phi0)
+    ansatz = endogenous_alpha(p.tilde_mu, p.sigma, p.varepsilon)
     slope_gap = abs(run1.slope - run2.slope)
     checks = {
         "slope_in_ansatz_band": abs(run1.slope - ansatz.log_alpha) <= SLOPE_TOL,
@@ -577,22 +574,18 @@ def _run_measure(p: MeasureParams, seed: int, workers: int) -> RunnerOutput:
 
 # ---------------------------------------------------------------- demo_intro
 
-#: Bound on |outside probability / outside_target - 1|.
+#: The one worked example: Binomial(DEMO_N, DEMO_P) on [DEMO_LO, DEMO_HI]. Its
+#: outside probability must lie within OUTSIDE_REL_TOL of OUTSIDE_TARGET, and
+#: the log10 fraction of equal-weight sequences inside below COUNT_LOG10_BOUND.
+DEMO_N, DEMO_P, DEMO_LO, DEMO_HI = 1000, 0.2, 100, 300
+OUTSIDE_TARGET = 2.2e-14
 OUTSIDE_REL_TOL = 0.2
+COUNT_LOG10_BOUND = -37.0
 
 
 @dataclass(frozen=True)
 class DemoIntroParams:
-    n: int = 1000
-    p: float = 0.2
-    lo: int = 100
-    hi: int = 300
-    outside_target: float = 2.2e-14
-    count_log10_bound: float = -37.0
-
-    def __post_init__(self) -> None:
-        if self.outside_target <= 0.0:
-            raise ConfigError(f"outside_target={self.outside_target} must be positive")
+    """demo_intro takes no parameters: its targets hold for its one example."""
 
 
 def _run_demo_intro(p: DemoIntroParams, seed: int, workers: int) -> RunnerOutput:
@@ -602,12 +595,13 @@ def _run_demo_intro(p: DemoIntroParams, seed: int, workers: int) -> RunnerOutput
     fraction of the 2^n equal-weight outcome sequences landing there is
     astronomically small.
     """
-    log_in, log_out = binomial_interval_logprob(p.n, p.p, p.lo, p.hi)
+    n = DEMO_N
+    log_in, log_out = binomial_interval_logprob(n, DEMO_P, DEMO_LO, DEMO_HI)
     outside_prob = math.exp(log_out)
-    count_log10, frac = binomial_count_fraction(p.n, p.lo, p.hi)
+    count_log10, frac = binomial_count_fraction(n, DEMO_LO, DEMO_HI)
     checks = {
-        "outside_prob_matches": abs(outside_prob / p.outside_target - 1.0) <= OUTSIDE_REL_TOL,
-        "count_fraction_below_bound": count_log10 < p.count_log10_bound,
+        "outside_prob_matches": abs(outside_prob / OUTSIDE_TARGET - 1.0) <= OUTSIDE_REL_TOL,
+        "count_fraction_below_bound": count_log10 < COUNT_LOG10_BOUND,
     }
     estimates = {
         "outside_prob": outside_prob,
@@ -616,14 +610,12 @@ def _run_demo_intro(p: DemoIntroParams, seed: int, workers: int) -> RunnerOutput
         "count_numerator_digits": len(str(frac.numerator)),
     }
     targets = {
-        "outside_target": p.outside_target,
-        "count_log10_bound": p.count_log10_bound,
+        "outside_target": OUTSIDE_TARGET,
+        "count_log10_bound": COUNT_LOG10_BOUND,
     }
-    ks = np.arange(0, p.n + 1, dtype=float)
-    lp10 = binomial_logpmf(p.n, p.p, ks) / math.log(10.0)
-    lc10 = np.array(
-        [math.log10(math.comb(p.n, k)) - p.n * math.log10(2.0) for k in range(p.n + 1)]
-    )
+    ks = np.arange(0, n + 1, dtype=float)
+    lp10 = binomial_logpmf(n, DEMO_P, ks) / math.log(10.0)
+    lc10 = np.array([math.log10(math.comb(n, k)) - n * math.log10(2.0) for k in range(n + 1)])
     columns = ["k", "log10_pmf", "log10_count_fraction"]
     rows = [[int(k), float(a), float(b)] for k, a, b in zip(ks, lp10, lc10)]
     plot = ("weighted mass vs path count", "k", "log10", ["log10_pmf", "log10_count_fraction"])
@@ -701,14 +693,10 @@ def _write_svg(path: Path, title: str, xlabel: str, ylabel: str,
     path.write_text("\n".join(parts))
 
 
-#: Seeds of the reference runs that do not use seed 0.
-REFERENCE_SEEDS = {"measure": 11}
-
-
 def reference_config(experiment: str) -> ExperimentConfig:
     """Reference configuration for an experiment family: the parameter
-    defaults above, at the family's reference seed."""
-    return ExperimentConfig(experiment, seed=REFERENCE_SEEDS.get(experiment, 0))
+    defaults above, at seed 0."""
+    return ExperimentConfig(experiment)
 
 
 def run(
@@ -767,10 +755,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--out", help="output directory (default: out/<experiment>)")
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            raw = json.loads(Path(args.config).read_text())
-        else:
-            raw = {"seed": REFERENCE_SEEDS.get(args.experiment, 0)}
+        raw = json.loads(Path(args.config).read_text()) if args.config else {}
         if isinstance(raw, dict):
             raw.setdefault("experiment", args.experiment)
             if args.seed is not None:

@@ -58,6 +58,8 @@ class MeasurementSetup:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise OutOfRange(f"{name}={value} must be finite and positive")
+        if self.sigma * self.sigma == 0.0:  # the drift mu = sigma^2 would be 0
+            raise OutOfRange(f"sigma={self.sigma} must have a square above 0")
         object.__setattr__(self, "deltas", spec.deltas)
         object.__setattr__(self, "log_deltas", spec.log_deltas)
 
@@ -83,9 +85,12 @@ def outcome_weights(
     r = prep_rate
     if not 0.0 < r < math.inf:
         raise OutOfRange(f"prep_rate={r} must be finite and positive")
-    powers = [d**r for d in setup.deltas]
-    total = math.fsum(powers)
-    weights = tuple(p / total for p in powers)
+    # scaled by max delta^r, so the sum is at least 1 even where every
+    # delta_k^r underflows
+    top = max(setup.deltas)
+    scaled = [(d / top) ** r for d in setup.deltas]
+    total = math.fsum(scaled)
+    weights = tuple(s / total for s in scaled)
     w = setup.sigma * math.sqrt(setup.tau)
     v = (r - 1.0) * w
     if v == w:  # r = 2: the limit, through the Mills ratio, which cancels less
@@ -95,7 +100,7 @@ def outcome_weights(
     else:
         g_w, g_v = (2.0 * x * math.exp((x * x - w * w) / 2.0 + log_ndtr(-x)) for x in (w, v))
         c_val = (g_w - g_v) / (w - v)
-    survival = tuple(p * c_val for p in powers)
+    survival = tuple(d**r * c_val for d in setup.deltas)
     return weights, survival
 
 

@@ -229,8 +229,11 @@ class WalkParams:
 
     @property
     def beta(self) -> float:
-        if self.sigma == 0.0:
-            raise DegenerateSpec("beta undefined for a deterministic walk (sigma = 0)")
+        if self.sigma * self.sigma == 0.0:  # sigma = 0, or a square that underflows
+            raise DegenerateSpec(
+                f"beta undefined: sigma={self.sigma} squares to 0, as for a "
+                "deterministic walk (sigma = 0)"
+            )
         return self.mu / (self.sigma * self.sigma)
 
 
@@ -242,8 +245,8 @@ class DiffusionParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
-            raise OutOfRange(f"sigma={self.sigma} must be positive")
+        if self.sigma <= 0.0 or self.sigma * self.sigma == 0.0:
+            raise OutOfRange(f"sigma={self.sigma} must be positive, with a square above 0")
 
     @property
     def beta(self) -> float:

@@ -1,6 +1,7 @@
 """Tests for the experiment runner: configs, outputs, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 import born_branch
 from born_branch import ConfigError, WalkParams
 from born_branch import cli as cli_module
+from born_branch import measure as measure_module
 from born_branch import walk as walk_module
 from born_branch.cli import (
     EXPERIMENTS,
@@ -23,7 +25,8 @@ from born_branch.cli import (
 )
 
 
-# (experiment, key, fixed value) of each check bound that is not a parameter
+# (experiment, key, fixed value) of each check bound, and of each scale or
+# example a check is tied to, none of which is a parameter
 FIXED_BOUNDS = [
     ("tree", "beta_band", [0.85, 1.15]),
     ("lcg", "mean_tol", 0.01),
@@ -32,15 +35,24 @@ FIXED_BOUNDS = [
     ("walk", "ratio_rel_tol", 0.05),
     ("endogenous", "slope_tol", 0.03),
     ("endogenous", "invariance_tol", 0.005),
+    ("endogenous", "scale_factor", 100.0),
     ("demo_intro", "outside_rel_tol", 0.2),
+    ("demo_intro", "n", 1000),
+    ("demo_intro", "p", 0.2),
+    ("demo_intro", "lo", 100),
+    ("demo_intro", "hi", 300),
+    ("demo_intro", "outside_target", 2.2e-14),
+    ("demo_intro", "count_log10_bound", -37.0),
 ]
 
 # The first costly step of each family that has one: the DP for tree, paths
-# for walk and diffusion, the walk for lcg, a whole population for endogenous.
+# for walk, diffusion and measure, the walk for lcg, a whole population for
+# endogenous.
 FIRST_WORK = {
     "tree": (cli_module, "count_survivors_dp"),
     "walk": (walk_module, "map_blocks"),
     "diffusion": (cli_module, "map_blocks"),
+    "measure": (measure_module, "map_blocks"),
     "lcg": (cli_module, "lcg_walk_survival"),
     "endogenous": (cli_module, "endogenous_population"),
 }
@@ -95,18 +107,18 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "experiment, digest",
         [
-            ("tree", "d1d5dcac24523727"),
+            ("tree", "a0d220bfb45c2b4a"),
             ("lcg", "e334867a05b83680"),
             ("walk", "09dcb7f798b71873"),
             ("diffusion", "238d4bcf07f8eb0c"),
-            ("endogenous", "f9c6a728e1c6a9bd"),
-            ("measure", "e849f25981fd70b4"),
-            ("demo_intro", "ab01750a2d48c283"),
+            ("endogenous", "b32437aecf8773c9"),
+            ("measure", "72e2c73b76461b30"),
+            ("demo_intro", "ccea4c7c18e45916"),
         ],
     )
     def test_reference_config_hash_is_pinned(self, experiment, digest):
-        """The reference configs are the parameter defaults at the family's
-        reference seed, so a silently changed default changes this hash."""
+        """The reference configs are the parameter defaults at seed 0, so a
+        silently changed default changes this hash."""
         assert config_hash(reference_config(experiment)) == digest
 
     @pytest.mark.parametrize(
@@ -115,9 +127,10 @@ class TestExperimentConfig:
         ids=[f"{experiment}-{key}" for experiment, key, _ in FIXED_BOUNDS],
     )
     def test_check_bound_is_not_a_parameter(self, experiment, key, value):
-        """Check bounds are fixed per experiment: a config that sets one,
-        even to its fixed value, is refused and the key is named."""
-        with pytest.raises(ConfigError, match=key):
+        """Check bounds, and what a check is tied to, are fixed per
+        experiment: a config that sets one, even to its fixed value, is
+        refused as an unknown key, and the key is named."""
+        with pytest.raises(ConfigError, match=re.escape(f"unknown parameter key(s) ['{key}']")):
             ExperimentConfig(experiment, {key: value})
 
     def test_output_is_not_a_config_key(self):
@@ -138,6 +151,14 @@ class TestExperimentConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         stated = re.search(r"exports (\d+) public names", readme)
         assert stated and int(stated.group(1)) == len(born_branch.__all__)
+
+    def test_readme_parameter_count_matches_schemas(self):
+        """README.md states how many settable parameters the experiment
+        families take, so a new knob is a visible change."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        stated = re.search(r"take (\d+) settable parameters", readme)
+        fields = sum(len(dataclasses.fields(schema)) for schema, _ in EXPERIMENTS.values())
+        assert stated and int(stated.group(1)) == fields
 
 
 class TestConfigHash:
@@ -169,9 +190,10 @@ class TestRunSmallConfigs:
     """One fast run per family, checking outputs and exit semantics."""
 
     def test_tree_infeasible_alpha_goes_extinct(self, tmp_path):
-        """alpha = 0.6 above max delta = 1/2 kills even the best path by
-        t = 45 from the largest start; the run passes its extinction check
-        and records the beta fit without judging it."""
+        """alpha = 0.6 above max delta = 1/2 kills even the best path from
+        the largest start at t = 41, so 45 is the first recorded depth with
+        no survivors; the run passes its extinction check and records the
+        beta fit without judging it."""
         cfg = ExperimentConfig(
             "tree", {"t_max": 60, "alpha": 0.6, "epsilon": 0.01, "record_points": 12}
         )
@@ -199,15 +221,6 @@ class TestRunSmallConfigs:
         _, _, rows = read_outputs(tmp_path)
         assert [int(row[0]) for row in rows] == list(range(21))
         assert peak < 10 * 2**20
-
-    def test_tree_oracle_records_brute_force_agreement(self, tmp_path):
-        cfg = ExperimentConfig(
-            "tree", {"t_max": 12, "oracle": True, "record_points": 12}
-        )
-        run(cfg, out_dir=tmp_path)
-        results, _, _ = read_outputs(tmp_path)
-        assert results["estimates"]["dp_equals_bruteforce"] is True
-        assert results["checks"]["dp_equals_bruteforce"] == "pass"
 
     def test_lcg_small_run_fails_exponent_check(self, tmp_path):
         """The log-ratio variance of the congruential stream is 1, and its
@@ -324,8 +337,6 @@ class TestDeterminism:
         )
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         run(cfg, out_dir=a_dir)
-        import dataclasses
-
         run(dataclasses.replace(cfg, workers=4), out_dir=b_dir)
         a = json.loads((a_dir / "results.json").read_text())
         b = json.loads((b_dir / "results.json").read_text())
@@ -444,7 +455,7 @@ class TestMain:
             ("demo_intro", {"seed": "abc"}, "seed"),
             ("demo_intro", {"workers": "two"}, "workers"),
             ("demo_intro", {"workers": 0}, "workers"),
-            ("demo_intro", {"parameters": {"n": "1000"}}, "n"),
+            ("walk", {"parameters": {"n_paths": "1000"}}, "n_paths"),
             ("tree", {"parameters": {"t_max": 20.5}}, "t_max"),
             ("tree", {"parameters": {"t_max": 20, "record_points": -1}}, "record_points"),
             ("tree", {"experiment": ["tree"]}, "experiment"),
@@ -460,24 +471,28 @@ class TestMain:
             ("measure", {"parameters": {"tau": 10**400}}, "tau"),
             ("walk", {"parameters": {"noise_sd": -0.5}}, "noise_sd"),
             ("walk", {"parameters": {"epsilon": 1.0, "x0s": [0.0, 1.0]}}, "x0=0.0"),
-            ("endogenous", {"parameters": {"scale_factor": 0.0}}, "scale_factor"),
             ("lcg", {"parameters": {"p": (1 << 63) + 1}}, "modulus p"),
             ("diffusion", {"parameters": {"tau_grid": [], "mc_n_paths": 2000}}, "tau_grid"),
             ("walk", {"parameters": {"t": 0, "n_paths": 2000}}, "t"),
-            ("demo_intro", {"parameters": {"outside_target": 0}}, "outside_target"),
             ("lcg", {"parameters": {"n_transitions": 0}}, "n_transitions"),
             ("tree", {"parameters": {"phis": [1.0, 2.0, -1.0]}}, "phis"),
-            ("tree", {"parameters": {"oracle": True}}, "MAX_BRUTE_PATHS"),
+            ("walk", {"parameters": {"sigma": 1e-9}}, "sigma"),
+            ("diffusion", {"parameters": {"sigma": 1e-9}}, "sigma"),
+            ("walk", {"parameters": {"sigma": 1e-200}}, "sigma"),
+            ("measure", {"parameters": {"sigma": 1e-200}}, "sigma"),
+            ("measure", {"parameters": {"prep_rate": 1100}}, "survivors"),
         ],
         ids=["seed-str", "workers-str", "workers-zero", "int-param-str",
              "int-param-float", "record-points-negative", "experiment-list",
              "parameters-str", "t-max-negative", "deltas-off-simplex",
              "mc-paths-zero", "mc-paths-negative", "tau-nan", "epsilon-nan",
              "epsilon-infinity", "list-entry-nan", "int-beyond-float-range",
-             "noise-sd-negative", "start-on-barrier", "scale-factor-zero",
+             "noise-sd-negative", "start-on-barrier",
              "modulus-beyond-62-bits", "tau-grid-empty", "walk-t-zero",
-             "outside-target-zero", "n-transitions-zero", "tree-late-bad-start",
-             "oracle-beyond-brute-force"],
+             "n-transitions-zero", "tree-late-bad-start",
+             "walk-tilt-beyond-float-range", "diffusion-tilt-beyond-float-range",
+             "walk-sigma-squared-underflows", "measure-sigma-squared-underflows",
+             "measure-weights-underflow"],
     )
     def test_bad_config_value_maps_to_exit_one(
         self, experiment, config, key, tmp_path, capsys, monkeypatch

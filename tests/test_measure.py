@@ -57,6 +57,9 @@ class TestMeasurementSetup:
                 args[name] = value
                 with pytest.raises(OutOfRange, match=name):
                     MeasurementSetup(**args)
+        # the critical drift mu = sigma^2 must be positive too
+        with pytest.raises(OutOfRange, match="sigma=1e-200"):
+            MeasurementSetup((0.5, 0.5), 1e-200, 1e-3, 50.0)
 
     def test_critical_tuning(self):
         setup = MeasurementSetup((0.5, 0.5), 0.4, 1e-3, 50.0)
@@ -137,6 +140,12 @@ class TestOutcomeWeights:
     def test_rate_validation(self):
         with pytest.raises(OutOfRange):
             outcome_weights(FAST, prep_rate=0.0)
+
+    def test_weights_finite_where_every_power_underflows(self):
+        """0.5^1100 underflows to 0 in every arm; the weights are still
+        exact, and the survival underflows to 0."""
+        setup = MeasurementSetup((0.5, 0.5), 1.0, 1e-3, 70.0)
+        assert outcome_weights(setup, 1100.0) == ((0.5, 0.5), (0.0, 0.0))
 
 
 class TestPipeline:

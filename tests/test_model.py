@@ -271,6 +271,9 @@ class TestWalkParams:
         assert WalkParams(0.5, 0.5).beta == pytest.approx(2.0, rel=1e-14)
         with pytest.raises(DegenerateSpec):
             _ = WalkParams(0.5, 0.0).beta
+        # positive, but its square underflows to 0
+        with pytest.raises(DegenerateSpec, match="sigma=1e-200"):
+            _ = WalkParams(0.5, 1e-200).beta
 
 
 class TestDiffusionParams:
@@ -284,3 +287,7 @@ class TestDiffusionParams:
     def test_validation(self):
         with pytest.raises(OutOfRange):
             DiffusionParams(1.0, 0.0)
+        with pytest.raises(OutOfRange):
+            DiffusionParams(1.0, -1.0)
+        with pytest.raises(OutOfRange, match="sigma=1e-200"):
+            DiffusionParams(1.0, 1e-200)  # its square underflows to 0

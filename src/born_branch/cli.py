@@ -224,20 +224,10 @@ def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
         (r.t for r in series if all(c == 0 for c in r.counts)), None
     )
     final = scan[-1]
-    columns = (
-        ["t", "log10_total_paths"]
-        + [f"n_phi_{g:g}" for g in phis]
-        + [f"ratio_{a:g}_over_{b:g}" for a, b in pairs]
-        + ["beta_hat"]
-    )
-    rows = []
-    for res, row in zip(series, scan):
-        rows.append(
-            [res.t, res.t * math.log(spec.K) / math.log(10.0)]
-            + list(res.counts)
-            + list(row.ratios)
-            + [row.beta_hat]
-        )
+    # only what the run counted or fitted: a count ratio is a function of
+    # two count columns of its row, and the path total one of t
+    columns = ["t"] + [f"n_phi_{g:g}" for g in phis] + ["beta_hat"]
+    rows = [[res.t, *res.counts, row.beta_hat] for res, row in zip(series, scan)]
     if feasible:
         checks = {
             "beta_hat_in_band": BETA_BAND[0] <= final.beta_hat <= BETA_BAND[1],
@@ -434,6 +424,7 @@ class DiffusionExpParams:
             raise OutOfRange(f"mc_n_paths={self.mc_n_paths} must be >= 1")
         if not self.tau_grid:
             raise ConfigError("tau_grid is empty: the ratio scan needs at least one horizon")
+        diff._resolve_steps(self.mc_tau, self.mc_dt, "mc_dt")
 
 
 def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutput:
@@ -488,6 +479,9 @@ class EndogenousParams:
     n_particles: int = 20_000
     tau: float = 60.0
     dt: float = 0.01
+
+    def __post_init__(self) -> None:
+        diff._resolve_steps(self.tau, self.dt)
 
 
 def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutput:

@@ -34,11 +34,16 @@ from .errors import (
     DomainError,
     OutOfRange,
     TooFewSurvivors,
+    TooLarge,
 )
 from .model import DiffusionParams
 from .rng import map_blocks
 
 _SQRT2 = math.sqrt(2.0)
+
+#: Most time steps one path may take: the bridge kernel and the population
+#: refuse a finer dt before they allocate or draw.
+MAX_STEPS = 10**7
 
 
 def _check_domain(mu: float, sigma: float, d: float, tau: float) -> None:
@@ -82,12 +87,22 @@ def survival_closed_form(mu: float, sigma: float, d: float, tau: float) -> float
     return math.exp(log_survival_closed_form(mu, sigma, d, tau))
 
 
-def _resolve_steps(tau: float, dt: float) -> tuple[int, float]:
+def _resolve_steps(tau: float, dt: float, key: str = "dt") -> tuple[int, float]:
+    """Step count round(tau / dt), at least 1, and the step that fits tau.
+
+    A count above MAX_STEPS is refused as TooLarge naming key (the caller's
+    name for dt), before the caller allocates or draws anything.
+    """
     if tau <= 0.0:
         raise OutOfRange(f"tau={tau} must be positive")
     if dt <= 0.0:
-        raise BadStep(f"dt={dt} must be positive")
-    n_steps = max(1, int(round(tau / dt)))
+        raise BadStep(f"{key}={dt} must be positive")
+    steps = tau / dt
+    if steps > MAX_STEPS:
+        raise TooLarge(
+            f"{key}={dt} makes tau/{key} = {steps:.3g} steps, above MAX_STEPS={MAX_STEPS}"
+        )
+    n_steps = max(1, int(round(steps)))
     return n_steps, tau / n_steps
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffusion import _resolve_steps
 from .errors import Extinction, OutOfRange
 from .rng import rng_stream
 from .stats import FitResult, _logsumexp, fit_power_law
@@ -60,8 +61,9 @@ def endogenous_population(
     Update order per step: diffuse all particles, recompute the threshold
     from the diffused population, absorb (strictly below dies, equality
     survives), then clone survivors onto the absorbed slots. Raises
-    Extinction if a step leaves no survivors. The growth fit discards the
-    first BURN_IN fraction of the trajectory.
+    Extinction if a step leaves no survivors, and TooLarge before any
+    allocation if tau / dt exceeds diffusion.MAX_STEPS. The growth fit
+    discards the first BURN_IN fraction of the trajectory.
     """
     if sigma <= 0.0:
         raise OutOfRange(f"sigma={sigma} must be positive")
@@ -73,9 +75,8 @@ def endogenous_population(
         raise OutOfRange(f"need 0 < dt <= tau, got dt={dt}, tau={tau}")
     if phi0 <= 0.0:
         raise OutOfRange(f"phi0={phi0} must be positive")
+    n_steps, dt_eff = _resolve_steps(tau, dt)
     rng = rng_stream(seed, 0)
-    n_steps = max(1, int(round(tau / dt)))
-    dt_eff = tau / n_steps
     sdt = sigma * math.sqrt(dt_eff)
     log_phi0 = math.log(phi0)
     log_eps_tilde = math.log(varepsilon)

@@ -225,23 +225,19 @@ def _dict_dp(
 
 
 def _packed_find_jmin(
-    lphi0: float, i: int, jmax: int, lds: tuple[float, float, float], lxi: float, s: int
+    lphi0: float, i: int, j: int, jmax: int, lds: tuple[float, float, float], lxi: float, s: int
 ) -> int:
-    """Smallest surviving j for row i at depth s (fields j in 0..jmax).
+    """Smallest surviving j for row i at depth s (fields 0..jmax; jmax + 1
+    when none survives), by an exact scan from the start field j.
 
     Survival is monotone nondecreasing in j because lds is sorted
-    descending; a float estimate of the boundary is corrected by scanning
-    with the exact decision function.
+    descending, so the scan steps up past dead fields, then down past
+    live ones, deciding each with _decide.
     """
-    la, lb, lc = lds
 
     def dec(j: int) -> bool:
         return _decide(lphi0, (i, j, s - i - j), lds, lxi)
 
-    if lb == lc:
-        return 0 if dec(0) else jmax + 1
-    est = (lxi - ((lphi0 + i * la) + (s - i) * lc)) / (lb - lc)
-    j = min(jmax + 1, max(0, math.ceil(est) - 2))
     while j <= jmax and not dec(j):
         j += 1
     while j > 0 and dec(j - 1):
@@ -270,8 +266,12 @@ def _packed_dp3(
     of the middle ratio. The whole transition
         count'(i, j) = count(i, j) + count(i, j-1) + count(i-1, j)
     is three big-integer adds per row, and truncation is one mask per row
-    because survival is monotone in both i and j.
+    because survival is monotone in both i and j. A row's first live field
+    is settled by two float sums beside the boundary estimate; only a
+    boundary inside the guard band, or off the estimate, takes the exact
+    scan of _packed_find_jmin.
     """
+    la, lb, lc = lds
     # field width: 3^t bounds any count and the 3-way add needs 2 spare bits
     width = int(t_max * math.log2(3.0)) + 3
     rows: list[int] = [1]
@@ -285,7 +285,26 @@ def _packed_dp3(
             row = rows[i] + (rows[i] << width) + (rows[i - 1] if i > 0 else 0)
             if row:
                 jmax = s - i
-                jmin = _packed_find_jmin(lphi0, i, jmax, lds, lxi, s)
+                if lb == lc:
+                    # survival does not depend on j: field 0 decides the row
+                    jmin = 0 if _decide(lphi0, (i, 0, jmax), lds, lxi) else jmax + 1
+                else:
+                    # Field j holds the composition (i, j, jmax - j). The first
+                    # field j at or above the float boundary is the row's first
+                    # live one when it survives and field j - 1 dies, both
+                    # outside the guard band, on the sums _decide forms.
+                    base = lphi0 + i * la
+                    j = math.ceil((lxi - (base + jmax * lc)) / (lb - lc))
+                    if j < 0:
+                        j = 0
+                    elif j > jmax:
+                        j = jmax + 1
+                    if (j > jmax or (base + j * lb) + (jmax - j) * lc - lxi > GUARD_BAND) and (
+                        j == 0 or (base + (j - 1) * lb) + (jmax - j + 1) * lc - lxi < -GUARD_BAND
+                    ):
+                        jmin = j
+                    else:
+                        jmin = _packed_find_jmin(lphi0, i, j, jmax, lds, lxi, s)
                 if jmin > jmax:
                     row = 0
                 elif jmin > 0:

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -202,11 +203,21 @@ class TestRunSmallConfigs:
         assert results["checks"]["infeasible_goes_extinct"] == "pass"
         assert "beta_hat_in_band" not in results["checks"]
         assert results["estimates"]["extinction_t"] == 45
-        assert header[:2] == ["t", "log10_total_paths"]
+        assert header == ["t", "n_phi_1", "n_phi_2", "n_phi_4", "n_phi_8", "n_phi_16", "beta_hat"]
         assert len(rows) == 13
-        # K = 3 branches: t log10(3) for every recorded depth t
-        for row in rows:
-            assert float(row[1]) == pytest.approx(int(row[0]) * math.log10(3.0), rel=1e-14)
+
+    def test_tree_final_ratios_are_exact_count_fractions(self, tmp_path):
+        """The series keeps the counts and the fit; each final ratio is the
+        exact fraction of two counts in the last row, rounded once."""
+        cfg = ExperimentConfig("tree", {"t_max": 70, "record_points": 7, "phis": [1.0, 3.0, 8.0]})
+        run(cfg, out_dir=tmp_path)
+        results, header, rows = read_outputs(tmp_path)
+        assert header == ["t", "n_phi_1", "n_phi_3", "n_phi_8", "beta_hat"]
+        n0, n3, n8 = (int(v) for v in rows[-1][1:4])
+        assert rows[-1][0] == "70" and n0 > 0
+        assert results["estimates"]["ratios_final"] == {
+            "3/1": float(Fraction(n3, n0)), "8/1": float(Fraction(n8, n0)),
+        }
 
     def test_tree_record_points_beyond_t_max(self, tmp_path):
         """record_points far above t_max records every depth once, without
@@ -481,6 +492,8 @@ class TestMain:
             ("walk", {"parameters": {"sigma": 1e-200}}, "sigma"),
             ("measure", {"parameters": {"sigma": 1e-200}}, "sigma"),
             ("measure", {"parameters": {"prep_rate": 1100}}, "survivors"),
+            ("endogenous", {"parameters": {"dt": 1e-300, "n_particles": 200, "tau": 1.0}}, "dt"),
+            ("diffusion", {"parameters": {"mc_dt": 1e-300, "mc_n_paths": 100}}, "mc_dt"),
         ],
         ids=["seed-str", "workers-str", "workers-zero", "int-param-str",
              "int-param-float", "record-points-negative", "experiment-list",
@@ -492,7 +505,8 @@ class TestMain:
              "n-transitions-zero", "tree-late-bad-start",
              "walk-tilt-beyond-float-range", "diffusion-tilt-beyond-float-range",
              "walk-sigma-squared-underflows", "measure-sigma-squared-underflows",
-             "measure-weights-underflow"],
+             "measure-weights-underflow", "endogenous-steps-beyond-bound",
+             "diffusion-steps-beyond-bound"],
     )
     def test_bad_config_value_maps_to_exit_one(
         self, experiment, config, key, tmp_path, capsys, monkeypatch

@@ -15,6 +15,7 @@ from born_branch import (
     DomainError,
     OutOfRange,
     TooFewSurvivors,
+    TooLarge,
     batch_survive,
     conditional_mean_ratio,
     conditioned_sample,
@@ -158,6 +159,13 @@ class TestBatchSurvive:
     def test_bad_step(self):
         with pytest.raises(BadStep):
             batch_survive(1.0, 1.0, 1.0, 1.0, 0.0, rng_stream(0, 0), 4)
+
+    def test_step_count_bound(self):
+        """tau / dt above MAX_STEPS is refused before the first draw."""
+        rng = rng_stream(0, 0)
+        with pytest.raises(TooLarge, match=r"\bdt=1e-300\b.*MAX_STEPS"):
+            batch_survive(1.0, 1.0, 1.0, 1.0, 1e-300, rng, 4)
+        assert rng.random() == rng_stream(0, 0).random()
 
     @pytest.mark.parametrize("tau", [0.0, -1.0])
     def test_non_positive_horizon(self, tau):

@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 
 from born_branch import (
     OutOfRange,
+    TooLarge,
     endogenous_alpha,
     endogenous_population,
     fit_power_law,
@@ -75,6 +76,12 @@ class TestValidation:
     def test_out_of_range(self, kw):
         with pytest.raises(OutOfRange):
             small_run(**kw)
+
+    def test_step_count_bound(self):
+        """tau / dt above MAX_STEPS is refused before the trajectory
+        arrays are allocated."""
+        with pytest.raises(TooLarge, match=r"\bdt=1e-300\b.*MAX_STEPS"):
+            small_run(dt=1e-300)
 
 
 class TestRecordingSchema:

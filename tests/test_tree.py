@@ -1,11 +1,12 @@
 """Tests for the exact K-ary truncation tree: brute force, dict DP, packed DP."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from born_branch import (
@@ -15,6 +16,7 @@ from born_branch import (
     RandomBarrier,
     StateExplosion,
     TooLarge,
+    alpha_for_unit_beta,
     brute_leaf_log_amplitudes,
     count_survivors_dp,
     enumerate_brute,
@@ -173,6 +175,109 @@ class TestPackedBackend:
         at_cutoff = count_survivors_dp(spec, sched, 64, [1.0])  # dict backend
         above = count_survivors_dp(spec, sched, 70, [1.0], record_ts=range(65))
         assert [r.counts for r in at_cutoff] == [r.counts for r in above]
+
+
+    def test_threshold_on_first_live_field_defers_to_decide(self, monkeypatch):
+        """Dyadic log ratios and threshold make every float sum exact, and
+        at each depth s = 4m the threshold -1.25 s equals the value
+        -2s + 1.5i + j of field j = 0.75s - 1.5i in every even row i <= s/2:
+        the row's first live field, since equality survives. Its margin is
+        0, inside the guard band, so the float sums cannot settle the row
+        and _decide must; the counts are the dict DP's, and a threshold one
+        ulp higher drops the tied fields."""
+        lds = (-0.5, -1.0, -2.0)
+        sched = Exogenous(1.0, math.exp(-1.25))
+        assert sched.log_xi(8) == -10.0
+        calls = []
+        real = tree_module._decide
+        monkeypatch.setattr(
+            tree_module, "_decide", lambda *a: calls.append(a[1]) or real(*a)
+        )
+        t_max = 80
+        packed = _packed_dp3(0.0, lds, sched, t_max, range(t_max + 1))
+        assert any(c == (0, 6, 2) for c in calls)  # s = 8, row 0, tied field 6
+        assert packed == _dict_dp(0.0, lds, sched, t_max, range(t_max + 1))
+        higher = Exogenous(1.0, math.nextafter(math.exp(-1.25), 1.0))
+        assert _packed_dp3(0.0, lds, higher, t_max, [8])[8] < packed[8]
+
+    def test_row_boundaries_rarely_fall_back_to_decide(self, monkeypatch):
+        """The float sums settle all but a few row boundaries: fewer than 1%
+        of the rows truncated over five unit-tilt starts to t = 100 call
+        _decide (a scan from a float estimate made about 2.25 calls per
+        row). A row is truncated at depth s when some surviving depth s - 1
+        composition has a child in it."""
+        spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
+        sched = Exogenous(1e-6, alpha_for_unit_beta(spec).alpha)
+        lds = _sorted_log_deltas(spec)
+        t_max, lphis = 100, [math.log(2.0**k) for k in range(5)]
+        rows = 0
+        for lphi0 in lphis:
+            live = {(0, 0)}  # (i, j) of the surviving compositions
+            for s in range(1, t_max + 1):
+                lxi = sched.log_xi(s)
+                children = {(i + di, j + dj) for i, j in live for di, dj in ((1, 0), (0, 1), (0, 0))}
+                rows += len({i for i, _ in children})
+                live = {(i, j) for i, j in children if _decide(lphi0, (i, j, s - i - j), lds, lxi)}
+        calls = []
+        real = tree_module._decide
+        monkeypatch.setattr(
+            tree_module, "_decide", lambda *a: calls.append(a[1]) or real(*a)
+        )
+        for lphi0 in lphis:
+            _packed_dp3(lphi0, lds, sched, t_max, [t_max])
+        assert rows > 10_000
+        assert len(calls) < 0.01 * rows
+
+
+@dataclass(frozen=True)
+class TiedThreshold:
+    """A threshold within the guard band of one composition per depth: at
+    depth s, offset above the float sum _decide forms for (i, j, s - i - j),
+    i = round(fi s) and j = round(fj (s - i)). That field is the first live
+    one of row i, or the last dead one, by a margin inside the band."""
+
+    lphi0: float
+    lds: tuple[float, float, float]
+    fi: float
+    fj: float
+    offset: float
+
+    def log_xi(self, s: int) -> float:
+        i = round(self.fi * s)
+        j = round(self.fj * (s - i))
+        la, lb, lc = self.lds
+        return ((self.lphi0 + i * la) + j * lb) + (s - i - j) * lc + self.offset
+
+
+@st.composite
+def packed_cases(draw):
+    """A random K = 3 spec (equal middle and smallest ratios included),
+    start and depth past the packed cutoff, and either a schedule with
+    epsilon and an alpha below the largest ratio or a TiedThreshold."""
+    spec = BranchingSpec.renormalized(
+        draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
+    )
+    lds = _sorted_log_deltas(spec)
+    lphi0 = math.log(draw(st.floats(0.3, 20.0)))
+    if draw(st.booleans()):
+        alpha = max(spec.deltas) * draw(st.floats(0.3, 0.999))
+        sched = Exogenous(math.exp(draw(st.floats(-14.0, -1.0))), alpha)
+    else:
+        offset = draw(st.sampled_from([0.0]) | st.floats(-GUARD_BAND, GUARD_BAND))
+        sched = TiedThreshold(lphi0, lds, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)), offset)
+    return lds, sched, lphi0, draw(st.integers(65, 120))
+
+
+class TestPackedProperties:
+    """Property test of the packed backend's row boundaries."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(packed_cases())
+    @example((_sorted_log_deltas(BranchingSpec((0.5, 0.25, 0.25))), Exogenous(1e-4, 0.45), 0.0, 70))
+    def test_packed_equals_dict_dp(self, case):
+        lds, sched, lphi0, t = case
+        record = range(t + 1)
+        assert _packed_dp3(lphi0, lds, sched, t, record) == _dict_dp(lphi0, lds, sched, t, record)
 
 
 class TestSeriesShape:

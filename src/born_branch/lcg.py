@@ -27,7 +27,7 @@ import numpy as np
 from .errors import OutOfRange, TooLarge
 from .model import Exogenous
 from .rng import rng_stream
-from .tree import _check_exogenous
+from .tree import _check_exogenous, _log_phi0
 from .walk import SurvivalEstimate, _start_estimates
 
 M61 = (1 << 61) - 1
@@ -133,13 +133,11 @@ def lcg_tree(
     Exogenous raises TypeError.
     """
     sched = _check_exogenous(sched)
-    if phi0 <= 0.0:
-        raise OutOfRange(f"phi0={phi0} must be positive")
+    lphi0 = _log_phi0(phi0)
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
     if 2 ** min(t, 64) > MAX_TREE_PATHS:  # 2^t itself has t bits
         raise TooLarge(f"2^{t} paths exceed MAX_TREE_PATHS={MAX_TREE_PATHS}")
-    lphi0 = math.log(phi0)
     states = np.array([spec.c0], dtype=np.uint64)
     amps = np.zeros(1)
     for s in range(1, t + 1):
@@ -196,13 +194,11 @@ def lcg_walk_survival(
     sched = _check_exogenous(sched)
     if not phi0s:
         raise OutOfRange("need at least one phi0")
-    if any(p <= 0.0 for p in phi0s):
-        raise OutOfRange("phi0 values must be positive")
+    lphis = [_log_phi0(p) for p in phi0s]
     if n_paths < 1:
         raise OutOfRange("n_paths must be >= 1")
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
-    lphis = [math.log(p) for p in phi0s]
     return _start_estimates(
         partial(_lcg_block_worst, spec, sched, t), lphis, n_paths, seed, workers
     )

@@ -128,6 +128,13 @@ def endogenous_alpha(
     return EndogenousAlpha(log_alpha, phi0 * varepsilon / (1.0 - varepsilon))
 
 
+def _positive_finite(name: str, value: float) -> float:
+    """value itself if 0 < value < inf; OutOfRange otherwise, NaN included."""
+    if not 0.0 < value < math.inf:
+        raise OutOfRange(f"{name}={value} must be positive and finite")
+    return value
+
+
 @dataclass(frozen=True)
 class Exogenous:
     """Deterministic threshold xi_t = epsilon * alpha^t."""
@@ -136,8 +143,7 @@ class Exogenous:
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise OutOfRange(f"epsilon={self.epsilon} must be positive")
+        _positive_finite("epsilon", self.epsilon)
         if not (0.0 < self.alpha < 1.0):
             raise OutOfRange(f"alpha={self.alpha} outside (0, 1)")
 
@@ -155,10 +161,9 @@ class RandomBarrier:
     noise_sd: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise OutOfRange(f"epsilon={self.epsilon} must be positive")
-        if self.noise_sd < 0.0:
-            raise OutOfRange(f"noise_sd={self.noise_sd} must be >= 0")
+        _positive_finite("epsilon", self.epsilon)
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise OutOfRange(f"noise_sd={self.noise_sd} must be finite and >= 0")
 
 
 ThresholdSchedule = Union[Exogenous, RandomBarrier]

@@ -2,17 +2,16 @@
 
 A tree starts at squared amplitude phi0. Each period t >= 1 every surviving
 branch splits into K children with ratios delta_k, and a child whose
-amplitude exp's below the period threshold xi_t is removed; a child exactly
+amplitude falls below the period threshold xi_t is removed; a child exactly
 at the threshold survives. phi0 itself is never truncated. Because paths
 are exchangeable within branch-count compositions, survivor counts N_t are
-computed exactly by brute-force enumeration (the oracle) or by dynamic
-programming over compositions, with a packed big-integer backend for the
-long-horizon K = 3 runs.
+computed exactly by brute-force enumeration (the oracle) or by one packed
+big-integer dynamic program over compositions, for every K.
 
-Every backend routes amplitude comparisons through one decision function:
-a float comparison in log space with a 1e-9 guard band, falling back to
-exact rational arithmetic on the float inputs inside the band. Decisions
-are therefore bit-identical across backends.
+Both route amplitude comparisons through one decision function: a float
+comparison in log space with a 1e-9 guard band, falling back to exact
+rational arithmetic on the float inputs inside the band. Decisions are
+therefore bit-identical across the two.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import OutOfRange, StateExplosion, TooLarge
-from .model import BranchingSpec, Exogenous
+from .model import BranchingSpec, Exogenous, _positive_finite
 from .stats import start_exponent
 
 #: Half-width of the float decision band around log phi == log xi.
@@ -36,9 +35,6 @@ MAX_BRUTE_PATHS = 10**8
 
 #: The DP refuses horizons with more compositions than this, C(t + K - 1, K - 1).
 MAX_DP_STATES = 2_000_000
-
-#: Switch from the composition-dict DP to the packed big-integer DP (K=3).
-_PACKED_MIN_T = 64
 
 
 @dataclass(frozen=True)
@@ -106,15 +102,7 @@ def _check_exogenous(sched) -> Exogenous:
 
 
 def _log_phi0(phi0: float) -> float:
-    if phi0 <= 0.0:
-        raise OutOfRange(f"phi0={phi0} must be positive")
-    return math.log(phi0)
-
-
-def _zero_tail(record: Sequence[int], start: int, out: dict[int, int]) -> None:
-    for t in record:
-        if t >= start:
-            out[t] = 0
+    return math.log(_positive_finite("phi0", phi0))
 
 
 def _check_brute_size(k: int, t: int) -> None:
@@ -189,54 +177,51 @@ def brute_leaf_log_amplitudes(
     return deque(_brute_levels(spec, sched, t, phi0), maxlen=1)[0]
 
 
-def _dict_dp(
-    lphi0: float,
-    lds: tuple[float, ...],
-    sched: Exogenous,
-    t_max: int,
-    record: Sequence[int],
-) -> dict[int, int]:
-    """Composition-keyed DP for generic K; exact big-integer counts."""
-    k = len(lds)
-    states: dict[tuple[int, ...], int] = {(0,) * k: 1}
-    out: dict[int, int] = {}
-    if 0 in record:
-        out[0] = 1
-    for s in range(1, t_max + 1):
-        lxi = sched.log_xi(s)
-        new: dict[tuple[int, ...], int] = {}
-        decisions: dict[tuple[int, ...], bool] = {}
-        for comp, cnt in states.items():
-            for branch in range(k):
-                child = comp[:branch] + (comp[branch] + 1,) + comp[branch + 1 :]
-                dec = decisions.get(child)
-                if dec is None:
-                    dec = _decide(lphi0, child, lds, lxi)
-                    decisions[child] = dec
-                if dec:
-                    new[child] = new.get(child, 0) + cnt
-        states = new
-        if s in record:
-            out[s] = sum(states.values())
-        if not states:
-            _zero_tail(record, s, out)
-            break
-    return out
+def _row_layout(k: int, t_max: int) -> tuple[list, list, list, list, list]:
+    """Rows of the packed DP, built once per call and shared by every start.
+
+    Row keys are the counts c of the K - 2 largest ratios, |c| <= t_max,
+    ordered by |c|, each level found as the rows c + e_m of the one below
+    (K <= 2 has the single row ()). Returns (keys, sizes, first, extra,
+    ends): sizes[r] is |c|; first[r] is one predecessor row c - e_m, or
+    len(keys), a row that stays 0; extra[r] holds the others (K >= 4);
+    ends[s] is the number of rows with |c| <= s.
+    """
+    m = max(k - 2, 0)
+    keys: list[tuple[int, ...]] = [(0,) * m]
+    index = {keys[0]: 0}
+    preds: list[list[int]] = [[]]
+    ends = [1]
+    for n in range(1, t_max + 1):
+        for r in range(ends[n - 2] if n > 1 else 0, ends[n - 1]):
+            c = keys[r]
+            for q in range(m):
+                child = c[:q] + (c[q] + 1,) + c[q + 1 :]
+                i = index.get(child)
+                if i is None:
+                    i = index[child] = len(keys)
+                    keys.append(child)
+                    preds.append([])
+                preds[i].append(r)
+        ends.append(len(keys))
+    first = [ps[0] if ps else len(keys) for ps in preds]
+    return keys, [sum(c) for c in keys], first, [tuple(ps[1:]) for ps in preds], ends
 
 
 def _packed_find_jmin(
-    lphi0: float, i: int, j: int, jmax: int, lds: tuple[float, float, float], lxi: float, s: int
+    lphi0: float, c: tuple[int, ...], j: int, jmax: int, lds: Sequence[float], lxi: float
 ) -> int:
-    """Smallest surviving j for row i at depth s (fields 0..jmax; jmax + 1
-    when none survives), by an exact scan from the start field j.
+    """Smallest surviving field of row c (fields 0..jmax; jmax + 1 when none
+    survives), by an exact scan from the start field j.
 
-    Survival is monotone nondecreasing in j because lds is sorted
-    descending, so the scan steps up past dead fields, then down past
-    live ones, deciding each with _decide.
+    Field j is the composition c + (j, jmax - j). Survival is monotone
+    nondecreasing in j because lds is sorted descending, so the scan steps
+    up past dead fields, then down past live ones, deciding each with
+    _decide.
     """
 
     def dec(j: int) -> bool:
-        return _decide(lphi0, (i, j, s - i - j), lds, lxi)
+        return _decide(lphi0, c + (j, jmax - j), lds, lxi)
 
     while j <= jmax and not dec(j):
         j += 1
@@ -248,72 +233,87 @@ def _packed_find_jmin(
 def _packed_digest(rows: list[int], width: int) -> int:
     """Total survivor count, the sum of every packed field of every row: a
     row is the sum of its fields mod 2^width - 1 (as 2^width = 1 there),
-    and the total, at most 3^t, is below 2^width - 1."""
+    and the total, at most K^t, is below 2^width - 1."""
     return sum(rows) % ((1 << width) - 1)
 
 
-def _packed_dp3(
+def _packed_dp(
     lphi0: float,
-    lds: tuple[float, float, float],
+    lds: tuple[float, ...],
     sched: Exogenous,
     t_max: int,
     record: Sequence[int],
+    layout: tuple[list, list, list, list, list],
 ) -> dict[int, int]:
-    """Packed big-integer DP for K = 3.
+    """Packed big-integer DP over compositions, for any K >= 1.
 
-    Row i holds the counts for compositions with i copies of the largest
-    ratio; the j-th fixed-width field of the row is the count with j copies
-    of the middle ratio. The whole transition
-        count'(i, j) = count(i, j) + count(i, j-1) + count(i-1, j)
-    is three big-integer adds per row, and truncation is one mask per row
-    because survival is monotone in both i and j. A row's first live field
-    is settled by two float sums beside the boundary estimate; only a
-    boundary inside the guard band, or off the estimate, takes the exact
-    scan of _packed_find_jmin.
+    lds is sorted descending and layout is _row_layout(K, t_max). The j-th
+    fixed-width field of row c counts the compositions c + (j, jmax - j):
+    j copies of the second-smallest ratio, the smallest taking the rest,
+    jmax = s - |c| at depth s. The whole transition
+        row'(c) = row(c) + (row(c) << width) + sum_m row(c - e_m)
+    is a few big-integer adds per row, and truncation is one mask per row
+    because survival is monotone in j. A row's first live field is settled
+    by two float sums beside the boundary estimate; only a boundary inside
+    the guard band, or off the estimate, takes the exact scan of
+    _packed_find_jmin. K = 1 has one path and one field, decided directly.
     """
-    la, lb, lc = lds
-    # field width: 3^t bounds any count and the 3-way add needs 2 spare bits
-    width = int(t_max * math.log2(3.0)) + 3
-    rows: list[int] = [1]
-    out: dict[int, int] = {}
-    if 0 in record:
-        out[0] = 1
+    keys, sizes, first, extra, ends = layout
+    k = len(lds)
+    lb, lc = lds[-2:] if k > 1 else (lds[0], lds[0])
+    tied = lb == lc  # survival does not depend on j: field 0 decides the row
+    gap, band, ceil = lb - lc, GUARD_BAND, math.ceil
+    # field width: K^t bounds any count, with spare bits for the K-way add
+    width = int(t_max * math.log2(k)) + 3
+    bases = []  # ((lphi0 + c0*ld0) + c1*ld1) + ..., _decide's order
+    for c in keys:
+        acc = lphi0
+        for n, ld in zip(c, lds):
+            acc = acc + n * ld
+        bases.append(acc)
+    rows = [1] + [0] * len(keys)
+    out: dict[int, int] = {0: 1} if 0 in record else {}
     for s in range(1, t_max + 1):
         lxi = sched.log_xi(s)
-        rows.append(0)
-        for i in range(len(rows) - 1, -1, -1):
-            row = rows[i] + (rows[i] << width) + (rows[i - 1] if i > 0 else 0)
+        if k == 1:  # one path, one field, nothing to shift in
+            rows[0] = int(rows[0] and _decide(lphi0, (s,), lds, lxi))
+        for r in range(ends[s] - 1 if k > 1 else -1, -1, -1):
+            row = rows[r]
+            row += (row << width) + rows[first[r]]
+            if k > 3:
+                for p in extra[r]:
+                    row += rows[p]
             if row:
-                jmax = s - i
-                if lb == lc:
-                    # survival does not depend on j: field 0 decides the row
-                    jmin = 0 if _decide(lphi0, (i, 0, jmax), lds, lxi) else jmax + 1
+                jmax = s - sizes[r]
+                if tied:
+                    jmin = 0 if _decide(lphi0, keys[r] + (0, jmax), lds, lxi) else jmax + 1
                 else:
-                    # Field j holds the composition (i, j, jmax - j). The first
-                    # field j at or above the float boundary is the row's first
-                    # live one when it survives and field j - 1 dies, both
-                    # outside the guard band, on the sums _decide forms.
-                    base = lphi0 + i * la
-                    j = math.ceil((lxi - (base + jmax * lc)) / (lb - lc))
+                    # The first field j at or above the float boundary is the
+                    # first live one when it survives and field j - 1 dies,
+                    # both outside the guard band, on the sums _decide forms.
+                    base = bases[r]
+                    j = ceil((lxi - (base + jmax * lc)) / gap)
                     if j < 0:
                         j = 0
                     elif j > jmax:
                         j = jmax + 1
-                    if (j > jmax or (base + j * lb) + (jmax - j) * lc - lxi > GUARD_BAND) and (
-                        j == 0 or (base + (j - 1) * lb) + (jmax - j + 1) * lc - lxi < -GUARD_BAND
+                    if (j > jmax or (base + j * lb) + (jmax - j) * lc - lxi > band) and (
+                        j == 0 or (base + (j - 1) * lb) + (jmax - j + 1) * lc - lxi < -band
                     ):
                         jmin = j
                     else:
-                        jmin = _packed_find_jmin(lphi0, i, j, jmax, lds, lxi, s)
+                        jmin = _packed_find_jmin(lphi0, keys[r], j, jmax, lds, lxi)
                 if jmin > jmax:
                     row = 0
                 elif jmin > 0:
-                    row &= -(1 << (width * jmin))
-            rows[i] = row
+                    # clear the fields below jmin, touching the fewer bits
+                    sh = width * jmin
+                    row = row >> sh << sh if 2 * sh > row.bit_length() else row & -(1 << sh)
+            rows[r] = row
         if s in record:
-            out[s] = _packed_digest(rows, width)
+            out[s] = _packed_digest(rows[: ends[s]], width)
         if not any(rows):
-            _zero_tail(record, s + 1, out)
+            out.update((t, 0) for t in record if t > s)
             break
     return out
 
@@ -325,11 +325,12 @@ def count_survivors_dp(
     phi0s: Sequence[float],
     record_ts: Iterable[int] | None = None,
 ) -> list[TreeResult]:
-    """Exact N_t for each phi0, by composition dynamic programming.
+    """Exact N_t for each phi0, by the packed composition DP (_packed_dp).
 
     Returns one TreeResult per recorded depth (default: every t in
     0..t_max) with counts aligned to phi0s. The composition count
-    C(t_max + K - 1, K - 1) is guarded by MAX_DP_STATES.
+    C(t_max + K - 1, K - 1) is guarded by MAX_DP_STATES. Every start is
+    checked before any DP runs, and the row layout is built once for all.
     """
     sched = _check_exogenous(sched)
     if t_max < 0:
@@ -349,14 +350,9 @@ def count_survivors_dp(
         if record and (record[0] < 0 or record[-1] > t_max):
             raise OutOfRange("record_ts outside [0, t_max]")
     lds = _sorted_log_deltas(spec)
-    packed = spec.K == 3 and t_max > _PACKED_MIN_T
     lphis = [_log_phi0(phi0) for phi0 in phi0s]
-    per_phi: list[dict[int, int]] = []
-    for lphi0 in lphis:
-        if packed:
-            per_phi.append(_packed_dp3(lphi0, lds, sched, t_max, record))
-        else:
-            per_phi.append(_dict_dp(lphi0, lds, sched, t_max, record))
+    layout = _row_layout(spec.K, t_max)
+    per_phi = [_packed_dp(lphi0, lds, sched, t_max, record, layout) for lphi0 in lphis]
     return [TreeResult(t, tuple(d[t] for d in per_phi)) for t in record]
 
 

@@ -149,8 +149,9 @@ def test_criterion_02_critical_tuning_exponent_and_ratio():
     at 0.372041 with theta* in place of 1 it predicts 3.838 and 4.725
     against exact 3.882 and 4.713. Both within 1.1%. Run at 0.372041
     with theta = 1, the ratio clause fails by 22%. Budget 180 s. On a
-    2-core machine the DP took 207-218 s at alpha_1 and 199 s at 0.372041,
-    so this criterion fails on time alone until the packed DP gets faster.
+    2-core machine the packed DP takes 122-145 s at alpha_1, where the
+    big-integer row adds take nearly all of the time; a slower or busier
+    machine can still fail this criterion on time alone.
     """
     t0 = time.perf_counter()
     deltas = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 2.0)

@@ -227,6 +227,12 @@ class TestLcgTree:
         with pytest.raises(OutOfRange):
             lcg_tree(BIG, Exogenous(1e-2, 0.5), 5, phi0=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_refused(self, bad):
+        """A NaN start once counted 0 survivors and an infinite one 2^t."""
+        with pytest.raises(OutOfRange, match="phi0"):
+            lcg_tree(BIG, Exogenous(1e-2, 0.5), 5, phi0=bad)
+
     def test_random_barrier_rejected(self):
         """The enumeration compares against a deterministic threshold, so a
         noisy schedule raises the TypeError the tree ops raise."""
@@ -352,6 +358,12 @@ class TestLcgWalkSurvival:
     def test_negative_horizon_rejected(self):
         with pytest.raises(OutOfRange):
             lcg_walk_survival(BIG, Exogenous(1e-2, 0.5), -3, [1.0], 100)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_bad_start_rejected(self, bad):
+        """A NaN start once estimated p_hat = 0 and an infinite one 1."""
+        with pytest.raises(OutOfRange, match="phi0"):
+            lcg_walk_survival(BIG, Exogenous(1e-2, 0.5), 10, [1.0, bad], 100)
 
     def test_random_barrier_rejected_before_drawing(self, monkeypatch):
         """A noisy schedule raises the tree ops' TypeError with the input

@@ -205,6 +205,19 @@ class TestThresholdSchedules:
         with pytest.raises(OutOfRange):
             RandomBarrier(0.0, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_refused(self, bad):
+        """NaN slips past a `<= 0` check and inf has no finite log: both are
+        refused at construction."""
+        for make in (
+            lambda: Exogenous(bad, 0.37),
+            lambda: Exogenous(1e-6, bad),
+            lambda: RandomBarrier(bad, 0.1),
+            lambda: RandomBarrier(1e-8, bad),
+        ):
+            with pytest.raises(OutOfRange):
+                make()
+
 
 class TestShockLaws:
     """Shock distributions share the standardized-moment contract."""

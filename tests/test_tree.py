@@ -1,4 +1,5 @@
-"""Tests for the exact K-ary truncation tree: brute force, dict DP, packed DP."""
+"""Tests for the exact K-ary truncation tree: brute force and the packed DP,
+checked against each other and against the composition-dict DP oracle."""
 
 import math
 from dataclasses import dataclass
@@ -25,7 +26,13 @@ from born_branch import (
     scan_rows_from_series,
 )
 from born_branch import tree as tree_module
-from born_branch.tree import GUARD_BAND, _decide, _dict_dp, _packed_dp3, _sorted_log_deltas
+from born_branch.tree import GUARD_BAND, _decide, _packed_dp, _row_layout, _sorted_log_deltas
+from dict_dp import dict_dp
+
+
+def packed(lphi0, lds, sched, t_max, record):
+    """The packed DP of one start, with its row layout."""
+    return _packed_dp(lphi0, lds, sched, t_max, record, _row_layout(len(lds), t_max))
 
 
 def random_spec(rng, k):
@@ -142,63 +149,85 @@ class TestDpEqualsBruteForce:
 
 
 class TestPackedBackend:
-    """The K=3 packed big-integer DP agrees with the dict DP beyond the
-    dispatch depth."""
+    """The packed big-integer DP agrees with the dict DP oracle at every K."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_packed_equals_dict_at_depth_100(self, seed):
-        """Both backends on identical inputs at t=100 (packed-only regime)."""
+        """Both on identical K = 3 inputs at t = 100."""
         rng = rng_stream(17, seed)
         spec = random_spec(rng, 3)
         sched = Exogenous(1e-5, float(rng.uniform(0.3, 0.6)))
         lds = _sorted_log_deltas(spec)
         record = [0, 1, 37, 64, 65, 99, 100]
-        a = _dict_dp(0.0, lds, sched, 100, record)
-        b = _packed_dp3(0.0, lds, sched, 100, record)
-        assert a == b
+        assert dict_dp(0.0, lds, sched, 100, record) == packed(0.0, lds, sched, 100, record)
+
+    @pytest.mark.parametrize("k, t_max", [(1, 300), (2, 200), (4, 40), (5, 22)])
+    def test_packed_equals_dict_at_every_k(self, k, t_max):
+        """Both on identical inputs for the other K, with an alpha just below
+        the largest ratio and the largest first child from 0.5 below to 2
+        above the first threshold, so truncation sets in from the first
+        depth (at K = 1, the one path dies there or never)."""
+        rng = rng_stream(19, k)
+        spec = random_spec(rng, k) if k > 1 else BranchingSpec((1.0,))
+        lds = _sorted_log_deltas(spec)
+        for margin in (-0.5, 0.3, 1.0, 2.0):
+            alpha = min(max(spec.deltas), 0.99) * float(rng.uniform(0.8, 0.99))
+            sched = Exogenous(float(rng.uniform(1e-6, 1e-3)), alpha)
+            lphi0 = sched.log_xi(1) - lds[0] + margin
+            record = range(t_max + 1)
+            assert packed(lphi0, lds, sched, t_max, record) == dict_dp(
+                lphi0, lds, sched, t_max, record
+            )
 
     @pytest.mark.parametrize("t_max", [70, 85, 100])
     def test_total_at_full_tree(self, t_max):
-        """A threshold far below every path keeps all 3^t paths, so every
+        """A threshold far below every path keeps all K^t paths, so every
         field is at its largest and the row-sum digest, taken modulo
-        2^width - 1, must still return 3^t exactly at every depth."""
-        spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
+        2^width - 1, must still return K^t exactly at every depth. K = 4
+        and 5 run to t_max / 2 and t_max / 4, under the state guard."""
         sched = Exogenous(1e-300, 1e-10)
-        out = _packed_dp3(0.0, _sorted_log_deltas(spec), sched, t_max, range(t_max + 1))
-        assert out == {s: 3**s for s in range(t_max + 1)}
+        for k, t in ((1, t_max), (2, t_max), (3, t_max), (4, t_max // 2), (5, t_max // 4)):
+            spec = BranchingSpec.renormalized(range(1, k + 1))
+            out = packed(0.0, _sorted_log_deltas(spec), sched, t, range(t + 1))
+            assert out == {s: k**s for s in range(t + 1)}
 
-    def test_dispatch_boundary_continuity(self):
-        """Counts are identical whether t_max sits at or above the packed
-        cutoff; the record at a shared depth must not depend on t_max."""
-        spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
-        sched = Exogenous(1e-4, 0.372041)
-        at_cutoff = count_survivors_dp(spec, sched, 64, [1.0])  # dict backend
-        above = count_survivors_dp(spec, sched, 70, [1.0], record_ts=range(65))
-        assert [r.counts for r in at_cutoff] == [r.counts for r in above]
-
+    @pytest.mark.parametrize(
+        "k, t_short, t_long", [(2, 100, 130), (3, 64, 70), (4, 30, 40), (5, 15, 22)]
+    )
+    def test_counts_do_not_depend_on_t_max(self, k, t_short, t_long):
+        """The field width grows with t_max; the counts at a shared depth
+        must not change with it."""
+        spec = random_spec(rng_stream(29, k), k)
+        sched = Exogenous(1e-4, 0.95 * max(spec.deltas))
+        short = count_survivors_dp(spec, sched, t_short, [1.0, 3.0])
+        long = count_survivors_dp(spec, sched, t_long, [1.0, 3.0], record_ts=range(t_short + 1))
+        assert [r.counts for r in short] == [r.counts for r in long]
+        assert short[-1].counts[0] > 0
 
     def test_threshold_on_first_live_field_defers_to_decide(self, monkeypatch):
-        """Dyadic log ratios and threshold make every float sum exact, and
-        at each depth s = 4m the threshold -1.25 s equals the value
-        -2s + 1.5i + j of field j = 0.75s - 1.5i in every even row i <= s/2:
-        the row's first live field, since equality survives. Its margin is
+        """Dyadic log ratios and threshold make every float sum exact. At K =
+        3, at each depth s = 4m the threshold -1.25 s equals the value -2s +
+        1.5i + j of field j = 0.75s - 1.5i in every even row i <= s/2: the
+        row's first live field, since equality survives; at K = 4, with
+        the extra ratio -0.25, row (0, i) ties the same way. The margin is
         0, inside the guard band, so the float sums cannot settle the row
         and _decide must; the counts are the dict DP's, and a threshold one
         ulp higher drops the tied fields."""
-        lds = (-0.5, -1.0, -2.0)
         sched = Exogenous(1.0, math.exp(-1.25))
+        higher = Exogenous(1.0, math.nextafter(math.exp(-1.25), 1.0))
         assert sched.log_xi(8) == -10.0
         calls = []
         real = tree_module._decide
         monkeypatch.setattr(
-            tree_module, "_decide", lambda *a: calls.append(a[1]) or real(*a)
+            tree_module, "_decide", lambda *a: calls.append(tuple(a[1])) or real(*a)
         )
-        t_max = 80
-        packed = _packed_dp3(0.0, lds, sched, t_max, range(t_max + 1))
-        assert any(c == (0, 6, 2) for c in calls)  # s = 8, row 0, tied field 6
-        assert packed == _dict_dp(0.0, lds, sched, t_max, range(t_max + 1))
-        higher = Exogenous(1.0, math.nextafter(math.exp(-1.25), 1.0))
-        assert _packed_dp3(0.0, lds, higher, t_max, [8])[8] < packed[8]
+        for k, t_max in ((3, 80), (4, 40)):
+            lds = (-0.25, -0.5, -1.0, -2.0)[4 - k :]
+            calls.clear()
+            out = packed(0.0, lds, sched, t_max, range(t_max + 1))
+            assert (0,) * (k - 2) + (6, 2) in calls  # s = 8, row 0, tied field 6
+            assert out == dict_dp(0.0, lds, sched, t_max, range(t_max + 1))
+            assert packed(0.0, lds, higher, t_max, [8])[8] < out[8]
 
     def test_row_boundaries_rarely_fall_back_to_decide(self, monkeypatch):
         """The float sums settle all but a few row boundaries: fewer than 1%
@@ -224,7 +253,7 @@ class TestPackedBackend:
             tree_module, "_decide", lambda *a: calls.append(a[1]) or real(*a)
         )
         for lphi0 in lphis:
-            _packed_dp3(lphi0, lds, sched, t_max, [t_max])
+            packed(lphi0, lds, sched, t_max, [t_max])
         assert rows > 10_000
         assert len(calls) < 0.01 * rows
 
@@ -232,31 +261,40 @@ class TestPackedBackend:
 @dataclass(frozen=True)
 class TiedThreshold:
     """A threshold within the guard band of one composition per depth: at
-    depth s, offset above the float sum _decide forms for (i, j, s - i - j),
-    i = round(fi s) and j = round(fj (s - i)). That field is the first live
-    one of row i, or the last dead one, by a margin inside the band."""
+    depth s, offset above the float sum _decide forms for the composition
+    whose count of each ratio but the last is round(f * what is left),
+    f from fracs in turn. That is field j of row c, the first live field of
+    the row or its last dead one, by a margin inside the band."""
 
     lphi0: float
-    lds: tuple[float, float, float]
-    fi: float
-    fj: float
+    lds: tuple[float, ...]
+    fracs: tuple[float, ...]  # K - 1 of them
     offset: float
 
     def log_xi(self, s: int) -> float:
-        i = round(self.fi * s)
-        j = round(self.fj * (s - i))
-        la, lb, lc = self.lds
-        return ((self.lphi0 + i * la) + j * lb) + (s - i - j) * lc + self.offset
+        acc, rest = self.lphi0, s
+        for f, ld in zip(self.fracs, self.lds):
+            n = round(f * rest)
+            acc = acc + n * ld
+            rest -= n
+        return acc + rest * self.lds[-1] + self.offset
+
+
+#: Deepest horizon per K of the packed-DP properties, where the dict DP
+#: oracle takes up to a few tenths of a second.
+PROPERTY_T = {2: 200, 3: 90, 4: 40, 5: 22}
 
 
 @st.composite
 def packed_cases(draw):
-    """A random K = 3 spec (equal middle and smallest ratios included),
-    start and depth past the packed cutoff, and either a schedule with
-    epsilon and an alpha below the largest ratio or a TiedThreshold."""
-    spec = BranchingSpec.renormalized(
-        draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
-    )
+    """A random K = 2..5 spec (equal two smallest ratios included), start
+    and depth, and either a schedule with epsilon and an alpha below the
+    largest ratio or a TiedThreshold."""
+    k = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        weights[-2:] = [min(weights)] * 2
+    spec = BranchingSpec.renormalized(weights)
     lds = _sorted_log_deltas(spec)
     lphi0 = math.log(draw(st.floats(0.3, 20.0)))
     if draw(st.booleans()):
@@ -264,20 +302,42 @@ def packed_cases(draw):
         sched = Exogenous(math.exp(draw(st.floats(-14.0, -1.0))), alpha)
     else:
         offset = draw(st.sampled_from([0.0]) | st.floats(-GUARD_BAND, GUARD_BAND))
-        sched = TiedThreshold(lphi0, lds, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)), offset)
-    return lds, sched, lphi0, draw(st.integers(65, 120))
+        fracs = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=k - 1, max_size=k - 1)))
+        sched = TiedThreshold(lphi0, lds, fracs, offset)
+    return lds, sched, lphi0, draw(st.integers(PROPERTY_T[k] // 2, PROPERTY_T[k]))
+
+
+@st.composite
+def bench_tree_cases(draw):
+    """One start of a benchmark tree job: deltas (1/6, 1/3, 1/2) at the unit
+    tilt, epsilon = 10^u for u in [-6.5, -5.5], phi0 = base * 2^k for base
+    in [1, 2) and k = 0..4, and t <= 80."""
+    spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
+    eps = 10.0 ** draw(st.floats(-6.5, -5.5))
+    phi0 = 2.0 ** draw(st.floats(0.0, 1.0, exclude_max=True)) * 2 ** draw(st.integers(0, 4))
+    sched = Exogenous(eps, alpha_for_unit_beta(spec).alpha)
+    return spec, sched, phi0, draw(st.integers(0, 80))
 
 
 class TestPackedProperties:
-    """Property test of the packed backend's row boundaries."""
+    """Property tests of the packed DP's row boundaries against the oracle."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(packed_cases())
     @example((_sorted_log_deltas(BranchingSpec((0.5, 0.25, 0.25))), Exogenous(1e-4, 0.45), 0.0, 70))
+    @example((_sorted_log_deltas(BranchingSpec((0.5, 0.5))), Exogenous(1e-4, 0.45), 0.0, 70))
     def test_packed_equals_dict_dp(self, case):
         lds, sched, lphi0, t = case
         record = range(t + 1)
-        assert _packed_dp3(lphi0, lds, sched, t, record) == _dict_dp(lphi0, lds, sched, t, record)
+        assert packed(lphi0, lds, sched, t, record) == dict_dp(lphi0, lds, sched, t, record)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(bench_tree_cases())
+    def test_bench_tree_inputs_equal_dict_dp(self, case):
+        spec, sched, phi0, t = case
+        series = count_survivors_dp(spec, sched, t, [phi0])
+        oracle = dict_dp(math.log(phi0), _sorted_log_deltas(spec), sched, t, range(t + 1))
+        assert [r.counts[0] for r in series] == [oracle[s] for s in range(t + 1)]
 
 
 class TestSeriesShape:
@@ -337,10 +397,21 @@ class TestSeriesShape:
         def no_dp(*args, **kwargs):
             raise AssertionError("a DP ran before every start was checked")
 
-        monkeypatch.setattr(tree_module, "_dict_dp", no_dp)
+        monkeypatch.setattr(tree_module, "_packed_dp", no_dp)
         with pytest.raises(OutOfRange, match="phi0=-1.0"):
             count_survivors_dp(
                 BranchingSpec((1 / 2, 1 / 2)), Exogenous(0.2, 0.9), 5, [1.0, 2.0, -1.0]
+            )
+
+    @pytest.mark.parametrize("t_max", [5, 80])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_starts_refused(self, bad, t_max):
+        """A NaN or infinite start is refused as OutOfRange at any depth, not
+        met as a ValueError or OverflowError from the row boundary, or
+        counted as K^t."""
+        with pytest.raises(OutOfRange, match="phi0"):
+            count_survivors_dp(
+                BranchingSpec((1 / 6, 1 / 3, 1 / 2)), Exogenous(1e-6, 0.37), t_max, [1.0, bad]
             )
 
     def test_non_exogenous_schedule_rejected(self):
@@ -427,13 +498,14 @@ class TestExtinctionRegimes:
 
 @st.composite
 def brute_cases(draw):
-    """A random spec, schedule, start and depth; a third of the cases put the
-    threshold exactly on the all-largest-ratio path at every depth."""
-    k = draw(st.integers(2, 3))
+    """A random K = 1..5 spec, schedule, start and depth; for K > 1 a third
+    of the cases put the threshold exactly on the all-largest-ratio path at
+    every depth."""
+    k = draw(st.integers(1, 5))
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
     spec = BranchingSpec.renormalized(weights)
     phi0 = draw(st.floats(0.3, 3.0))
-    if draw(st.integers(0, 2)) == 0:
+    if k > 1 and draw(st.integers(0, 2)) == 0:
         sched = Exogenous(phi0, max(spec.deltas))
     else:
         sched = Exogenous(math.exp(draw(st.floats(-9.0, 0.5))), draw(st.floats(0.2, 0.95)))

@@ -18,6 +18,9 @@ mu/sigma^2) (density proportional to y exp(-mu y/sigma^2)), the Yaglom
 limit of drifted Brownian motion (Martinez & San Martin, J. Appl. Probab.
 31, 1994), which the tests pin. At finite tau the survivors follow the
 method-of-images density exactly.
+
+The one special function the closed forms need, log(e^{x^2} erfc(x)), is
+_log_erfcx below, built from math.erfc and a continued fraction alone.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from .errors import (
     TooFewSurvivors,
     TooLarge,
 )
-from .model import DiffusionParams
+from .model import DiffusionParams, _positive_finite
 from .rng import map_blocks
 
 _SQRT2 = math.sqrt(2.0)
@@ -47,39 +50,55 @@ MAX_STEPS = 10**7
 
 
 def _check_domain(mu: float, sigma: float, d: float, tau: float) -> None:
-    if d <= 0.0:
-        raise DomainError(f"barrier distance d={d} must be positive")
-    if tau <= 0.0:
-        raise DomainError(f"horizon tau={tau} must be positive")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma={sigma} must be positive")
+    for name, value in (("barrier distance d", d), ("horizon tau", tau), ("sigma", sigma)):
+        if not value > 0.0:  # NaN included
+            raise DomainError(f"{name}={value} must be positive")
+    if not math.isfinite(mu):
+        raise DomainError(f"drift mu={mu} must be finite")
+
+
+def _log_erfcx(x: float) -> float:
+    """log(e^{x^2} erfc(x)) for every finite x: direct below 2.5 (the sum loses
+    under ulp(6.25)), else 1 / (sqrt(pi) (x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))))
+    (Abramowitz & Stegun 7.1.14) over 40 terms, truncated below 5e-17."""
+    if x < 2.5:
+        return x * x + math.log(math.erfc(x))
+    f = x
+    for k in range(40, 0, -1):
+        f = x + 0.5 * k / f
+    return -math.log(f) - 0.5 * math.log(math.pi)
+
+
+def _log_ndtr(z: float) -> float:
+    """log Phi(z), the standard normal log CDF, for every finite z."""
+    if z > -1.0:
+        return math.log1p(-0.5 * math.erfc(z / _SQRT2))
+    return _log_erfcx(-z / _SQRT2) - 0.5 * z * z - math.log(2.0)
 
 
 def log_survival_closed_form(mu: float, sigma: float, d: float, tau: float) -> float:
     """Log probability that the motion stays above the barrier through tau.
 
     Method of images for a start d above the barrier:
-        q = Phi((d - mu tau)/(sigma sqrt(tau)))
-            - exp(2 mu d / sigma^2) * Phi((-d - mu tau)/(sigma sqrt(tau))).
-    Evaluated in log space; the image/direct ratio is computed through
-    scaled complementary error functions, which cancels the exponentials
-    analytically, so the result is accurate down to 1e-300 and far below.
+        q = Phi(z1) - exp(2 mu d / sigma^2) Phi(z2),
+        z1, z2 = (d - mu tau, -d - mu tau) / (sigma sqrt(tau)).
+    Evaluated as log Phi(z1) + log(1 - e^r), r the log image/direct ratio:
+    for z2 < z1 <= 0 the log erfcx ratio, as (z2^2 - z1^2)/2 = 2 mu d/sigma^2
+    cancels the exponentials exactly (accurate down to 1e-300 and far below);
+    else 2 mu d/sigma^2 plus the log Phi ratio, since there the erfcx ratio
+    would subtract two rounded z^2/2 that grow with tau.
     """
-    # imported here: scipy.special is half of the package's import time
-    from scipy.special import erfcx, log_ndtr
-
     _check_domain(mu, sigma, d, tau)
     st = sigma * math.sqrt(tau)
     z1 = (d - mu * tau) / st
     z2 = (-d - mu * tau) / st
-    if z1 <= 0.0 and z2 <= 0.0:
-        # exp(2 mu d/sigma^2) * phi-tail ratio == erfcx ratio, exactly
-        r = math.log(erfcx(-z2 / _SQRT2)) - math.log(erfcx(-z1 / _SQRT2))
+    if z1 <= 0.0:
+        r = _log_erfcx(-z2 / _SQRT2) - _log_erfcx(-z1 / _SQRT2)
     else:
-        r = 2.0 * mu * d / (sigma * sigma) + log_ndtr(z2) - log_ndtr(z1)
+        r = 2.0 * mu * d / (sigma * sigma) + _log_ndtr(z2) - _log_ndtr(z1)
     if r >= 0.0:
         return -math.inf
-    return float(log_ndtr(z1) + math.log1p(-math.exp(r)))
+    return _log_ndtr(z1) + math.log1p(-math.exp(r))
 
 
 def survival_closed_form(mu: float, sigma: float, d: float, tau: float) -> float:
@@ -93,9 +112,8 @@ def _resolve_steps(tau: float, dt: float, key: str = "dt") -> tuple[int, float]:
     A count above MAX_STEPS is refused as TooLarge naming key (the caller's
     name for dt), before the caller allocates or draws anything.
     """
-    if tau <= 0.0:
-        raise OutOfRange(f"tau={tau} must be positive")
-    if dt <= 0.0:
+    _positive_finite("tau", tau)
+    if not dt > 0.0:  # NaN included
         raise BadStep(f"{key}={dt} must be positive")
     steps = tau / dt
     if steps > MAX_STEPS:

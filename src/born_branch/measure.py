@@ -24,6 +24,8 @@ g(x) = 2 x exp((x^2 - w^2)/2) Phi(-x), integration by parts and two
 completed squares give C = (g(w) - g(v)) / (w - v). Its r = 2 limit is
 2 (1 + w^2) Phi(-w) - 2 w phi(w), and at r = 1 it is erfc(sigma sqrt(tau/2)).
 g is finite wherever x^2 is, so C can underflow to 0 but never overflows.
+g and the r = 2 limit take erfcx from diffusion._log_erfcx, as 2 Phi(-x) =
+erfc(x/sqrt 2) makes g(x) = x exp(log erfcx(x/sqrt 2) - w^2/2).
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import batch_survive
+from .diffusion import _SQRT2, _log_erfcx, batch_survive
 from .errors import OutOfRange, TooFewSurvivors
 from .model import BranchingSpec
 from .rng import map_blocks
@@ -79,9 +81,6 @@ def outcome_weights(
     """Exact conditioned frequencies delta_k^r normalized (r = prep_rate) and
     per-arm survival probabilities delta_k^r * C, by the factorization and
     the closed form of C in the module docstring."""
-    # imported here: scipy.special is half of the package's import time
-    from scipy.special import erfcx, log_ndtr
-
     r = prep_rate
     if not 0.0 < r < math.inf:
         raise OutOfRange(f"prep_rate={r} must be finite and positive")
@@ -95,10 +94,10 @@ def outcome_weights(
     v = (r - 1.0) * w
     if v == w:  # r = 2: the limit, through the Mills ratio, which cancels less
         c_val = math.exp(-w * w / 2.0) * (
-            (1.0 + w * w) * erfcx(w / math.sqrt(2.0)) - w * math.sqrt(2.0 / math.pi)
+            (1.0 + w * w) * math.exp(_log_erfcx(w / _SQRT2)) - w * math.sqrt(2.0 / math.pi)
         )
     else:
-        g_w, g_v = (2.0 * x * math.exp((x * x - w * w) / 2.0 + log_ndtr(-x)) for x in (w, v))
+        g_w, g_v = (x * math.exp(_log_erfcx(x / _SQRT2) - w * w / 2.0) for x in (w, v))
         c_val = (g_w - g_v) / (w - v)
     survival = tuple(d**r * c_val for d in setup.deltas)
     return weights, survival

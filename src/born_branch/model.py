@@ -118,12 +118,10 @@ def endogenous_alpha(
     reference targets; the measured growth rate of the interacting particle
     system deviates from this ansatz (see endogenous_population docs).
     """
-    if sigma <= 0.0:
-        raise OutOfRange(f"sigma={sigma} must be positive")
+    _positive_finite("sigma", sigma)
     if not (0.0 < varepsilon < 1.0):
         raise OutOfRange(f"varepsilon={varepsilon} outside (0, 1)")
-    if phi0 <= 0.0:
-        raise OutOfRange(f"phi0={phi0} must be positive")
+    _positive_finite("phi0", phi0)
     log_alpha = sigma * sigma / (1.0 - varepsilon) - tilde_mu
     return EndogenousAlpha(log_alpha, phi0 * varepsilon / (1.0 - varepsilon))
 
@@ -217,9 +215,8 @@ class WalkParams:
     shocks: ShockLaw = GaussianShocks()
 
     def __post_init__(self) -> None:
-        if self.mu <= 0.0:
-            raise OutOfRange(f"drift mu={self.mu} must be positive")
-        if self.sigma < 0.0:
+        _positive_finite("drift mu", self.mu)
+        if not self.sigma >= 0.0:  # NaN included
             raise OutOfRange(f"sigma={self.sigma} must be >= 0")
 
     @classmethod
@@ -250,7 +247,7 @@ class DiffusionParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0.0 or self.sigma * self.sigma == 0.0:
+        if _positive_finite("sigma", self.sigma) ** 2 == 0.0:  # the square underflows
             raise OutOfRange(f"sigma={self.sigma} must be positive, with a square above 0")
 
     @property

@@ -21,6 +21,7 @@ import numpy as np
 
 from .diffusion import _resolve_steps
 from .errors import Extinction, OutOfRange
+from .model import _positive_finite
 from .rng import rng_stream
 from .stats import FitResult, _logsumexp, fit_power_law
 
@@ -65,16 +66,14 @@ def endogenous_population(
     allocation if tau / dt exceeds diffusion.MAX_STEPS. The growth fit
     discards the first BURN_IN fraction of the trajectory.
     """
-    if sigma <= 0.0:
-        raise OutOfRange(f"sigma={sigma} must be positive")
+    _positive_finite("sigma", sigma)
     if not (0.0 < varepsilon < 1.0):
         raise OutOfRange(f"varepsilon={varepsilon} outside (0, 1)")
     if n_particles < 2:
         raise OutOfRange(f"n_particles={n_particles} must be >= 2")
-    if tau <= 0.0 or dt <= 0.0 or dt > tau:
+    if not 0.0 < dt <= tau:  # NaN included
         raise OutOfRange(f"need 0 < dt <= tau, got dt={dt}, tau={tau}")
-    if phi0 <= 0.0:
-        raise OutOfRange(f"phi0={phi0} must be positive")
+    _positive_finite("phi0", phi0)
     n_steps, dt_eff = _resolve_steps(tau, dt)
     rng = rng_stream(seed, 0)
     sdt = sigma * math.sqrt(dt_eff)

@@ -29,13 +29,14 @@ class FitResult:
 
 
 def _logsumexp(z: np.ndarray, buf: np.ndarray, mask: np.ndarray) -> float:
-    """log sum exp(z), overwriting buf and mask, in scipy's floats.
+    """log sum exp(z), overwriting buf and mask.
 
     The maximum's m ties are split out of the shifted sum, which is taken
     in numpy's pairwise order over all of buf with the ties zeroed, and
     log1p(s / m) + log(m) + max is formed with numpy's float64 log1p and
-    log: scipy.special.logsumexp (1.17) yields the same bits. A maximum
-    that is not finite (all of z -inf, say) is the result itself.
+    log; test_population pins its bits against a reference logsumexp over
+    a whole population run. A maximum that is not finite (all of z -inf,
+    say) is the result itself.
     """
     top = z.max()
     if not math.isfinite(top):
@@ -115,16 +116,14 @@ def ks_distance(sample: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]
 
 
 def binomial_logpmf(n: int, p: float, ks: np.ndarray) -> np.ndarray:
-    # imported here: scipy.special is half of the package's import time
-    from scipy.special import gammaln, xlog1py, xlogy
-
-    return (
-        gammaln(n + 1)
-        - gammaln(ks + 1)
-        - gammaln(n - ks + 1)
-        + xlogy(ks, p)
-        + xlog1py(n - ks, -p)
-    )
+    """log P(S = k) for S ~ Binomial(n, p) at each integer-valued k in ks,
+    with 0 log 0 = 0, so p = 0 or 1 gives 0 and -inf without a warning."""
+    log_n = math.lgamma(n + 1)
+    log_comb = [log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in ks.tolist()]
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, then 0 * -inf
+        hits = np.where(ks > 0, ks * np.log(p), 0.0)
+        misses = np.where(ks < n, (n - ks) * np.log1p(-p), 0.0)
+    return np.asarray(log_comb) + hits + misses
 
 
 def binomial_interval_logprob(n: int, p: float, lo: int, hi: int) -> tuple[float, float]:

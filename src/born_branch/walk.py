@@ -166,7 +166,7 @@ def walk_survival(
     if len(x0s) == 0:
         raise OutOfRange("need at least one start")
     for x0 in x0s:
-        if x0 < log_eps:
+        if not x0 >= log_eps:  # NaN included
             raise BadStart(f"x0={x0} below the barrier log eps={log_eps}")
     if n_paths < 1:
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")

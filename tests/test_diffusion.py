@@ -1,7 +1,9 @@
 """Tests for the absorbed diffusion: closed forms, bridge MC, conditioning."""
 
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -24,7 +26,79 @@ from born_branch import (
     rng_stream,
     survival_closed_form,
 )
+from born_branch.diffusion import _log_erfcx, _log_ndtr
 from image_law import image_cdf, image_density, image_survival
+
+
+def _mp_log_survival(mu, sigma, d, tau):
+    """log q by the two-Phi method-of-images formula, at 60 digits."""
+    with mpmath.workdps(60):
+        mu, sigma, d, tau = (mpmath.mpf(v) for v in (mu, sigma, d, tau))
+        st = sigma * mpmath.sqrt(tau)
+        image = mpmath.exp(2 * mu * d / sigma**2) * mpmath.ncdf((-d - mu * tau) / st)
+        return float(mpmath.log(mpmath.ncdf((d - mu * tau) / st) - image))
+
+
+def _scaled_error(value, ref):
+    return abs(value - ref) / max(1.0, abs(ref))
+
+
+class TestSpecialFunctions:
+    """The log-erfcx helper and log Phi against 60-digit mpmath."""
+
+    def test_log_erfcx(self):
+        """On [-30, 30] by 0.01, across the switch to the continued
+        fraction at 2.5, and far out where e^{x^2} overflows."""
+        xs = [i / 100 for i in range(-3000, 3001)] + [50.0, 1e3, 1e10, 1e150]
+        worst = 0.0
+        for x in xs:
+            # x^2 needs its own digits on top of the 60 kept after it cancels
+            with mpmath.workdps(60 + 2 * int(math.log10(abs(x) + 1.0))):
+                ref = float(mpmath.mpf(x) ** 2 + mpmath.log(mpmath.erfc(x)))
+            worst = max(worst, _scaled_error(_log_erfcx(x), ref))
+        assert worst <= 2e-15
+
+    def test_log_ndtr(self):
+        """On [-40, 40] by 0.01 and on 200 log-spaced points down to -1e10."""
+        zs = [i / 100 for i in range(-4000, 4001)] + [-(10 ** (i / 20)) for i in range(201)]
+        with mpmath.workdps(60):
+            worst = max(_scaled_error(_log_ndtr(z), float(mpmath.log(mpmath.ncdf(z)))) for z in zs)
+        assert worst <= 2e-15
+
+
+class TestClosedFormAgainstMpmath:
+    """log_survival_closed_form against 60-digit mpmath."""
+
+    def test_random_cases(self):
+        """3000 seeded draws over drift -3..3 (upward drift included),
+        sigma 0.1..10, d 1e-3..1e2 and tau 1e-3..1e4. The bound is set by
+        the inputs: z1 and z2 carry one rounding each, and where they are
+        close (small d, large tau) the image/direct ratio is that much
+        less certain; scipy's erfcx and log_ndtr reach 5.1e-12 here."""
+        rnd = random.Random(1)
+        worst = 0.0
+        for _ in range(3000):
+            mu = rnd.uniform(-3.0, 3.0)
+            sigma, d, tau = (10 ** rnd.uniform(lo, hi) for lo, hi in ((-1, 1), (-3, 2), (-3, 4)))
+            ref = _mp_log_survival(mu, sigma, d, tau)
+            worst = max(worst, _scaled_error(log_survival_closed_form(mu, sigma, d, tau), ref))
+        assert worst <= 2e-11
+
+    @pytest.mark.parametrize("tau", [1e4, 1e6, 1e8])
+    def test_upward_drift_far_from_the_barrier(self, tau):
+        """With mu < 0 both z grow like sqrt(tau); the log erfcx ratio
+        would subtract two rounded z^2/2 near 5e7 at tau = 1e8 and keep
+        only 7 digits, where 2 mu d / sigma^2 keeps all of them."""
+        ref = _mp_log_survival(-1.0, 1.0, 0.01, tau)
+        assert log_survival_closed_form(-1.0, 1.0, 0.01, tau) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("tau", [200.0, 250.0, 500.0, 1000.0])
+    @pytest.mark.parametrize("d", [0.01, 1.0, 7.0, 40.0])
+    def test_deep_tails(self, d, tau):
+        """The horizons of acceptance criteria 09 and 10 at mu = sigma = 1,
+        where the survival falls to e^-100 .. e^-500 and below."""
+        ref = _mp_log_survival(1.0, 1.0, d, tau)
+        assert log_survival_closed_form(1.0, 1.0, d, tau) == pytest.approx(ref, rel=1e-13)
 
 
 class TestClosedForm:
@@ -90,6 +164,14 @@ class TestClosedForm:
         for bad in [(1, 1, 0.0, 1), (1, 1, -1, 1), (1, 1, 1, 0.0), (1, 0.0, 1, 1)]:
             with pytest.raises(DomainError):
                 log_survival_closed_form(*bad)
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_nan_refused(self, i):
+        """A NaN argument would make the result NaN; it is refused."""
+        args = [1.0, 1.0, 1.0, 1.0]
+        args[i] = math.nan
+        with pytest.raises(DomainError, match="nan"):
+            log_survival_closed_form(*args)
 
 
 class TestSurvivalAsymptotic:
@@ -159,6 +241,13 @@ class TestBatchSurvive:
     def test_bad_step(self):
         with pytest.raises(BadStep):
             batch_survive(1.0, 1.0, 1.0, 1.0, 0.0, rng_stream(0, 0), 4)
+
+    def test_nan_horizon_and_step_refused(self):
+        """NaN would reach round(tau / dt) and raise a bare ValueError."""
+        with pytest.raises(OutOfRange, match="tau=nan"):
+            batch_survive(1.0, 1.0, 1.0, math.nan, 0.1, rng_stream(0, 0), 4)
+        with pytest.raises(BadStep, match="dt=nan"):
+            batch_survive(1.0, 1.0, 1.0, 1.0, math.nan, rng_stream(0, 0), 4)
 
     def test_step_count_bound(self):
         """tau / dt above MAX_STEPS is refused before the first draw."""

@@ -142,16 +142,33 @@ def _loaded_by_import(module, then=""):
 
 
 def test_import_does_not_load_sympy():
-    """The package depends on numpy and scipy only."""
+    """The package's one runtime dependency is numpy."""
     assert not _loaded_by_import("sympy")
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special"])
-def test_import_does_not_load_scipy_submodule(module):
-    """The special functions are imported where they are used, so runs
-    that never call them do not pay their import time; the package never
-    imports scipy.integrate."""
-    assert not _loaded_by_import(module)
+def test_import_does_not_load_scipy_integrate():
+    """The package never imports scipy.integrate."""
+    assert not _loaded_by_import("scipy.integrate")
+
+
+def test_runs_do_not_load_scipy(tmp_path):
+    """The closed forms behind walk, diffusion, measure and demo_intro are
+    built on math.erfc, so small runs of all four through cli.run leave
+    every scipy module unloaded (any of them would load the package)."""
+    configs = [
+        ("walk", {"t": 40, "n_paths": 4_000, "x0s": [0.0, 1.0], "epsilon": math.exp(-3.0)}),
+        ("diffusion", {"tau_grid": [5, 10], "mc_n_paths": 2_000, "mc_tau": 5, "mc_dt": 0.5}),
+        ("measure", {"deltas": [0.3, 0.7], "sigma": 0.05**0.5, "tau": 70.0,
+                     "n_paths": 12_000, "n_boot": 20}),
+        ("demo_intro", {}),
+    ]
+    runs = "\n".join(
+        f"run(ExperimentConfig({name!r}, {params!r}, workers=1), out_dir={str(tmp_path / name)!r})"
+        for name, params in configs
+    )
+    then = f"from born_branch.cli import ExperimentConfig, run\n{runs}"
+    assert not _loaded_by_import("scipy", then=then)
+    assert all((tmp_path / name / "results.json").exists() for name, _ in configs)
 
 
 def test_measure_run_does_not_load_scipy_integrate():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,37 @@ class TestOutcomeWeights:
             for lo, hi in zip(edges, edges[1:])
         )
         assert math.isclose(c_val, ref, rel_tol=1e-6)
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("tau", [200.0, 250.0, 500.0, 1000.0])
+    def test_closed_form_against_mpmath_at_depth(self, tau, r):
+        """C at the horizons of acceptance criteria 09 and 10 (sigma = 1),
+        against the same closed form at 80 digits, and the precheck's
+        expected survivors in the delta = 0.2 arm of 1e7 paths: 1.39e-39,
+        1.73e-50, 6.34e-105 and 1.2e-213 at r = 1. Away from r = 1 the
+        quotient, and at r = 2 the limit, cancel about w^2 to w^4 (1e6 at
+        w^2 = tau = 1000) of their terms' rounding; scipy's erfcx left up
+        to 2.4e-10 here, the helper 9.2e-11."""
+        setup = MeasurementSetup((0.2, 0.3, 0.5), 1.0, 1e-3, tau)
+        _, survival = outcome_weights(setup, prep_rate=r)
+        with mpmath.workdps(80):
+            w = mpmath.sqrt(tau)
+            v = (r - 1) * w
+
+            def g(x):
+                return 2 * x * mpmath.exp((x * x - w * w) / 2) * mpmath.ncdf(-x)
+
+            if r == 2.0:
+                c = 2 * (1 + w * w) * mpmath.ncdf(-w) - 2 * w * mpmath.npdf(w)
+            else:
+                c = (g(w) - g(v)) / (w - v)
+            ref = float(mpmath.mpf(0.2) ** r * c)
+        assert math.isclose(survival[0], ref, rel_tol=2e-10)
+        if r == 1.0:
+            assert math.isclose(survival[0], ref, rel_tol=1e-13)
+            expected = 1e7 / 3 * survival[0]
+            assert f"{expected:.3g}" == {200.0: "1.39e-39", 250.0: "1.73e-50",
+                                         500.0: "6.34e-105", 1000.0: "1.2e-213"}[tau]
 
     def test_single_outcome_is_certain(self):
         setup = MeasurementSetup((1.0,), math.sqrt(0.05), 1e-3, 70.0)

@@ -181,6 +181,13 @@ class TestEndogenousFormulas:
         assert res2.log_alpha == res.log_alpha
         assert res2.c0 == pytest.approx(1.0, rel=1e-15)
 
+    @pytest.mark.parametrize("kw", [{"sigma": math.nan}, {"phi0": math.nan}])
+    def test_nan_refused(self, kw):
+        """NaN slips past a `<= 0` check; it is refused as out of range."""
+        args = {"tilde_mu": 1.0, "sigma": 1.0, "varepsilon": 0.2, **kw}
+        with pytest.raises(OutOfRange):
+            endogenous_alpha(**args)
+
 
 class TestThresholdSchedules:
     """Exogenous and random-barrier threshold parameters."""
@@ -280,6 +287,11 @@ class TestWalkParams:
             WalkParams(-0.1, 1.0)
         WalkParams(0.5, 0.0)  # deterministic drift is allowed
 
+    @pytest.mark.parametrize("mu, sigma", [(math.nan, 1.0), (0.5, math.nan)])
+    def test_nan_refused(self, mu, sigma):
+        with pytest.raises(OutOfRange):
+            WalkParams(mu, sigma)
+
     def test_beta_requires_variance(self):
         assert WalkParams(0.5, 0.5).beta == pytest.approx(2.0, rel=1e-14)
         with pytest.raises(DegenerateSpec):
@@ -304,3 +316,5 @@ class TestDiffusionParams:
             DiffusionParams(1.0, -1.0)
         with pytest.raises(OutOfRange, match="sigma=1e-200"):
             DiffusionParams(1.0, 1e-200)  # its square underflows to 0
+        with pytest.raises(OutOfRange, match="sigma=nan"):
+            DiffusionParams(1.0, math.nan)

@@ -71,6 +71,10 @@ class TestValidation:
             {"dt": 0.0},
             {"dt": 10.0},
             {"phi0": 0.0},
+            {"sigma": math.nan},
+            {"tau": math.nan},
+            {"dt": math.nan},
+            {"phi0": math.nan},
         ],
     )
     def test_out_of_range(self, kw):

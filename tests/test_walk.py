@@ -280,6 +280,13 @@ class TestWalkSurvival:
         with pytest.raises(OutOfRange, match="worker count"):
             walk_survival(self.PARAMS, self.X0S, self.LOW, 5, 100, workers=0)
 
+    @pytest.mark.parametrize("x0s", [[0.0, math.nan], [math.nan, 0.0]])
+    def test_nan_start_refused(self, x0s):
+        """A NaN start passes an `x0 < log eps` check and would give 0
+        survivors; it is refused before any draw."""
+        with pytest.raises(BadStart, match="x0=nan"):
+            walk_survival(self.PARAMS, x0s, self.LOW, 10, 1_000)
+
     def test_negative_horizon_rejected(self):
         with pytest.raises(OutOfRange):
             walk_survival(self.PARAMS, self.X0S, self.LOW, -3, 100)

@@ -143,6 +143,7 @@ def batch_survive(
     dead. Draws (one normal and one uniform array per step) never depend
     on outcomes. Returns (alive mask, final y).
     """
+    DiffusionParams(mu, sigma)  # refuses a non-finite mu and a bad sigma
     n_steps, dt_eff = _resolve_steps(tau, dt)
     y = np.full(size, y0, dtype=float) if np.isscalar(y0) else np.asarray(y0, float).copy()
     alive = y > 0.0
@@ -171,9 +172,7 @@ def ratio_convergence_scan(
     tau grows, with d the start's distance above the barrier, so for
     x_a > x_b finite-tau values sit above the bare tilt.
     """
-    if epsilon <= 0.0:
-        raise OutOfRange(f"epsilon={epsilon} must be positive")
-    log_eps = math.log(epsilon)
+    log_eps = math.log(_positive_finite("epsilon", epsilon))
     return [
         math.exp(
             log_survival_closed_form(params.mu, params.sigma, x_a - log_eps, tau)
@@ -197,9 +196,7 @@ def _survivor_ys(
     dt defaults to tau (one exact step). Requires the closed form to
     predict at least 1e3 survivors.
     """
-    if epsilon <= 0.0:
-        raise OutOfRange(f"epsilon={epsilon} must be positive")
-    d = -math.log(epsilon)
+    d = -math.log(_positive_finite("epsilon", epsilon))
     if d <= 0.0:
         raise BadStart(f"start 0 not above the barrier log eps={-d}")
     dt = tau if dt is None else dt

@@ -146,6 +146,8 @@ def measurement_pipeline(
     """
     if n_paths < 1:
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")
+    if n_boot < 1:
+        raise OutOfRange(f"n_boot={n_boot} must be >= 1")
     _, survival = outcome_weights(setup, prep_rate)
     k_arms = setup.K
     expected = [n_paths / k_arms * s for s in survival]

@@ -247,6 +247,8 @@ class DiffusionParams:
     sigma: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.mu):
+            raise OutOfRange(f"mu={self.mu} must be finite")
         if _positive_finite("sigma", self.sigma) ** 2 == 0.0:  # the square underflows
             raise OutOfRange(f"sigma={self.sigma} must be positive, with a square above 0")
 

@@ -8,10 +8,10 @@ are exchangeable within branch-count compositions, survivor counts N_t are
 computed exactly by brute-force enumeration (the oracle) or by one packed
 big-integer dynamic program over compositions, for every K.
 
-Both route amplitude comparisons through one decision function: a float
-comparison in log space with a 1e-9 guard band, falling back to exact
-rational arithmetic on the float inputs inside the band. Decisions are
-therefore bit-identical across the two.
+Both decide survival by one exact rule on the float inputs: every finite
+float is n / 2^k, so lphi0 + sum_i c_i ld_i >= lxi is an integer comparison
+over the inputs' largest power-of-two denominator. Decisions are therefore
+identical across the two.
 """
 from __future__ import annotations
 
@@ -26,9 +26,6 @@ import numpy as np
 from .errors import OutOfRange, StateExplosion, TooLarge
 from .model import BranchingSpec, Exogenous, _positive_finite
 from .stats import start_exponent
-
-#: Half-width of the float decision band around log phi == log xi.
-GUARD_BAND = 1e-9
 
 #: Brute force refuses depths with more than this many paths, K^t.
 MAX_BRUTE_PATHS = 10**8
@@ -66,26 +63,19 @@ def log_bigint(n: int) -> float:
     return math.log(n >> shift) + shift * math.log(2.0)
 
 
-def _decide(lphi0: float, counts: Sequence[int], lds: Sequence[float], lxi: float) -> bool:
-    """Survival decision for one composition; equality survives.
+def _exact_ints(xs: Sequence[float]) -> tuple[list[int], int]:
+    """Finite floats xs as integers over den, the largest of their
+    power-of-two denominators: xs[i] == ints[i] / den exactly."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
 
-    The float path accumulates left to right, ((lphi0 + c0*ld0) + c1*ld1) +
-    ..., exactly the order the vectorized brute force uses. Inside the guard
-    band the same linear form is re-evaluated in exact rational arithmetic
-    on the float inputs.
-    """
-    acc = lphi0
-    for c, ld in zip(counts, lds):
-        acc = acc + c * ld
-    diff = acc - lxi
-    if diff > GUARD_BAND:
-        return True
-    if diff < -GUARD_BAND:
-        return False
-    exact = Fraction(lphi0) - Fraction(lxi)
-    for c, ld in zip(counts, lds):
-        exact += c * Fraction(ld)
-    return exact >= 0
+
+def _decide(lphi0: float, counts: Sequence[int], lds: Sequence[float], lxi: float) -> bool:
+    """Survival of one composition, lphi0 + sum_i counts[i] * lds[i] >= lxi,
+    decided exactly on the float inputs; equality survives."""
+    (iphi, ixi, *ilds), _ = _exact_ints([lphi0, lxi, *lds])
+    return iphi + sum(c * ld for c, ld in zip(counts, ilds)) >= ixi
 
 
 def _sorted_log_deltas(spec: BranchingSpec) -> tuple[float, ...]:
@@ -118,33 +108,33 @@ def _brute_levels(
 ) -> Iterator[np.ndarray]:
     """Log amplitudes of the surviving paths at each depth 0..t, one array per depth.
 
-    Survivors are tracked as branch-count compositions level by level, so a
-    survivor at depth s is structurally the child of a depth s-1 survivor;
-    a composition reached by m distinct paths appears m times. Amplitudes
-    accumulate left to right, ((lphi0 + c0*ld0) + c1*ld1) + ..., the order
-    _decide uses, and guard-band cases fall back to _decide.
+    Each survivor is held as its row in the table of distinct branch-count
+    compositions at its depth, so a survivor at depth s is structurally the
+    child of a depth s-1 survivor, and a composition reached by m distinct
+    paths appears m times. Child b of the p-th survivor is entry pK + b.
+    Each distinct composition is decided once, by _decide, and its float
+    amplitude accumulates left to right, ((lphi0 + c0*ld0) + c1*ld1) + ...
     """
     sched = _check_exogenous(sched)
     lphi0 = _log_phi0(phi0)
     k = spec.K
     _check_brute_size(k, t)
     lds = _sorted_log_deltas(spec)
-    comps = np.zeros((1, k), dtype=np.int16)
+    comps = np.zeros((1, k), dtype=np.int64)  # the distinct compositions
+    paths = np.zeros(1, dtype=np.int64)  # each survivor's row of comps
     yield np.array([lphi0])
     for s in range(1, t + 1):
-        children = np.repeat(comps, k, axis=0)
-        for branch in range(k):
-            children[branch::k, branch] += 1
+        # candidate qK + b is row q plus one step of ratio b; slot[qK + b] is its new row
+        cands = (comps[:, None, :] + np.eye(k, dtype=np.int64)).reshape(-1, k)
+        comps, slot = np.unique(cands, axis=0, return_inverse=True)
         lxi = sched.log_xi(s)
-        acc = np.full(children.shape[0], lphi0)
+        live = np.array([_decide(lphi0, c, lds, lxi) for c in comps.tolist()], dtype=bool)
+        acc = np.full(len(comps), lphi0)
         for col in range(k):
-            acc = acc + children[:, col].astype(np.float64) * lds[col]
-        diff = acc - lxi
-        keep = diff > GUARD_BAND
-        for idx in np.nonzero(np.abs(diff) <= GUARD_BAND)[0]:
-            keep[idx] = _decide(lphi0, children[idx], lds, lxi)
-        comps = children[keep]
-        yield acc[keep]
+            acc = acc + comps[:, col] * lds[col]
+        children = slot.reshape(-1)[(paths[:, None] * k + np.arange(k)).reshape(-1)]
+        paths = children[live[children]]
+        yield acc[paths]
 
 
 def enumerate_brute(
@@ -208,28 +198,6 @@ def _row_layout(k: int, t_max: int) -> tuple[list, list, list, list, list]:
     return keys, [sum(c) for c in keys], first, [tuple(ps[1:]) for ps in preds], ends
 
 
-def _packed_find_jmin(
-    lphi0: float, c: tuple[int, ...], j: int, jmax: int, lds: Sequence[float], lxi: float
-) -> int:
-    """Smallest surviving field of row c (fields 0..jmax; jmax + 1 when none
-    survives), by an exact scan from the start field j.
-
-    Field j is the composition c + (j, jmax - j). Survival is monotone
-    nondecreasing in j because lds is sorted descending, so the scan steps
-    up past dead fields, then down past live ones, deciding each with
-    _decide.
-    """
-
-    def dec(j: int) -> bool:
-        return _decide(lphi0, c + (j, jmax - j), lds, lxi)
-
-    while j <= jmax and not dec(j):
-        j += 1
-    while j > 0 and dec(j - 1):
-        j -= 1
-    return j
-
-
 def _packed_digest(rows: list[int], width: int) -> int:
     """Total survivor count, the sum of every packed field of every row: a
     row is the sum of its fields mod 2^width - 1 (as 2^width = 1 there),
@@ -253,62 +221,43 @@ def _packed_dp(
     jmax = s - |c| at depth s. The whole transition
         row'(c) = row(c) + (row(c) << width) + sum_m row(c - e_m)
     is a few big-integer adds per row, and truncation is one mask per row
-    because survival is monotone in j. A row's first live field is settled
-    by two float sums beside the boundary estimate; only a boundary inside
-    the guard band, or off the estimate, takes the exact scan of
-    _packed_find_jmin. K = 1 has one path and one field, decided directly.
+    because survival is monotone in j. K = 1 has one path and one field.
+
+    Survival is _decide's exact rule in integers: lphi0 and lds over their
+    common denominator den, and lxi * den rounded up, which cannot change
+    a comparison with an integer. Field j of row c at depth s is then worth
+    base(c) + s * lc + j * gap, where base(c) = lphi0 + sum_m c_m (ld_m -
+    lc), lc is the smallest ratio and gap the second-smallest less lc, so
+    a row's first live field is one integer division.
     """
     keys, sizes, first, extra, ends = layout
     k = len(lds)
-    lb, lc = lds[-2:] if k > 1 else (lds[0], lds[0])
-    tied = lb == lc  # survival does not depend on j: field 0 decides the row
-    gap, band, ceil = lb - lc, GUARD_BAND, math.ceil
+    (iphi, *ilds), den = _exact_ints([lphi0, *lds])
+    lc = ilds[-1]
+    gap = ilds[-2] - lc if k > 1 else 0  # 0: ratios tied, field 0 decides the row
+    bases = [iphi + sum(n * (ld - lc) for n, ld in zip(c, ilds)) for c in keys]
     # field width: K^t bounds any count, with spare bits for the K-way add
     width = int(t_max * math.log2(k)) + 3
-    bases = []  # ((lphi0 + c0*ld0) + c1*ld1) + ..., _decide's order
-    for c in keys:
-        acc = lphi0
-        for n, ld in zip(c, lds):
-            acc = acc + n * ld
-        bases.append(acc)
     rows = [1] + [0] * len(keys)
     out: dict[int, int] = {0: 1} if 0 in record else {}
     for s in range(1, t_max + 1):
-        lxi = sched.log_xi(s)
+        n, d = sched.log_xi(s).as_integer_ratio()
+        bar = -(-n * den // d) - s * lc  # field j lives iff base + j * gap >= bar
         if k == 1:  # one path, one field, nothing to shift in
-            rows[0] = int(rows[0] and _decide(lphi0, (s,), lds, lxi))
+            rows[0] = int(rows[0] and bases[0] >= bar)
         for r in range(ends[s] - 1 if k > 1 else -1, -1, -1):
             row = rows[r]
             row += (row << width) + rows[first[r]]
             if k > 3:
                 for p in extra[r]:
                     row += rows[p]
-            if row:
+            if row and bases[r] < bar:
+                # clear the fields below the first live one (all of them at
+                # jmax + 1), touching the fewer bits
                 jmax = s - sizes[r]
-                if tied:
-                    jmin = 0 if _decide(lphi0, keys[r] + (0, jmax), lds, lxi) else jmax + 1
-                else:
-                    # The first field j at or above the float boundary is the
-                    # first live one when it survives and field j - 1 dies,
-                    # both outside the guard band, on the sums _decide forms.
-                    base = bases[r]
-                    j = ceil((lxi - (base + jmax * lc)) / gap)
-                    if j < 0:
-                        j = 0
-                    elif j > jmax:
-                        j = jmax + 1
-                    if (j > jmax or (base + j * lb) + (jmax - j) * lc - lxi > band) and (
-                        j == 0 or (base + (j - 1) * lb) + (jmax - j + 1) * lc - lxi < -band
-                    ):
-                        jmin = j
-                    else:
-                        jmin = _packed_find_jmin(lphi0, keys[r], j, jmax, lds, lxi)
-                if jmin > jmax:
-                    row = 0
-                elif jmin > 0:
-                    # clear the fields below jmin, touching the fewer bits
-                    sh = width * jmin
-                    row = row >> sh << sh if 2 * sh > row.bit_length() else row & -(1 << sh)
+                jmin = min(-((bases[r] - bar) // gap), jmax + 1) if gap else jmax + 1
+                sh = width * jmin
+                row = row >> sh << sh if 2 * sh > row.bit_length() else row & -(1 << sh)
             rows[r] = row
         if s in record:
             out[s] = _packed_digest(rows[: ends[s]], width)

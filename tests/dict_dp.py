@@ -1,9 +1,10 @@
 """Composition-keyed survivor-count DP, for use as a test oracle.
 
 One dict entry per surviving branch-count composition, each child decided
-separately by born_branch.tree._decide, so it shares the decision function
-with the packed DP in born_branch.tree but none of its packing, row layout
-or row-boundary shortcuts.
+separately by born_branch.tree._decide: the exact comparison in integers
+over the float inputs' largest power-of-two denominator. The packed DP in
+born_branch.tree applies the same rule, but this oracle shares none of its
+packing, row layout or one-division row boundaries.
 """
 
 from typing import Sequence

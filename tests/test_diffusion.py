@@ -249,6 +249,27 @@ class TestBatchSurvive:
         with pytest.raises(BadStep, match="dt=nan"):
             batch_survive(1.0, 1.0, 1.0, 1.0, math.nan, rng_stream(0, 0), 4)
 
+    @pytest.mark.parametrize(
+        "mu, sigma, name",
+        [
+            (math.nan, 1.0, "mu"),
+            (math.inf, 1.0, "mu"),
+            (1.0, math.nan, "sigma"),
+            (1.0, math.inf, "sigma"),
+            (1.0, 0.0, "sigma"),
+            (1.0, -1.0, "sigma"),
+            (1.0, 1e-200, "sigma"),
+        ],
+    )
+    def test_bad_drift_and_volatility_refused_before_any_draw(self, mu, sigma, name):
+        """A NaN mu or sigma returned every path alive with y = nan, sigma =
+        -1 ran, and sigma = 1e-200, whose square underflows, raised a bare
+        ZeroDivisionError."""
+        rng = rng_stream(0, 0)
+        with pytest.raises(OutOfRange, match=f"{name}="):
+            batch_survive(mu, sigma, 1.0, 1.0, 0.1, rng, 4)
+        assert rng.random() == rng_stream(0, 0).random()
+
     def test_step_count_bound(self):
         """tau / dt above MAX_STEPS is refused before the first draw."""
         rng = rng_stream(0, 0)
@@ -293,6 +314,8 @@ class TestRatioScan:
     def test_epsilon_validation(self):
         with pytest.raises(OutOfRange):
             ratio_convergence_scan(DiffusionParams(1.0, 1.0), 1.0, 0.0, 0.0, [1.0])
+        with pytest.raises(OutOfRange, match="epsilon=nan"):  # not a DomainError on d
+            ratio_convergence_scan(DiffusionParams(1.0, 1.0), 1.0, 0.0, math.nan, [1.0])
 
 
 class TestConditionedSample:
@@ -346,6 +369,8 @@ class TestConditionedSample:
             conditioned_sample(DiffusionParams(-0.5, 1.0), 1e-3, 1.0, 100)
         with pytest.raises(BadStart):
             conditioned_sample(DiffusionParams(1.0, 1.0), 1.0, 1.0, 100)
+        with pytest.raises(OutOfRange, match="epsilon=nan"):  # not a DomainError on d
+            conditioned_sample(DiffusionParams(1.0, 1.0), math.nan, 1.0, 100)
 
 
 class TestConditionalMeanRatio:

@@ -254,6 +254,18 @@ class TestPreconditions:
         with pytest.raises(OutOfRange):
             measurement_pipeline(FAST, 12_000, prep_rate=-1.0)
 
+    @pytest.mark.parametrize("n_boot", [0, -1])
+    def test_bootstrap_count_refused_before_any_draw(self, n_boot, monkeypatch):
+        """bootstrap_ci refuses n_boot < 1 too, but only after every path
+        is drawn; the pipeline refuses it at entry."""
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("paths were drawn before n_boot was checked")
+
+        monkeypatch.setattr(measure_module, "map_blocks", no_draws)
+        with pytest.raises(OutOfRange, match="n_boot"):
+            measurement_pipeline(FAST, 12_000, n_boot=n_boot)
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_rate_refused_before_any_draw(self, rate, monkeypatch):
         def no_draws(*args, **kwargs):

@@ -318,3 +318,6 @@ class TestDiffusionParams:
             DiffusionParams(1.0, 1e-200)  # its square underflows to 0
         with pytest.raises(OutOfRange, match="sigma=nan"):
             DiffusionParams(1.0, math.nan)
+        for mu in (math.nan, math.inf, -math.inf):
+            with pytest.raises(OutOfRange, match="mu="):
+                DiffusionParams(mu, 1.0)

@@ -26,8 +26,11 @@ from born_branch import (
     scan_rows_from_series,
 )
 from born_branch import tree as tree_module
-from born_branch.tree import GUARD_BAND, _decide, _packed_dp, _row_layout, _sorted_log_deltas
+from born_branch.tree import _decide, _exact_ints, _packed_dp, _row_layout, _sorted_log_deltas
 from dict_dp import dict_dp
+
+#: Half-width of the margins the boundary tests draw around log phi == log xi.
+BAND = 1e-9
 
 
 def packed(lphi0, lds, sched, t_max, record):
@@ -87,22 +90,22 @@ class TestHandCases:
 
 
 class TestDecisionBoundary:
-    """Survival comparisons: >= semantics with an exact recheck band."""
+    """Survival comparisons: exact >= semantics on the float inputs."""
 
     def test_exact_tie_survives(self):
-        """acc == lxi exactly is a survival, via the rational recheck."""
+        """acc == lxi exactly is a survival."""
         assert _decide(0.0, (2,), (-1.0,), -2.0)
 
     def test_band_cases_match_exact_rational(self):
-        """Margins inside the 1e-9 band are settled by Fraction arithmetic."""
+        """Margins of 1e-10, inside BAND, are settled exactly."""
         ld = -1.0 / 3.0
         acc = 0.0 + 1 * ld
         assert _decide(0.0, (1,), (ld,), acc - 1e-10)  # exact margin +1e-10
         assert not _decide(0.0, (1,), (ld,), acc + 1e-10)
 
-    def test_outside_band_uses_float_path(self):
-        assert _decide(0.0, (1,), (-0.5,), -0.5 - 2 * GUARD_BAND)
-        assert not _decide(0.0, (1,), (-0.5,), -0.5 + 2 * GUARD_BAND)
+    def test_outside_band_margins(self):
+        assert _decide(0.0, (1,), (-0.5,), -0.5 - 2 * BAND)
+        assert not _decide(0.0, (1,), (-0.5,), -0.5 + 2 * BAND)
 
     def test_threshold_bracketing_end_to_end(self):
         """Counts step when the threshold crosses a leaf amplitude.
@@ -204,72 +207,55 @@ class TestPackedBackend:
         assert [r.counts for r in short] == [r.counts for r in long]
         assert short[-1].counts[0] > 0
 
-    def test_threshold_on_first_live_field_defers_to_decide(self, monkeypatch):
+    def test_threshold_on_first_live_field_defers_to_decide(self):
         """Dyadic log ratios and threshold make every float sum exact. At K =
         3, at each depth s = 4m the threshold -1.25 s equals the value -2s +
         1.5i + j of field j = 0.75s - 1.5i in every even row i <= s/2: the
         row's first live field, since equality survives; at K = 4, with
-        the extra ratio -0.25, row (0, i) ties the same way. The margin is
-        0, inside the guard band, so the float sums cannot settle the row
-        and _decide must; the counts are the dict DP's, and a threshold one
-        ulp higher drops the tied fields."""
+        the extra ratio -0.25, row (0, i) ties the same way. The counts are
+        those _decide gives through the dict DP, and a threshold one ulp
+        higher drops the tied fields."""
         sched = Exogenous(1.0, math.exp(-1.25))
         higher = Exogenous(1.0, math.nextafter(math.exp(-1.25), 1.0))
         assert sched.log_xi(8) == -10.0
-        calls = []
-        real = tree_module._decide
-        monkeypatch.setattr(
-            tree_module, "_decide", lambda *a: calls.append(tuple(a[1])) or real(*a)
-        )
         for k, t_max in ((3, 80), (4, 40)):
             lds = (-0.25, -0.5, -1.0, -2.0)[4 - k :]
-            calls.clear()
             out = packed(0.0, lds, sched, t_max, range(t_max + 1))
-            assert (0,) * (k - 2) + (6, 2) in calls  # s = 8, row 0, tied field 6
             assert out == dict_dp(0.0, lds, sched, t_max, range(t_max + 1))
             assert packed(0.0, lds, higher, t_max, [8])[8] < out[8]
 
-    def test_row_boundaries_rarely_fall_back_to_decide(self, monkeypatch):
-        """The float sums settle all but a few row boundaries: fewer than 1%
-        of the rows truncated over five unit-tilt starts to t = 100 call
-        _decide (a scan from a float estimate made about 2.25 calls per
-        row). A row is truncated at depth s when some surviving depth s - 1
-        composition has a child in it."""
-        spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
-        sched = Exogenous(1e-6, alpha_for_unit_beta(spec).alpha)
+    @pytest.mark.parametrize("k, t_max", [(2, 120), (3, 60), (4, 30), (5, 18)])
+    def test_start_one_ulp_above_one(self, k, t_max):
+        """phi0 = 1 + 2^-52 has log one ulp below 2^-52, whose denominator
+        is 2^105: far finer than the ratios' and the thresholds', so the
+        boundary integers are over 100 bits wide. alpha, the geometric mean
+        of the largest and smallest ratios, keeps some paths and truncates
+        others."""
+        spec = random_spec(rng_stream(37, k), k)
         lds = _sorted_log_deltas(spec)
-        t_max, lphis = 100, [math.log(2.0**k) for k in range(5)]
-        rows = 0
-        for lphi0 in lphis:
-            live = {(0, 0)}  # (i, j) of the surviving compositions
-            for s in range(1, t_max + 1):
-                lxi = sched.log_xi(s)
-                children = {(i + di, j + dj) for i, j in live for di, dj in ((1, 0), (0, 1), (0, 0))}
-                rows += len({i for i, _ in children})
-                live = {(i, j) for i, j in children if _decide(lphi0, (i, j, s - i - j), lds, lxi)}
-        calls = []
-        real = tree_module._decide
-        monkeypatch.setattr(
-            tree_module, "_decide", lambda *a: calls.append(a[1]) or real(*a)
-        )
-        for lphi0 in lphis:
-            packed(lphi0, lds, sched, t_max, [t_max])
-        assert rows > 10_000
-        assert len(calls) < 0.01 * rows
+        lphi0 = math.log(math.nextafter(1.0, 2.0))
+        assert Fraction(lphi0).denominator == 2**105
+        sched = Exogenous(0.9 * math.exp(lds[0]), math.exp((lds[0] + lds[-1]) / 2))
+        record = range(t_max + 1)
+        out = packed(lphi0, lds, sched, t_max, record)
+        assert out == dict_dp(lphi0, lds, sched, t_max, record)
+        assert 0 < out[t_max] < k**t_max
 
 
 @dataclass(frozen=True)
 class TiedThreshold:
-    """A threshold within the guard band of one composition per depth: at
-    depth s, offset above the float sum _decide forms for the composition
-    whose count of each ratio but the last is round(f * what is left),
-    f from fracs in turn. That is field j of row c, the first live field of
-    the row or its last dead one, by a margin inside the band."""
+    """A threshold at or beside one composition per depth: at depth s, the
+    float sum ((lphi0 + c0*ld0) + c1*ld1) + ... for the composition whose
+    count of each ratio but the last is round(f * what is left), f from
+    fracs in turn, plus offset, then ulps steps of one ulp. That is field j
+    of row c, the first live field of the row or its last dead one, by a
+    margin of at most BAND."""
 
     lphi0: float
     lds: tuple[float, ...]
     fracs: tuple[float, ...]  # K - 1 of them
     offset: float
+    ulps: int = 0
 
     def log_xi(self, s: int) -> float:
         acc, rest = self.lphi0, s
@@ -277,7 +263,10 @@ class TiedThreshold:
             n = round(f * rest)
             acc = acc + n * ld
             rest -= n
-        return acc + rest * self.lds[-1] + self.offset
+        x = acc + rest * self.lds[-1] + self.offset
+        for _ in range(abs(self.ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, self.ulps))
+        return x
 
 
 #: Deepest horizon per K of the packed-DP properties, where the dict DP
@@ -301,9 +290,12 @@ def packed_cases(draw):
         alpha = max(spec.deltas) * draw(st.floats(0.3, 0.999))
         sched = Exogenous(math.exp(draw(st.floats(-14.0, -1.0))), alpha)
     else:
-        offset = draw(st.sampled_from([0.0]) | st.floats(-GUARD_BAND, GUARD_BAND))
+        offset, ulps = draw(
+            st.tuples(st.just(0.0), st.integers(-4, 4))
+            | st.tuples(st.floats(-BAND, BAND), st.just(0))
+        )
         fracs = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=k - 1, max_size=k - 1)))
-        sched = TiedThreshold(lphi0, lds, fracs, offset)
+        sched = TiedThreshold(lphi0, lds, fracs, offset, ulps)
     return lds, sched, lphi0, draw(st.integers(PROPERTY_T[k] // 2, PROPERTY_T[k]))
 
 
@@ -531,11 +523,11 @@ class TestBoundaryProperties:
         terms=st.lists(
             st.tuples(st.integers(0, 30), st.floats(-3.0, -0.01)), min_size=1, max_size=4
         ),
-        offset=st.floats(-2 * GUARD_BAND, 2 * GUARD_BAND),
+        offset=st.floats(-2 * BAND, 2 * BAND),
     )
     def test_decide_matches_exact_rational(self, lphi0, terms, offset):
-        """Inside and just outside the guard band the decision is the sign of
-        the exact rational value of the float inputs' linear form."""
+        """At small margins the decision is the sign of the exact rational
+        value of the float inputs' linear form."""
         counts = [c for c, _ in terms]
         lds = [ld for _, ld in terms]
         acc = lphi0
@@ -562,3 +554,19 @@ class TestBoundaryProperties:
         assert _decide(lphi0, counts, lds, lxi)
         assert _decide(lphi0, counts, lds, math.nextafter(lxi, -math.inf))
         assert not _decide(lphi0, counts, lds, math.nextafter(lxi, math.inf))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        xs=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nextafter(2.0**-1022, 0.0)]),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_exact_ints_are_the_floats_over_one_denominator(self, xs):
+        """Every finite float, subnormals and -0.0 included, is its integer
+        over the largest power-of-two denominator of the list."""
+        ints, den = _exact_ints(xs)
+        assert den == max(Fraction(x).denominator for x in xs)
+        assert all(Fraction(n, den) == Fraction(x) for n, x in zip(ints, xs))

@@ -40,7 +40,6 @@ from .model import (
 from .tree import (
     ScanRow,
     TreeResult,
-    brute_leaf_log_amplitudes,
     count_survivors_dp,
     enumerate_brute,
     log_bigint,
@@ -51,7 +50,6 @@ from .lcg import (
     LcgSpec,
     lcg_children,
     lcg_delta_stream,
-    lcg_tree,
     lcg_walk_survival,
 )
 from .walk import (

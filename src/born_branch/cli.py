@@ -33,8 +33,8 @@ from .measure import (
     MeasurementSetup, measurement_pipeline, outcome_weights, prepared_median_reference,
 )
 from .model import (
-    BranchingSpec, Exogenous, GaussianShocks, LogUniformShocks, RandomBarrier, WalkParams,
-    _alpha_feasible, alpha_for_unit_beta, endogenous_alpha,
+    BranchingSpec, DiffusionParams, Exogenous, GaussianShocks, LogUniformShocks, RandomBarrier,
+    WalkParams, _alpha_feasible, alpha_for_unit_beta, endogenous_alpha,
 )
 from .population import endogenous_population
 from .rng import map_blocks, resolve_workers
@@ -344,6 +344,8 @@ class WalkExpParams:
         # the asymptotic ratio's Gaussian-bulk factor divides by t
         if self.t < 1:
             raise ConfigError(f"t={self.t} must be >= 1")
+        if not self.x0s:
+            raise ConfigError("x0s is empty: the walk needs at least one start")
 
 
 def _asym_ratio(beta: float, sigma: float, d_a: float, d_b: float, t: float) -> float:
@@ -428,8 +430,6 @@ class DiffusionExpParams:
 
 
 def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutput:
-    from .model import DiffusionParams
-
     params = DiffusionParams(p.mu, p.sigma)
     with _targets_in_float_range(p.sigma):
         ratios = diff.ratio_convergence_scan(params, p.x_a, p.x_b, p.epsilon, p.tau_grid)

@@ -143,6 +143,8 @@ def batch_survive(
     dead. Draws (one normal and one uniform array per step) never depend
     on outcomes. Returns (alive mask, final y).
     """
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
+        raise OutOfRange(f"size={size!r} must be an integer >= 0")
     DiffusionParams(mu, sigma)  # refuses a non-finite mu and a bad sigma
     n_steps, dt_eff = _resolve_steps(tau, dt)
     y = np.full(size, y0, dtype=float) if np.isscalar(y0) else np.asarray(y0, float).copy()

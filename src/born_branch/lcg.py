@@ -7,13 +7,12 @@ Ratios are then nearly uniform on (0, 1), the branch pair nearly conserves
 total amplitude, and the induced log-ratio walk has E[-log delta] = 1 and
 Var[log delta] = 1.
 
-Multipliers are reduced mod p at construction. lcg_children, the child
-map of the walk and of the exact tree, holds states in uint64, so p must
-fit 62 bits there: for the Mersenne modulus 2^61 - 1 it multiplies with
-carry-free splitting, and every other modulus, 2^31 - 1 included, takes
-exact Python integers. The scalar delta stream takes Python integers at
-any width. No run depends on the orbit length, so the module makes no
-primality or period checks.
+Multipliers are reduced mod p at construction. lcg_children, the walk's
+child map, holds states in uint64, so p must fit 62 bits there: for the
+Mersenne modulus 2^61 - 1 it multiplies with carry-free splitting, and
+every other modulus, 2^31 - 1 included, takes exact Python integers. The
+scalar delta stream takes Python integers at any width. No run depends on
+the orbit length, so the module makes no primality or period checks.
 """
 from __future__ import annotations
 
@@ -31,9 +30,6 @@ from .tree import _check_exogenous, _log_phi0
 from .walk import SurvivalEstimate, _start_estimates
 
 M61 = (1 << 61) - 1
-
-#: lcg_tree refuses depths with more than this many paths.
-MAX_TREE_PATHS = 2**25
 
 #: Default decay rate for LCG trees: e^{-11/12}. It assumed Var(log delta) =
 #: 1/12, which makes drift/variance (1 - 11/12)/(1/12) = 1; the stream's
@@ -116,42 +112,6 @@ def lcg_delta_stream(spec: LcgSpec, n: int, seed: int) -> np.ndarray:
         c = base if branches[i] == 2 else p - 1 - base
         out[i] = c / p
     return out
-
-
-def lcg_tree(
-    spec: LcgSpec,
-    sched: Exogenous,
-    t: int,
-    phi0: float = 1.0,
-) -> int:
-    """Exact survivor count of the depth-t LCG tree over all 2^t paths.
-
-    The exact oracle for lcg_walk_survival, guarded by MAX_TREE_PATHS. A
-    path survives while log phi0 >= log xi_s - amps_s, with amps_s its log
-    amplitude from phi0 = 1: the comparison _lcg_block_worst makes, in the
-    same floats, so both decide every path alike. A schedule other than
-    Exogenous raises TypeError.
-    """
-    sched = _check_exogenous(sched)
-    lphi0 = _log_phi0(phi0)
-    if t < 0:
-        raise OutOfRange(f"t={t} must be >= 0")
-    if 2 ** min(t, 64) > MAX_TREE_PATHS:  # 2^t itself has t bits
-        raise TooLarge(f"2^{t} paths exceed MAX_TREE_PATHS={MAX_TREE_PATHS}")
-    states = np.array([spec.c0], dtype=np.uint64)
-    amps = np.zeros(1)
-    for s in range(1, t + 1):
-        if states.size == 0:
-            break
-        c2, c1 = lcg_children(states, spec)
-        children = np.concatenate([c2, c1])
-        with np.errstate(divide="ignore"):
-            damps = np.log(children.astype(np.float64) / spec.p)
-        amps = np.concatenate([amps, amps]) + damps
-        keep = lphi0 >= sched.log_xi(s) - amps
-        states = children[keep]
-        amps = amps[keep]
-    return int(states.size)
 
 
 def _lcg_block_worst(

@@ -16,10 +16,9 @@ identical across the two.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -103,40 +102,6 @@ def _check_brute_size(k: int, t: int) -> None:
         raise TooLarge(f"K^t = {k}**{t} exceeds MAX_BRUTE_PATHS={MAX_BRUTE_PATHS}")
 
 
-def _brute_levels(
-    spec: BranchingSpec, sched: Exogenous, t: int, phi0: float
-) -> Iterator[np.ndarray]:
-    """Log amplitudes of the surviving paths at each depth 0..t, one array per depth.
-
-    Each survivor is held as its row in the table of distinct branch-count
-    compositions at its depth, so a survivor at depth s is structurally the
-    child of a depth s-1 survivor, and a composition reached by m distinct
-    paths appears m times. Child b of the p-th survivor is entry pK + b.
-    Each distinct composition is decided once, by _decide, and its float
-    amplitude accumulates left to right, ((lphi0 + c0*ld0) + c1*ld1) + ...
-    """
-    sched = _check_exogenous(sched)
-    lphi0 = _log_phi0(phi0)
-    k = spec.K
-    _check_brute_size(k, t)
-    lds = _sorted_log_deltas(spec)
-    comps = np.zeros((1, k), dtype=np.int64)  # the distinct compositions
-    paths = np.zeros(1, dtype=np.int64)  # each survivor's row of comps
-    yield np.array([lphi0])
-    for s in range(1, t + 1):
-        # candidate qK + b is row q plus one step of ratio b; slot[qK + b] is its new row
-        cands = (comps[:, None, :] + np.eye(k, dtype=np.int64)).reshape(-1, k)
-        comps, slot = np.unique(cands, axis=0, return_inverse=True)
-        lxi = sched.log_xi(s)
-        live = np.array([_decide(lphi0, c, lds, lxi) for c in comps.tolist()], dtype=bool)
-        acc = np.full(len(comps), lphi0)
-        for col in range(k):
-            acc = acc + comps[:, col] * lds[col]
-        children = slot.reshape(-1)[(paths[:, None] * k + np.arange(k)).reshape(-1)]
-        paths = children[live[children]]
-        yield acc[paths]
-
-
 def enumerate_brute(
     spec: BranchingSpec,
     sched: Exogenous,
@@ -145,26 +110,31 @@ def enumerate_brute(
 ) -> list[TreeResult]:
     """Brute-force oracle: N_s for s = 0..t by enumerating all K^s paths.
 
-    Guarded by MAX_BRUTE_PATHS on K^t.
+    Each survivor is held as its row in the table of distinct branch-count
+    compositions at its depth, so a survivor at depth s is structurally the
+    child of a depth s-1 survivor, and a composition reached by m distinct
+    paths appears m times. Child b of the p-th survivor is entry pK + b.
+    Each distinct composition is decided once, by _decide. Guarded by
+    MAX_BRUTE_PATHS on K^t.
     """
-    return [
-        TreeResult(s, (amps.size,))
-        for s, amps in enumerate(_brute_levels(spec, sched, t, phi0))
-    ]
-
-
-def brute_leaf_log_amplitudes(
-    spec: BranchingSpec,
-    sched: Exogenous,
-    t: int,
-    phi0: float,
-) -> np.ndarray:
-    """Log amplitudes of every surviving depth-t path, in enumeration order.
-
-    With multiplicity: a composition reached by m distinct paths appears m
-    times, so exp of the values sums to the surviving squared amplitude.
-    """
-    return deque(_brute_levels(spec, sched, t, phi0), maxlen=1)[0]
+    sched = _check_exogenous(sched)
+    lphi0 = _log_phi0(phi0)
+    k = spec.K
+    _check_brute_size(k, t)
+    lds = _sorted_log_deltas(spec)
+    comps = np.zeros((1, k), dtype=np.int64)  # the distinct compositions
+    paths = np.zeros(1, dtype=np.int64)  # each survivor's row of comps
+    out = [TreeResult(0, (1,))]
+    for s in range(1, t + 1):
+        # candidate qK + b is row q plus one step of ratio b; slot[qK + b] is its new row
+        cands = (comps[:, None, :] + np.eye(k, dtype=np.int64)).reshape(-1, k)
+        comps, slot = np.unique(cands, axis=0, return_inverse=True)
+        lxi = sched.log_xi(s)
+        live = np.array([_decide(lphi0, c, lds, lxi) for c in comps.tolist()], dtype=bool)
+        children = slot.reshape(-1)[(paths[:, None] * k + np.arange(k)).reshape(-1)]
+        paths = children[live[children]]
+        out.append(TreeResult(s, (paths.size,)))
+    return out
 
 
 def _row_layout(k: int, t_max: int) -> tuple[list, list, list, list, list]:

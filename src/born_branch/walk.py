@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .diffusion import survival_closed_form
 from .errors import BadStart, OutOfRange, RareEventRegime, ZeroDenominator
 from .model import Exogenous, RandomBarrier, ThresholdSchedule, WalkParams
 from .rng import map_blocks
@@ -173,8 +174,6 @@ def walk_survival(
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
     if params.sigma > 0.0 and t > 0:
-        from .diffusion import survival_closed_form
-
         for x0 in x0s:
             d = x0 - log_eps + _MONITORING_SHIFT * params.sigma
             predicted = survival_closed_form(params.mu, params.sigma, d, float(t))

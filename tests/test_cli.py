@@ -485,6 +485,7 @@ class TestMain:
             ("lcg", {"parameters": {"p": (1 << 63) + 1}}, "modulus p"),
             ("diffusion", {"parameters": {"tau_grid": [], "mc_n_paths": 2000}}, "tau_grid"),
             ("walk", {"parameters": {"t": 0, "n_paths": 2000}}, "t"),
+            ("walk", {"parameters": {"x0s": []}}, "x0s"),
             ("lcg", {"parameters": {"n_transitions": 0}}, "n_transitions"),
             ("tree", {"parameters": {"phis": [1.0, 2.0, -1.0]}}, "phis"),
             ("walk", {"parameters": {"sigma": 1e-9}}, "sigma"),
@@ -502,6 +503,7 @@ class TestMain:
              "epsilon-infinity", "list-entry-nan", "int-beyond-float-range",
              "noise-sd-negative", "start-on-barrier",
              "modulus-beyond-62-bits", "tau-grid-empty", "walk-t-zero",
+             "walk-x0s-empty",
              "n-transitions-zero", "tree-late-bad-start",
              "walk-tilt-beyond-float-range", "diffusion-tilt-beyond-float-range",
              "walk-sigma-squared-underflows", "measure-sigma-squared-underflows",

@@ -270,6 +270,19 @@ class TestBatchSurvive:
             batch_survive(mu, sigma, 1.0, 1.0, 0.1, rng, 4)
         assert rng.random() == rng_stream(0, 0).random()
 
+    @pytest.mark.parametrize("size", [-1, 2.5, True])
+    def test_bad_size_refused_before_any_draw(self, size):
+        """A negative size raised numpy's bare ValueError, and 2.5 and True
+        a TypeError."""
+        rng = rng_stream(0, 0)
+        with pytest.raises(OutOfRange, match="size="):
+            batch_survive(1.0, 1.0, 1.0, 1.0, 0.1, rng, size)
+        assert rng.random() == rng_stream(0, 0).random()
+
+    def test_zero_size_is_empty(self):
+        alive, y = batch_survive(1.0, 1.0, 1.0, 1.0, 0.1, rng_stream(0, 0), 0)
+        assert alive.shape == y.shape == (0,)
+
     def test_step_count_bound(self):
         """tau / dt above MAX_STEPS is refused before the first draw."""
         rng = rng_stream(0, 0)

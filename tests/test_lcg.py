@@ -1,9 +1,11 @@
 """Tests for the congruential branching model: arithmetic, period, walks."""
 
+import ast
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from born_branch import (
     TooLarge,
     lcg_delta_stream,
     lcg_children,
-    lcg_tree,
     lcg_walk_survival,
     rng_stream,
     start_exponent,
@@ -146,6 +147,21 @@ def test_import_does_not_load_sympy():
     assert not _loaded_by_import("sympy")
 
 
+def test_imports_at_module_level():
+    """No function body in the package imports: every module's imports sit
+    at its top, where a cycle or a missing dependency shows at import."""
+    nested = set()
+    for path in sorted(Path(born_branch.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update(
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                )
+    assert sorted(nested) == []
+
+
 def test_import_does_not_load_scipy_integrate():
     """The package never imports scipy.integrate."""
     assert not _loaded_by_import("scipy.integrate")
@@ -210,51 +226,25 @@ class TestDeltaStream:
 
 
 class TestLcgTree:
-    """Exact 2^t enumeration, the oracle for the sampled walk."""
+    """Exact 2^t enumeration by the per-start reference, the oracle for the
+    sampled walk."""
 
     def test_exact_counts_all_paths(self):
         """t=10 with a negligible threshold: all 2^10 paths survive."""
         sched = Exogenous(1e-12, DEFAULT_LCG_ALPHA)
-        assert lcg_tree(BIG, sched, 10) == 1024
+        assert _lcg_exact(BIG, sched, 10) == 1024
 
     def test_exact_truncation_reduces_count(self):
         sched = Exogenous(1e-2, DEFAULT_LCG_ALPHA)
-        assert 0 < lcg_tree(BIG, sched, 14) < 2**14
+        assert 0 < _lcg_exact(BIG, sched, 14) < 2**14
 
     def test_sampled_agrees_with_exact(self):
         """Sampled survival estimate within 4 SE of the exact fraction."""
         sched = Exogenous(1e-2, DEFAULT_LCG_ALPHA)
-        p_true = lcg_tree(BIG, sched, 14) / 2**14
+        p_true = _lcg_exact(BIG, sched, 14) / 2**14
         (sampled,) = lcg_walk_survival(BIG, sched, 14, [1.0], 40_000, seed=5)
         se = math.sqrt(p_true * (1 - p_true) / sampled.n_paths)
         assert abs(sampled.p_hat - p_true) < 4 * se
-
-    def test_exact_guard_on_depth(self):
-        with pytest.raises(TooLarge):
-            lcg_tree(BIG, Exogenous(1e-2, 0.5), 40)
-
-    def test_exact_guard_does_not_form_two_to_the_t(self):
-        """2^(10^9) has over 10^9 bits; the guard refuses without it."""
-        with pytest.raises(TooLarge):
-            lcg_tree(BIG, Exogenous(1e-2, 0.5), 10**9)
-
-    def test_validation(self):
-        with pytest.raises(OutOfRange):
-            lcg_tree(BIG, Exogenous(1e-2, 0.5), -1)
-        with pytest.raises(OutOfRange):
-            lcg_tree(BIG, Exogenous(1e-2, 0.5), 5, phi0=0.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_start_refused(self, bad):
-        """A NaN start once counted 0 survivors and an infinite one 2^t."""
-        with pytest.raises(OutOfRange, match="phi0"):
-            lcg_tree(BIG, Exogenous(1e-2, 0.5), 5, phi0=bad)
-
-    def test_random_barrier_rejected(self):
-        """The enumeration compares against a deterministic threshold, so a
-        noisy schedule raises the TypeError the tree ops raise."""
-        with pytest.raises(TypeError, match="RandomBarrier"):
-            lcg_tree(BIG, RandomBarrier(1e-2, 0.3), 5)
 
     @pytest.mark.parametrize(
         "spec, t",
@@ -262,10 +252,10 @@ class TestLcgTree:
         ids=["m61", "lehmer", "small_modulus"],
     )
     def test_same_decision_as_walk_kernel(self, spec, t):
-        """lcg_tree and _lcg_block_worst decide every path alike, even for
-        a start exactly on a path's worst gap or one ulp either side of it.
-        The kernel runs over all 2^t branch sequences, and a start's count
-        from its worst gaps must equal the tree's."""
+        """The per-start reference and _lcg_block_worst decide every path
+        alike, even for a start exactly on a path's worst gap or one ulp
+        either side of it. Both run over all 2^t branch sequences, and a
+        start's count from its worst gaps must equal the reference's."""
         sched = Exogenous(1e-2, DEFAULT_LCG_ALPHA)
         worst = _lcg_block_worst(spec, sched, t, _PathBits(2**t), 2**t)
         gaps = np.unique(worst[np.isfinite(worst)])
@@ -280,9 +270,10 @@ class TestLcgTree:
                 phi = math.nextafter(phi, math.inf if math.log(phi) < w else 0.0)
             phis += [math.nextafter(phi, 0.0), phi, math.nextafter(phi, math.inf)]
         assert on_gap >= 30
-        for phi in phis:
-            expect = int(np.count_nonzero(math.log(phi) >= worst))
-            assert lcg_tree(spec, sched, t, phi) == expect, phi
+        lphis = [math.log(phi) for phi in phis]
+        expect = [int(np.count_nonzero(lphi >= worst)) for lphi in lphis]
+        alive = _lcg_alive_reference(spec, sched, t, lphis, _PathBits(2**t), 2**t)
+        assert alive.sum(axis=1).tolist() == expect
 
 
 class _PathBits:
@@ -301,7 +292,8 @@ class _PathBits:
 
 def _lcg_alive_reference(spec, sched, t, lphis, rng, size):
     """Per-start loop: each start keeps its own alive mask from step to
-    step, on the chain and branch draws _lcg_block_worst makes."""
+    step, on the chain and branch draws _lcg_block_worst makes, and compares
+    in the kernel's float form, lphi >= log xi_s - amps_s."""
     states = np.full(size, spec.c0, dtype=np.uint64)
     amps = np.zeros(size)
     alive = np.ones((len(lphis), size), dtype=bool)
@@ -312,8 +304,14 @@ def _lcg_alive_reference(spec, sched, t, lphis, rng, size):
         with np.errstate(divide="ignore"):
             amps = amps + np.log(states.astype(np.float64) / spec.p)
         for j, lphi in enumerate(lphis):
-            alive[j] &= lphi + amps >= sched.log_xi(s)
+            alive[j] &= lphi >= sched.log_xi(s) - amps
     return alive
+
+
+def _lcg_exact(spec, sched, t):
+    """Exact survivor count of the depth-t LCG tree from phi0 = 1: the
+    per-start reference run over every one of the 2^t branch sequences."""
+    return int(_lcg_alive_reference(spec, sched, t, [0.0], _PathBits(2**t), 2**t).sum())
 
 
 class TestLcgWalkSurvival:

@@ -18,7 +18,6 @@ from born_branch import (
     StateExplosion,
     TooLarge,
     alpha_for_unit_beta,
-    brute_leaf_log_amplitudes,
     count_survivors_dp,
     enumerate_brute,
     log_bigint,
@@ -77,17 +76,6 @@ class TestHandCases:
         series = count_survivors_dp(spec, sched, 8, [1.0])
         assert [r.counts[0] for r in series] == [3**t for t in range(9)]
 
-    def test_leaf_amplitudes_two_steps(self):
-        """K=2, t=2 leaves: log amplitudes are the four products delta_i delta_j."""
-        spec = BranchingSpec((1 / 4, 3 / 4))
-        amps = brute_leaf_log_amplitudes(spec, Exogenous(1e-9, 0.5), 2, 1.0)
-        expect = sorted(
-            math.log(a * b)
-            for a in (1 / 4, 3 / 4)
-            for b in (1 / 4, 3 / 4)
-        )
-        np.testing.assert_allclose(sorted(amps), expect, atol=1e-12)
-
 
 class TestDecisionBoundary:
     """Survival comparisons: exact >= semantics on the float inputs."""
@@ -110,12 +98,12 @@ class TestDecisionBoundary:
     def test_threshold_bracketing_end_to_end(self):
         """Counts step when the threshold crosses a leaf amplitude.
 
-        At t=3 the smallest surviving amplitude is some leaf value L; with
-        xi just below L the leaf survives, just above it dies.
+        At t=3 the smallest leaf amplitude is L = 3 log(1/6), three steps of
+        the smallest ratio; with xi just below L the leaf survives, just
+        above it dies.
         """
         spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
-        amps = brute_leaf_log_amplitudes(spec, Exogenous(1e-30, 0.9), 3, 1.0)
-        lo = float(np.min(amps))
+        lo = 3 * math.log(1 / 6)
         alpha = 0.9
         for shift, expect in ((-1e-6, 27), (1e-6, 26)):
             eps = math.exp(lo + shift - 3 * math.log(alpha))
@@ -514,8 +502,6 @@ class TestBoundaryProperties:
         brute = enumerate_brute(spec, sched, t, phi0)
         dp = count_survivors_dp(spec, sched, t, [phi0])
         assert [r.counts for r in brute] == [r.counts for r in dp]
-        amps = brute_leaf_log_amplitudes(spec, sched, t, phi0)
-        assert amps.size == brute[-1].counts[0]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(

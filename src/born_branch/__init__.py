@@ -85,7 +85,6 @@ from .stats import (
     bootstrap_ci,
     fit_power_law,
     ks_distance,
-    quantile,
     start_exponent,
 )
 from .rng import BLOCK_SIZE, rng_stream

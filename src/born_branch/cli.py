@@ -34,7 +34,7 @@ from .measure import (
 )
 from .model import (
     BranchingSpec, DiffusionParams, Exogenous, GaussianShocks, LogUniformShocks, RandomBarrier,
-    WalkParams, _alpha_feasible, alpha_for_unit_beta, endogenous_alpha,
+    WalkParams, _alpha_feasible, _positive_finite, alpha_for_unit_beta, endogenous_alpha,
 )
 from .population import endogenous_population
 from .rng import map_blocks, resolve_workers
@@ -426,6 +426,10 @@ class DiffusionExpParams:
             raise OutOfRange(f"mc_n_paths={self.mc_n_paths} must be >= 1")
         if not self.tau_grid:
             raise ConfigError("tau_grid is empty: the ratio scan needs at least one horizon")
+        log_eps = math.log(_positive_finite("epsilon", self.epsilon))
+        for key, d in (("x_a", self.x_a - log_eps), ("x_b", self.x_b - log_eps), ("mc_d", self.mc_d)):
+            if not d > 0.0:
+                raise ConfigError(f"{key}: the distance {d:.6g} above the barrier must be positive")
         diff._resolve_steps(self.mc_tau, self.mc_dt, "mc_dt")
 
 
@@ -481,7 +485,8 @@ class EndogenousParams:
     dt: float = 0.01
 
     def __post_init__(self) -> None:
-        diff._resolve_steps(self.tau, self.dt)
+        if diff._resolve_steps(self.tau, self.dt)[0] < 2:
+            raise ConfigError(f"tau={self.tau}, dt={self.dt} give one step; the fit needs two")
 
 
 def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutput:
@@ -688,8 +693,7 @@ def _write_svg(path: Path, title: str, xlabel: str, ylabel: str,
 
 
 def reference_config(experiment: str) -> ExperimentConfig:
-    """Reference configuration for an experiment family: the parameter
-    defaults above, at seed 0."""
+    """Reference configuration of an experiment family: its defaults at seed 0."""
     return ExperimentConfig(experiment)
 
 

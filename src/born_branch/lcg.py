@@ -3,6 +3,7 @@
 The two-branch tree whose ratios come from an LCG orbit: from state c the
 branch-2 child has state a*c mod p and the branch-1 child the reflection
 p - 1 - (a*c mod p); either child's ratio is its new state divided by p.
+Every chain, the delta stream's and each walk path's, starts at state 1.
 Ratios are then nearly uniform on (0, 1), the branch pair nearly conserves
 total amplitude, and the induced log-ratio walk has E[-log delta] = 1 and
 Var[log delta] = 1.
@@ -31,6 +32,9 @@ from .walk import SurvivalEstimate, _start_estimates
 
 M61 = (1 << 61) - 1
 
+#: Start state of every chain: c_0 = 1, a unit of the field for every p.
+_C0 = 1
+
 #: Default decay rate for LCG trees: e^{-11/12}. It assumed Var(log delta) =
 #: 1/12, which makes drift/variance (1 - 11/12)/(1/12) = 1; the stream's
 #: true Var(log delta) is 1 (module docstring), so drift/variance at this
@@ -40,11 +44,10 @@ DEFAULT_LCG_ALPHA = math.exp(-11.0 / 12.0)
 
 @dataclass(frozen=True)
 class LcgSpec:
-    """Prime modulus p, multiplier a (reduced mod p), and start state c0."""
+    """Prime modulus p and multiplier a, reduced mod p; every chain starts at _C0."""
 
     p: int = M61
     a: int = 6364136223846793005
-    c0: int = 1
     a_eff: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -53,8 +56,6 @@ class LcgSpec:
         a_eff = self.a % self.p
         if a_eff in (0, 1):
             raise OutOfRange(f"multiplier {self.a} reduces to {a_eff} mod p")
-        if not (0 < self.c0 < self.p):
-            raise OutOfRange(f"start state c0={self.c0} outside (0, p)")
         object.__setattr__(self, "a_eff", a_eff)
 
 
@@ -104,7 +105,7 @@ def lcg_delta_stream(spec: LcgSpec, n: int, seed: int) -> np.ndarray:
         raise OutOfRange(f"need n >= 1 transitions, got {n}")
     branches = rng_stream(seed, 0).integers(1, 3, size=n)
     out = np.empty(n)
-    c = spec.c0
+    c = _C0
     p = spec.p
     a = spec.a_eff
     for i in range(n):
@@ -123,7 +124,7 @@ def _lcg_block_worst(
     survives iff log phi0 >= the worst gap. A chain that reaches state 0
     has amps = -inf and a worst gap of +inf: no start survives it.
     """
-    states = np.full(size, spec.c0, dtype=np.uint64)
+    states = np.full(size, _C0, dtype=np.uint64)
     amps = np.zeros(size)
     worst = np.full(size, -np.inf)
     for s in range(1, t + 1):

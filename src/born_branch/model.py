@@ -58,14 +58,6 @@ class BranchingSpec:
         object.__setattr__(self, "log_devs", devs)
         object.__setattr__(self, "sigma2", math.fsum(d * d for d in devs) / len(devs))
 
-    @classmethod
-    def renormalized(cls, deltas) -> "BranchingSpec":
-        """Construct after explicitly rescaling the ratios to sum to one."""
-        total = math.fsum(float(d) for d in deltas)
-        if total <= 0.0:
-            raise OutOfRange("cannot renormalize a non-positive total")
-        return cls(tuple(float(d) / total for d in deltas))
-
     @property
     def K(self) -> int:
         return len(self.deltas)
@@ -107,23 +99,21 @@ def _alpha_feasible(spec: BranchingSpec, alpha: float) -> bool:
     return spec.sigma2 > 0.0 and spec.delta_bar < alpha < max(spec.deltas)
 
 
-def endogenous_alpha(
-    tilde_mu: float, sigma: float, varepsilon: float, phi0: float = 1.0
-) -> EndogenousAlpha:
+def endogenous_alpha(tilde_mu: float, sigma: float, varepsilon: float) -> EndogenousAlpha:
     """Predicted growth rate and intercept of the endogenous threshold.
 
     Under the exponential quasi-stationary ansatz with rate 1/(1-varepsilon):
-    log alpha = sigma^2 / (1 - varepsilon) - tilde_mu and the threshold
-    intercept is c0 = phi0 * varepsilon / (1 - varepsilon). Returned as
-    reference targets; the measured growth rate of the interacting particle
-    system deviates from this ansatz (see endogenous_population docs).
+    log alpha = sigma^2 / (1 - varepsilon) - tilde_mu and, for a population
+    started at phi0 = 1, the threshold intercept is c0 = varepsilon /
+    (1 - varepsilon). Returned as reference targets; the measured growth
+    rate of the interacting particle system deviates from this ansatz (see
+    endogenous_population docs).
     """
     _positive_finite("sigma", sigma)
     if not (0.0 < varepsilon < 1.0):
         raise OutOfRange(f"varepsilon={varepsilon} outside (0, 1)")
-    _positive_finite("phi0", phi0)
     log_alpha = sigma * sigma / (1.0 - varepsilon) - tilde_mu
-    return EndogenousAlpha(log_alpha, phi0 * varepsilon / (1.0 - varepsilon))
+    return EndogenousAlpha(log_alpha, varepsilon / (1.0 - varepsilon))
 
 
 def _positive_finite(name: str, value: float) -> float:

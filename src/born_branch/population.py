@@ -62,8 +62,9 @@ def endogenous_population(
     Update order per step: diffuse all particles, recompute the threshold
     from the diffused population, absorb (strictly below dies, equality
     survives), then clone survivors onto the absorbed slots. Raises
-    Extinction if a step leaves no survivors, and TooLarge before any
-    allocation if tau / dt exceeds diffusion.MAX_STEPS. The growth fit
+    Extinction if a step leaves no survivors, and before any allocation
+    TooLarge if tau / dt exceeds diffusion.MAX_STEPS and OutOfRange if it
+    rounds to one step, which leaves the fit one point. The growth fit
     discards the first BURN_IN fraction of the trajectory.
     """
     _positive_finite("sigma", sigma)
@@ -75,6 +76,8 @@ def endogenous_population(
         raise OutOfRange(f"need 0 < dt <= tau, got dt={dt}, tau={tau}")
     _positive_finite("phi0", phi0)
     n_steps, dt_eff = _resolve_steps(tau, dt)
+    if n_steps < 2:
+        raise OutOfRange(f"tau={tau}, dt={dt} give one step; the fit needs two")
     rng = rng_stream(seed, 0)
     sdt = sigma * math.sqrt(dt_eff)
     log_phi0 = math.log(phi0)
@@ -108,9 +111,7 @@ def endogenous_population(
         log_xi[step] = cur_xi + log_phi0
         n_survivors[step] = n_particles - n_dead
         mean_z[step] = float(z.mean()) + log_phi0
-    start = int(BURN_IN * n_steps)
-    if n_steps - start < 2:
-        start = max(0, n_steps - 2)
+    start = int(BURN_IN * n_steps)  # n_steps >= 2 leaves the fit >= 2 points
     fit = fit_power_law(times[start:], log_xi[start:])
     return PopulationRun(
         times=times,

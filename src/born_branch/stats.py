@@ -1,8 +1,8 @@
 """Fitting and probability utilities used by the verification checks.
 
 Ordinary least squares on log-log data, Kolmogorov-Smirnov distances,
-exact and log-space binomial tail arithmetic, quantiles, and percentile
-bootstrap intervals for the median.
+exact and log-space binomial tail arithmetic, and percentile bootstrap
+intervals for the median.
 """
 from __future__ import annotations
 
@@ -19,13 +19,10 @@ from .rng import rng_stream
 
 @dataclass(frozen=True)
 class FitResult:
-    """Least-squares line fit with per-slope uncertainty."""
+    """Least-squares line fit: slope and intercept."""
 
     slope: float
     intercept: float
-    stderr_slope: float
-    r_squared: float
-    n_points: int
 
 
 def _logsumexp(z: np.ndarray, buf: np.ndarray, mask: np.ndarray) -> float:
@@ -56,31 +53,20 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
     """OLS fit ys ~ slope * xs + intercept on already-transformed data.
 
     Callers pass log-transformed coordinates, so the slope is the power-law
-    exponent. Two points give an exact fit (stderr 0, r_squared 1); fewer
-    than two distinct xs raise DegenerateDesign.
+    exponent. Fewer than two distinct xs raise DegenerateDesign.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DegenerateDesign("xs and ys must be equal-length 1-d sequences")
-    n = x.size
-    if n < 2 or np.ptp(x) == 0.0:
+    if x.size < 2 or np.ptp(x) == 0.0:
         raise DegenerateDesign("need at least two distinct abscissae")
     xbar = x.mean()
     ybar = y.mean()
     dx = x - xbar
     sxx = float(dx @ dx)
     slope = float(dx @ (y - ybar)) / sxx
-    intercept = ybar - slope * xbar
-    resid = y - slope * x - intercept
-    ssr = float(resid @ resid)
-    sst = float((y - ybar) @ (y - ybar))
-    if n > 2:
-        stderr = math.sqrt(max(ssr, 0.0) / (n - 2) / sxx)
-    else:
-        stderr = 0.0
-    r_squared = 1.0 if sst == 0.0 else 1.0 - ssr / sst
-    return FitResult(slope, intercept, stderr, r_squared, n)
+    return FitResult(slope, ybar - slope * xbar)
 
 
 def start_exponent(log_starts: Sequence[float], log_values: Sequence[float]) -> float:
@@ -160,16 +146,6 @@ def binomial_count_fraction(n: int, lo: int, hi: int) -> tuple[float, Fraction]:
         raise OutOfRange(f"need 0 <= lo <= hi <= n, got lo={lo}, hi={hi}, n={n}")
     total = sum(math.comb(n, k) for k in range(lo, hi + 1))
     return math.log10(total) - n * math.log10(2.0), Fraction(total, 2**n)
-
-
-def quantile(sample: Sequence[float], q: float) -> float:
-    """Linear-interpolation quantile; q=0.5 on even n is the midpoint."""
-    arr = np.asarray(sample, dtype=float)
-    if arr.size == 0:
-        raise EmptySample("quantile of an empty sample")
-    if not (0.0 <= q <= 1.0):
-        raise OutOfRange(f"quantile level {q} outside [0, 1]")
-    return float(np.quantile(arr, q))
 
 
 def bootstrap_ci(

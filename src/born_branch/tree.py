@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -282,16 +281,16 @@ def scan_rows_from_series(
 
     phis lists the start values in the order of each TreeResult.counts; a
     grid of another length raises OutOfRange. Ratio i - 1 is
-    N_t(phis[i])/N_t(phis[0]), an exact big-integer fraction converted to
-    float, or nan while the first start has no survivors. beta_hat(t) is
-    start_exponent of log N_t against log phi0 (nan while fewer than two
-    starts have survivors).
+    N_t(phis[i])/N_t(phis[0]), the exact big-integer ratio correctly
+    rounded to float by int true division, or nan while the first start has
+    no survivors. beta_hat(t) is start_exponent of log N_t against log phi0
+    (nan while fewer than two starts have survivors).
     """
     log_grid = [math.log(p) for p in phis]
     rows = []
     for res in series:
         beta_hat = start_exponent(log_grid, [log_bigint(n) for n in res.counts])
         n0 = res.counts[0]
-        ratios = tuple(float(Fraction(n, n0)) if n0 > 0 else math.nan for n in res.counts[1:])
+        ratios = tuple(n / n0 if n0 > 0 else math.nan for n in res.counts[1:])
         rows.append(ScanRow(res.t, ratios, beta_hat))
     return rows

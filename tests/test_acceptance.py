@@ -429,7 +429,7 @@ def test_criterion_08_endogenous_growth_and_scale_invariance():
     run_b = endogenous_population(
         1.0, 1.0, 0.2, 100_000, 100.0, dt=0.01, phi0=100.0, seed=81
     )
-    ansatz = endogenous_alpha(1.0, 1.0, 0.2, 1.0).log_alpha
+    ansatz = endogenous_alpha(1.0, 1.0, 0.2).log_alpha
     slope_err = abs(run_a.slope - 0.25)
     d_slope = abs(run_a.slope - run_b.slope)
     elapsed = time.perf_counter() - t0

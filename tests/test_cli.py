@@ -495,6 +495,10 @@ class TestMain:
             ("measure", {"parameters": {"prep_rate": 1100}}, "survivors"),
             ("endogenous", {"parameters": {"dt": 1e-300, "n_particles": 200, "tau": 1.0}}, "dt"),
             ("diffusion", {"parameters": {"mc_dt": 1e-300, "mc_n_paths": 100}}, "mc_dt"),
+            ("endogenous", {"parameters": {"tau": 0.01, "dt": 0.01}}, "tau=0.01, dt"),
+            ("diffusion", {"parameters": {"x_b": -30}}, "x_b"),
+            ("diffusion", {"parameters": {"epsilon": 2.0}}, "x_b"),
+            ("diffusion", {"parameters": {"mc_d": 0}}, "mc_d"),
         ],
         ids=["seed-str", "workers-str", "workers-zero", "int-param-str",
              "int-param-float", "record-points-negative", "experiment-list",
@@ -508,7 +512,9 @@ class TestMain:
              "walk-tilt-beyond-float-range", "diffusion-tilt-beyond-float-range",
              "walk-sigma-squared-underflows", "measure-sigma-squared-underflows",
              "measure-weights-underflow", "endogenous-steps-beyond-bound",
-             "diffusion-steps-beyond-bound"],
+             "diffusion-steps-beyond-bound", "endogenous-one-step",
+             "diffusion-x_b-below-barrier", "diffusion-epsilon-above-start",
+             "diffusion-mc_d-zero"],
     )
     def test_bad_config_value_maps_to_exit_one(
         self, experiment, config, key, tmp_path, capsys, monkeypatch

@@ -164,6 +164,25 @@ class TestOutcomeWeights:
             assert f"{expected:.3g}" == {200.0: "1.39e-39", 250.0: "1.73e-50",
                                          500.0: "6.34e-105", 1000.0: "1.2e-213"}[tau]
 
+    @pytest.mark.parametrize("tau", [1.0, 10.0, 200.0, 1000.0])
+    def test_closed_form_near_rate_two(self, tau):
+        """C at r = 2 -+ 10^-e, e = 2..12 (sigma = 1), against the quotient
+        at 80 digits. The float quotient was off by 12.6x and 15.9x at
+        |2 - r| = 1e-12, tau = 1000; g' at the midpoint stays within 1e-7."""
+        setup = MeasurementSetup((1.0,), 1.0, 1e-3, tau)
+        for e in range(2, 13):
+            for r in (2.0 - 10.0**-e, 2.0 + 10.0**-e):
+                _, (c_val,) = outcome_weights(setup, prep_rate=r)
+                with mpmath.workdps(80):
+                    w = mpmath.sqrt(tau)
+                    v = (mpmath.mpf(r) - 1) * w
+
+                    def g(x):
+                        return 2 * x * mpmath.exp((x * x - w * w) / 2) * mpmath.ncdf(-x)
+
+                    ref = float((g(w) - g(v)) / (w - v))
+                assert math.isclose(c_val, ref, rel_tol=1e-7), (r, c_val, ref)
+
     def test_single_outcome_is_certain(self):
         setup = MeasurementSetup((1.0,), math.sqrt(0.05), 1e-3, 70.0)
         weights, _ = outcome_weights(setup)

@@ -62,11 +62,6 @@ class TestBranchingSpec:
         assert spec.sigma2 == pytest.approx(var, rel=1e-14)
         assert spec.sigma == pytest.approx(math.sqrt(var), rel=1e-14)
 
-    def test_renormalized_accepts_unscaled_weights(self):
-        """renormalized() divides by the sum so raw weights are accepted."""
-        spec = BranchingSpec.renormalized((1.0, 2.0, 3.0))
-        np.testing.assert_allclose(spec.deltas, (1 / 6, 1 / 3, 1 / 2), rtol=1e-15)
-
 
 class TestAlphaForUnitBeta:
     """The critical decay rate alpha = delta_bar * e^{sigma^2}."""
@@ -173,15 +168,12 @@ class TestEndogenousFormulas:
     """Closed-form references for the endogenous-threshold regime."""
 
     def test_alpha_ansatz(self):
-        """log alpha = sigma^2/(1-eps) - mu; c0 = phi0 * eps/(1-eps)."""
+        """log alpha = sigma^2/(1-eps) - mu; c0 = eps/(1-eps) at phi0 = 1."""
         res = endogenous_alpha(1.0, 1.0, 0.2)
         assert res.log_alpha == pytest.approx(0.25, rel=1e-15)
         assert res.c0 == pytest.approx(0.25, rel=1e-15)
-        res2 = endogenous_alpha(1.0, 1.0, 0.2, phi0=4.0)
-        assert res2.log_alpha == res.log_alpha
-        assert res2.c0 == pytest.approx(1.0, rel=1e-15)
 
-    @pytest.mark.parametrize("kw", [{"sigma": math.nan}, {"phi0": math.nan}])
+    @pytest.mark.parametrize("kw", [{"sigma": math.nan}, {"varepsilon": math.nan}])
     def test_nan_refused(self, kw):
         """NaN slips past a `<= 0` check; it is refused as out of range."""
         args = {"tilde_mu": 1.0, "sigma": 1.0, "varepsilon": 0.2, **kw}

@@ -87,6 +87,13 @@ class TestValidation:
         with pytest.raises(TooLarge, match=r"\bdt=1e-300\b.*MAX_STEPS"):
             small_run(dt=1e-300)
 
+    @pytest.mark.parametrize("tau", [0.01, 0.014])
+    def test_one_step_refused(self, tau):
+        """tau / dt rounding to one step would leave the growth fit one
+        point; it is refused naming both, not after the run."""
+        with pytest.raises(OutOfRange, match=rf"tau={tau}, dt=0.01\b"):
+            small_run(tau=tau, dt=0.01)
+
 
 class TestRecordingSchema:
     """Trajectory arrays are aligned, complete, and self-consistent."""
@@ -197,4 +204,3 @@ class TestGrowthFit:
         run = small_run(tau=1.37)
         assert run.times.size == 137
         assert run.fit == fit_power_law(run.times[41:], run.log_xi[41:])
-        assert run.fit.n_points == 96

@@ -19,7 +19,6 @@ from born_branch import (
     bootstrap_ci,
     fit_power_law,
     ks_distance,
-    quantile,
     rng_stream,
     start_exponent,
 )
@@ -29,18 +28,15 @@ class TestFitPowerLaw:
     """OLS fit of log y against log-scale regressors."""
 
     def test_exact_line_recovered(self):
-        """Noise-free points on slope 2.5 give slope 2.5, r^2 = 1, stderr 0."""
+        """Noise-free points on slope 2.5 give slope 2.5 and intercept 1."""
         xs = [0.0, 1.0, 2.0, 3.0]
         ys = [1.0 + 2.5 * x for x in xs]
         fit = fit_power_law(xs, ys)
         assert fit.slope == pytest.approx(2.5, rel=1e-13)
         assert fit.intercept == pytest.approx(1.0, rel=1e-13)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-13)
-        assert fit.stderr_slope == pytest.approx(0.0, abs=1e-10)
-        assert fit.n_points == 4
 
     def test_matches_scipy_linregress(self):
-        """Slope, intercept, and stderr agree with scipy on noisy data."""
+        """Slope and intercept agree with scipy on noisy data."""
         rng = rng_stream(5, 0)
         xs = np.linspace(0.0, 3.0, 12)
         ys = 0.7 + 1.3 * xs + 0.05 * rng.standard_normal(12)
@@ -48,13 +44,11 @@ class TestFitPowerLaw:
         ref = sps.linregress(xs, ys)
         assert fit.slope == pytest.approx(ref.slope, rel=1e-12)
         assert fit.intercept == pytest.approx(ref.intercept, rel=1e-12)
-        assert fit.stderr_slope == pytest.approx(ref.stderr, rel=1e-10)
-        assert fit.r_squared == pytest.approx(ref.rvalue**2, rel=1e-12)
 
     def test_two_points_have_zero_stderr(self):
+        """Two points are fitted exactly: the line passes through both."""
         fit = fit_power_law([0.0, 1.0], [2.0, 3.0])
-        assert fit.slope == pytest.approx(1.0)
-        assert fit.stderr_slope == 0.0
+        assert (fit.slope, fit.intercept) == (1.0, 2.0)
 
     def test_degenerate_designs_raise(self):
         with pytest.raises(DegenerateDesign):
@@ -63,10 +57,9 @@ class TestFitPowerLaw:
             fit_power_law([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_constant_response_is_flat_with_unit_r2(self):
-        """SST = 0 means the flat line explains everything."""
+        """SST = 0: the flat line through the points explains everything."""
         fit = fit_power_law([0.0, 1.0, 2.0], [4.0, 4.0, 4.0])
-        assert fit.slope == 0.0
-        assert fit.r_squared == 1.0
+        assert (fit.slope, fit.intercept) == (0.0, 4.0)
 
 
 class TestStartExponent:
@@ -216,24 +209,6 @@ class TestBinomialCountFraction:
             binomial_count_fraction(4, 5, 5)
         with pytest.raises(OutOfRange):
             binomial_count_fraction(4, 3, 2)
-
-
-class TestQuantile:
-    """Linear-interpolation quantiles."""
-
-    def test_median_of_even_sample_is_midpoint(self):
-        assert quantile([1.0, 2.0, 3.0, 4.0], 0.5) == pytest.approx(2.5)
-
-    def test_extremes(self):
-        s = [3.0, 1.0, 2.0]
-        assert quantile(s, 0.0) == 1.0
-        assert quantile(s, 1.0) == 3.0
-
-    def test_domain(self):
-        with pytest.raises(EmptySample):
-            quantile([], 0.5)
-        with pytest.raises(OutOfRange):
-            quantile([1.0], 1.5)
 
 
 class TestBootstrapCi:

@@ -37,11 +37,17 @@ def packed(lphi0, lds, sched, t_max, record):
     return _packed_dp(lphi0, lds, sched, t_max, record, _row_layout(len(lds), t_max))
 
 
+def simplex_spec(weights):
+    """Spec of the weights rescaled to sum to one."""
+    total = math.fsum(weights)
+    return BranchingSpec(tuple(w / total for w in weights))
+
+
 def random_spec(rng, k):
     """Random simplex point with every coordinate at least 0.05."""
     raw = rng.dirichlet(np.ones(k))
     raw = 0.05 + 0.95 * raw
-    return BranchingSpec.renormalized(tuple(raw / raw.sum()))
+    return simplex_spec(tuple(raw / raw.sum()))
 
 
 class TestHandCases:
@@ -178,7 +184,7 @@ class TestPackedBackend:
         and 5 run to t_max / 2 and t_max / 4, under the state guard."""
         sched = Exogenous(1e-300, 1e-10)
         for k, t in ((1, t_max), (2, t_max), (3, t_max), (4, t_max // 2), (5, t_max // 4)):
-            spec = BranchingSpec.renormalized(range(1, k + 1))
+            spec = simplex_spec(range(1, k + 1))
             out = packed(0.0, _sorted_log_deltas(spec), sched, t, range(t + 1))
             assert out == {s: k**s for s in range(t + 1)}
 
@@ -271,7 +277,7 @@ def packed_cases(draw):
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
     if draw(st.booleans()):
         weights[-2:] = [min(weights)] * 2
-    spec = BranchingSpec.renormalized(weights)
+    spec = simplex_spec(weights)
     lds = _sorted_log_deltas(spec)
     lphi0 = math.log(draw(st.floats(0.3, 20.0)))
     if draw(st.booleans()):
@@ -483,7 +489,7 @@ def brute_cases(draw):
     every depth."""
     k = draw(st.integers(1, 5))
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
-    spec = BranchingSpec.renormalized(weights)
+    spec = simplex_spec(weights)
     phi0 = draw(st.floats(0.3, 3.0))
     if k > 1 and draw(st.integers(0, 2)) == 0:
         sched = Exogenous(phi0, max(spec.deltas))

@@ -109,6 +109,8 @@ def endogenous_alpha(tilde_mu: float, sigma: float, varepsilon: float) -> Endoge
     rate of the interacting particle system deviates from this ansatz (see
     endogenous_population docs).
     """
+    if not math.isfinite(tilde_mu):
+        raise OutOfRange(f"tilde_mu={tilde_mu} must be finite")
     _positive_finite("sigma", sigma)
     if not (0.0 < varepsilon < 1.0):
         raise OutOfRange(f"varepsilon={varepsilon} outside (0, 1)")

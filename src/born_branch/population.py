@@ -10,7 +10,9 @@ the checks that judge it.
 
 The state is carried in centered coordinates Z - log phi0, so rescaling
 phi0 shifts every reported threshold by exactly log(phi0) and changes
-nothing else, bit for bit.
+nothing else, bit for bit. The CLI's endogenous run relies on this at
+phi0 = 1: it fits the trajectory shifted by log 100 in place of a second
+run at phi0 = 100.
 """
 from __future__ import annotations
 
@@ -67,6 +69,8 @@ def endogenous_population(
     rounds to one step, which leaves the fit one point. The growth fit
     discards the first BURN_IN fraction of the trajectory.
     """
+    if not math.isfinite(tilde_mu):
+        raise OutOfRange(f"tilde_mu={tilde_mu} must be finite")
     _positive_finite("sigma", sigma)
     if not (0.0 < varepsilon < 1.0):
         raise OutOfRange(f"varepsilon={varepsilon} outside (0, 1)")

@@ -306,6 +306,42 @@ class TestRunSmallConfigs:
         assert results["checks"]["scale_invariance"] == "pass"
         assert results["checks"]["slope_in_ansatz_band"] == "fail"
 
+    @pytest.mark.parametrize(
+        "params, seed",
+        [
+            (SMALL_CONFIGS["endogenous"], 0),
+            ({"n_particles": 4000, "tau": 3.0, "dt": 0.01}, 61),
+            ({"n_particles": 4000, "tau": 3.0, "dt": 0.01}, 62),
+        ],
+        ids=["small", "bench-seed61", "bench-seed62"],
+    )
+    def test_endogenous_rescaled_slope_is_the_twin_run(self, params, seed, tmp_path):
+        """slope_rescaled, fitted from the phi0 = 1 trajectory shifted by
+        log SCALE_FACTOR, is the slope of a run at phi0 = SCALE_FACTOR, bit
+        for bit. The gap is the fit's rounding of the shift, not always 0
+        (2.8e-17 on the small config, 1.1e-16 at seed 61)."""
+        run(ExperimentConfig("endogenous", params, seed=seed), out_dir=tmp_path)
+        est = read_outputs(tmp_path)[0]["estimates"]
+        p = cli_module.EndogenousParams(**params)
+        twin = born_branch.endogenous_population(
+            p.tilde_mu, p.sigma, p.varepsilon, p.n_particles, p.tau, p.dt,
+            phi0=cli_module.SCALE_FACTOR, seed=seed,
+        )
+        assert est["slope_rescaled"] == twin.slope
+        assert est["slope_gap"] == abs(est["slope"] - twin.slope)
+
+    def test_endogenous_runs_one_population(self, tmp_path, monkeypatch):
+        calls = []
+        inner = cli_module.endogenous_population
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "endogenous_population", counting)
+        run(ExperimentConfig("endogenous", SMALL_CONFIGS["endogenous"]), out_dir=tmp_path)
+        assert len(calls) == 1
+
     def test_measure_small_run_passes(self, tmp_path):
         cfg = ExperimentConfig(
             "measure",

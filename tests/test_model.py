@@ -180,6 +180,11 @@ class TestEndogenousFormulas:
         with pytest.raises(OutOfRange):
             endogenous_alpha(**args)
 
+    @pytest.mark.parametrize("tilde_mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_drift_refused(self, tilde_mu):
+        with pytest.raises(OutOfRange, match=r"tilde_mu="):
+            endogenous_alpha(tilde_mu, 1.0, 0.2)
+
 
 class TestThresholdSchedules:
     """Exogenous and random-barrier threshold parameters."""

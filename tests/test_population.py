@@ -16,6 +16,8 @@ from born_branch import (
     fit_power_law,
     rng_stream,
 )
+from born_branch import population as population_module
+from born_branch.population import BURN_IN
 
 
 def small_run(seed=0, phi0=1.0, **kw):
@@ -80,6 +82,14 @@ class TestValidation:
     def test_out_of_range(self, kw):
         with pytest.raises(OutOfRange):
             small_run(**kw)
+
+    @pytest.mark.parametrize("tilde_mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_drift_refused(self, tilde_mu, monkeypatch):
+        """A non-finite drift is refused naming tilde_mu before any draw;
+        NaN would otherwise run to an all-NaN trajectory."""
+        monkeypatch.setattr(population_module, "rng_stream", None)
+        with pytest.raises(OutOfRange, match=r"tilde_mu="):
+            small_run(tilde_mu=tilde_mu)
 
     def test_step_count_bound(self):
         """tau / dt above MAX_STEPS is refused before the trajectory
@@ -183,6 +193,14 @@ class TestScaleInvariance:
         assert b.resample_count == a.resample_count
         assert np.max(np.abs((b.log_xi - a.log_xi) - math.log(c))) < 1e-12
         assert abs(b.slope - a.slope) < 1e-12
+        # From phi0 = 1 the shift is bitwise, and so is the fit of the
+        # shifted trajectory, which the CLI uses in place of a second run.
+        one = small_run(seed=3, n_particles=200, tau=2.0)
+        scaled = small_run(seed=3, phi0=c, n_particles=200, tau=2.0)
+        shifted = one.log_xi + math.log(c)
+        assert np.array_equal(scaled.log_xi, shifted)
+        start = int(BURN_IN * one.times.size)
+        assert fit_power_law(one.times[start:], shifted[start:]).slope == scaled.slope
 
 
 class TestGrowthFit:

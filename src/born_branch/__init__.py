@@ -48,7 +48,6 @@ from .tree import (
 from .lcg import (
     DEFAULT_LCG_ALPHA,
     LcgSpec,
-    lcg_children,
     lcg_delta_stream,
     lcg_walk_survival,
 )

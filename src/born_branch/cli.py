@@ -1,12 +1,11 @@
-"""Experiment runner with JSON configs, CSV/JSON/SVG outputs, and exit codes.
+"""Experiment runner with JSON configs, CSV/JSON outputs, and exit codes.
 
 Each experiment family loads a strict parameter schema (unknown keys are
 rejected), runs deterministically for a given (seed, parameters) pair at
-any worker count, and writes results.json, series.csv, and optionally
-plot.svg into the output directory. Runners return data only; ``run``
-renders their checks as "pass"/"fail" and their plot from named series
-columns. Exit code 0 means every check passed, 2 means at least one check
-failed its stated tolerance, 1 means the run errored.
+any worker count, and writes results.json and series.csv into the output
+directory. Runners return data only; ``run`` renders their checks as
+"pass"/"fail". Exit code 0 means every check passed, 2 means at least one
+check failed its stated tolerance, 1 means the run errored.
 """
 from __future__ import annotations
 
@@ -57,8 +56,6 @@ class RunnerOutput:
     checks: dict[str, bool]
     columns: list[str]
     rows: list[list[Any]]
-    #: (title, x column, y label, y columns), naming entries of ``columns``
-    plot: tuple[str, str, str, list[str]]
 
 
 @dataclass(frozen=True)
@@ -97,10 +94,6 @@ class ExperimentConfig:
         for key, value in self.parameters.items():
             _check_type(key, value, annotations[key])
         object.__setattr__(self, "params", schema(**self.parameters))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls._from_dict(json.loads(text))
 
     @classmethod
     def _from_dict(cls, raw: Any) -> "ExperimentConfig":
@@ -251,8 +244,7 @@ def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
         "beta": 1.0 if p.alpha is None else None,
         "ratio_targets": {f"{a:g}/{b:g}": a / b for a, b in pairs},
     }
-    plot = ("survivor-count exponent", "t", "beta_hat", ["beta_hat"])
-    return RunnerOutput(estimates, targets, checks, columns, rows, plot)
+    return RunnerOutput(estimates, targets, checks, columns, rows)
 
 
 # ---------------------------------------------------------------- lcg
@@ -320,8 +312,7 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
     rows = [
         [g, e.p_hat, e.se, e.n_survivors, a, b] for g, e, a, b in zip(phis, walk, lx, ly)
     ]
-    plot = ("LCG walk survival", "log_phi0", "log p_hat", ["log_p_hat"])
-    return RunnerOutput(estimates, targets, checks, columns, rows, plot)
+    return RunnerOutput(estimates, targets, checks, columns, rows)
 
 
 # ---------------------------------------------------------------- walk
@@ -402,8 +393,7 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int) -> RunnerOutput:
         [p.t, p.epsilon, x0, est.p_hat, est.se, a]
         for x0, est, a in zip(p.x0s, singles, asym_first)
     ]
-    plot = ("walk survival by start", "x0", "p_hat", ["p_hat"])
-    return RunnerOutput(estimates, targets, checks, columns, rows, plot)
+    return RunnerOutput(estimates, targets, checks, columns, rows)
 
 
 # ---------------------------------------------------------------- diffusion
@@ -463,8 +453,7 @@ def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutp
     }
     columns = ["tau", "ratio", "target"]
     rows = [[float(tau), r, target] for tau, r in zip(p.tau_grid, ratios)]
-    plot = ("survival ratio vs horizon", "tau", "ratio", ["ratio", "target"])
-    return RunnerOutput(estimates, targets, checks, columns, rows, plot)
+    return RunnerOutput(estimates, targets, checks, columns, rows)
 
 
 # ---------------------------------------------------------------- endogenous
@@ -523,8 +512,7 @@ def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutpu
         [float(t), float(x), int(n), float(m)]
         for t, x, n, m in zip(pop.times, pop.log_xi, pop.n_survivors, pop.mean_z)
     ]
-    plot = ("endogenous threshold growth", "tau", "log xi", ["log_xi"])
-    return RunnerOutput(estimates, targets, checks, columns, rows, plot)
+    return RunnerOutput(estimates, targets, checks, columns, rows)
 
 
 # ---------------------------------------------------------------- measure
@@ -571,8 +559,7 @@ def _run_measure(p: MeasureParams, seed: int, workers: int) -> RunnerOutput:
          o.median_ci[0], o.median_ci[1], w]
         for o, w in zip(res.outcomes, weights)
     ]
-    plot = ("conditioned outcome frequencies", "delta", "frequency", ["frequency", "born_weight"])
-    return RunnerOutput(estimates, targets, checks, columns, rows, plot)
+    return RunnerOutput(estimates, targets, checks, columns, rows)
 
 
 # ---------------------------------------------------------------- demo_intro
@@ -621,8 +608,7 @@ def _run_demo_intro(p: DemoIntroParams, seed: int, workers: int) -> RunnerOutput
     lc10 = np.array([math.log10(math.comb(n, k)) - n * math.log10(2.0) for k in range(n + 1)])
     columns = ["k", "log10_pmf", "log10_count_fraction"]
     rows = [[int(k), float(a), float(b)] for k, a, b in zip(ks, lp10, lc10)]
-    plot = ("weighted mass vs path count", "k", "log10", ["log10_pmf", "log10_count_fraction"])
-    return RunnerOutput(estimates, targets, checks, columns, rows, plot)
+    return RunnerOutput(estimates, targets, checks, columns, rows)
 
 
 EXPERIMENTS: dict[str, tuple[type, Callable[..., RunnerOutput]]] = {
@@ -636,77 +622,13 @@ EXPERIMENTS: dict[str, tuple[type, Callable[..., RunnerOutput]]] = {
 }
 
 
-def _write_svg(path: Path, title: str, xlabel: str, ylabel: str,
-               lines: list[tuple[str, list[float], list[float]]]) -> None:
-    width, height = 640, 420
-    ml, mr, mt, mb = 60, 20, 36, 44
-    pw, ph = width - ml - mr, height - mt - mb
-    pts = [
-        (x, y)
-        for _, xs, ys in lines
-        for x, y in zip(xs, ys)
-        if math.isfinite(x) and math.isfinite(y)
-    ]
-    if not pts:
-        pts = [(0.0, 0.0), (1.0, 1.0)]
-    xs_all = [p[0] for p in pts]
-    ys_all = [p[1] for p in pts]
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
-
-    def sx(x: float) -> float:
-        return ml + pw * (x - x0) / (x1 - x0)
-
-    def sy(y: float) -> float:
-        return mt + ph * (1.0 - (y - y0) / (y1 - y0))
-
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
-        f'<text x="{ml + pw / 2:.0f}" y="{height - 8}" text-anchor="middle" font-size="12">{xlabel}</text>',
-        f'<text x="16" y="{mt + ph / 2:.0f}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 16 {mt + ph / 2:.0f})">{ylabel}</text>',
-        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#888"/>',
-        f'<text x="{ml}" y="{height - 26}" font-size="10">{x0:.4g}</text>',
-        f'<text x="{ml + pw}" y="{height - 26}" text-anchor="end" font-size="10">{x1:.4g}</text>',
-        f'<text x="{ml - 4}" y="{mt + ph}" text-anchor="end" font-size="10">{y0:.4g}</text>',
-        f'<text x="{ml - 4}" y="{mt + 10}" text-anchor="end" font-size="10">{y1:.4g}</text>',
-    ]
-    for i, (label, lxs, lys) in enumerate(lines):
-        color = colors[i % len(colors)]
-        coords = " ".join(
-            f"{sx(x):.1f},{sy(y):.1f}"
-            for x, y in zip(lxs, lys)
-            if math.isfinite(x) and math.isfinite(y)
-        )
-        if coords:
-            parts.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
-        parts.append(
-            f'<text x="{ml + 8 + 130 * i}" y="{mt + 14}" font-size="11" fill="{color}">{label}</text>'
-        )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts))
-
-
 def reference_config(experiment: str) -> ExperimentConfig:
     """Reference configuration of an experiment family: its defaults at seed 0."""
     return ExperimentConfig(experiment)
 
 
-def run(
-    config: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    plot: bool = False,
-) -> int:
-    """Execute one experiment and write results.json / series.csv (/ plot.svg).
+def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
+    """Execute one experiment and write results.json and series.csv.
 
     Returns 0 when every check passed, 2 when at least one check failed.
     Errors raise (the CLI maps them to exit code 1); the output directory
@@ -734,12 +656,6 @@ def run(
         writer = csv.writer(fh)
         writer.writerow(result.columns)
         writer.writerows(result.rows)
-    if plot:
-        title, x, ylabel, ys = result.plot
-        col = result.columns.index
-        xs = [float(row[col(x)]) for row in result.rows]
-        lines = [(y, xs, [float(row[col(y)]) for row in result.rows]) for y in ys]
-        _write_svg(out / "plot.svg", title, x, ylabel, lines)
     return 0 if all(result.checks.values()) else 2
 
 
@@ -753,7 +669,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--config", help="JSON config file (default: the reference config)")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--workers", type=int, help="override worker count")
-    parser.add_argument("--plot", action="store_true", help="also write plot.svg")
     parser.add_argument("--out", help="output directory (default: out/<experiment>)")
     args = parser.parse_args(argv)
     try:
@@ -770,7 +685,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"config experiment {config.experiment!r} does not match "
                 f"requested {args.experiment!r}"
             )
-        return run(config, out_dir=args.out, plot=args.plot)
+        return run(config, out_dir=args.out)
     except (BornBranchError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

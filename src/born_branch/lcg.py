@@ -8,12 +8,12 @@ Ratios are then nearly uniform on (0, 1), the branch pair nearly conserves
 total amplitude, and the induced log-ratio walk has E[-log delta] = 1 and
 Var[log delta] = 1.
 
-Multipliers are reduced mod p at construction. lcg_children, the walk's
-child map, holds states in uint64, so p must fit 62 bits there: for the
-Mersenne modulus 2^61 - 1 it multiplies with carry-free splitting, and
-every other modulus, 2^31 - 1 included, takes exact Python integers. The
-scalar delta stream takes Python integers at any width. No run depends on
-the orbit length, so the module makes no primality or period checks.
+Multipliers are reduced mod p at construction. _lcg_children, the walk's
+private child map, holds states in uint64, so p must fit 62 bits there:
+for the Mersenne modulus 2^61 - 1 it multiplies with carry-free splitting,
+and every other modulus, 2^31 - 1 included, takes exact Python integers.
+The scalar delta stream takes Python integers at any width. No run depends
+on the orbit length, so the module makes no primality or period checks.
 """
 from __future__ import annotations
 
@@ -83,7 +83,7 @@ def _mulmod_python(a: int, c: np.ndarray, p: int) -> np.ndarray:
     return np.array([(a * int(v)) % p for v in c], dtype=np.uint64)
 
 
-def lcg_children(c: np.ndarray, spec: LcgSpec) -> tuple[np.ndarray, np.ndarray]:
+def _lcg_children(c: np.ndarray, spec: LcgSpec) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized child states (branch 2, branch 1) for an array of states."""
     c = np.asarray(c, dtype=np.uint64)
     if spec.p == M61:
@@ -128,7 +128,7 @@ def _lcg_block_worst(
     amps = np.zeros(size)
     worst = np.full(size, -np.inf)
     for s in range(1, t + 1):
-        c2, c1 = lcg_children(states, spec)
+        c2, c1 = _lcg_children(states, spec)
         pick = rng.integers(0, 2, size=size).astype(bool)
         states = np.where(pick, c1, c2)
         with np.errstate(divide="ignore"):

@@ -90,11 +90,11 @@ class TestExperimentConfig:
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="extra"):
-            ExperimentConfig.from_json('{"experiment": "tree", "extra": 1}')
+            ExperimentConfig._from_dict(json.loads('{"experiment": "tree", "extra": 1}'))
 
     def test_missing_experiment_key(self):
         with pytest.raises(ConfigError, match="experiment"):
-            ExperimentConfig.from_json('{"seed": 3}')
+            ExperimentConfig._from_dict(json.loads('{"seed": 3}'))
 
     def test_reference_configs_load_for_every_family(self):
         for name in EXPERIMENTS:
@@ -137,7 +137,9 @@ class TestExperimentConfig:
     def test_output_is_not_a_config_key(self):
         """The output directory is set only by run(out_dir=) or --out."""
         with pytest.raises(ConfigError, match="output"):
-            ExperimentConfig.from_json('{"experiment": "tree", "output": "runs/tree"}')
+            ExperimentConfig._from_dict(
+                json.loads('{"experiment": "tree", "output": "runs/tree"}')
+            )
 
     def test_readme_config_examples_load(self):
         """Every JSON config block in README.md is a valid config."""
@@ -145,13 +147,24 @@ class TestExperimentConfig:
         blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
         assert blocks
         for block in blocks:
-            ExperimentConfig.from_json(block)
+            ExperimentConfig._from_dict(json.loads(block))
 
     def test_readme_export_count_matches_all(self):
         """README.md states how many public names the package exports."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         stated = re.search(r"exports (\d+) public names", readme)
         assert stated and int(stated.group(1)) == len(born_branch.__all__)
+
+    def test_readme_usage_names_every_flag(self, capsys):
+        """README.md's usage line names exactly the CLI's flags, so a new
+        flag is a visible change."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--[a-z][-a-z]*", capsys.readouterr().out)) - {"--help"}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        usage = re.search(r"^born-branch <experiment> .*$", readme, flags=re.M)
+        assert usage and set(re.findall(r"--[a-z][-a-z]*", usage.group(0))) == flags
 
     def test_readme_parameter_count_matches_schemas(self):
         """README.md states how many settable parameters the experiment
@@ -429,9 +442,7 @@ class TestMain:
     def test_reference_run_via_main(self, tmp_path, capsys):
         code = main(["demo_intro", "--out", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "results.json").exists()
-        assert (tmp_path / "series.csv").exists()
-        assert not (tmp_path / "plot.svg").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.json", "series.csv"]
 
     def test_default_output_directory(self, tmp_path, monkeypatch):
         """Without --out a run writes to out/<experiment>/ under the
@@ -440,31 +451,6 @@ class TestMain:
         assert main(["demo_intro"]) == 0
         assert (tmp_path / "out" / "demo_intro" / "results.json").exists()
         assert (tmp_path / "out" / "demo_intro" / "series.csv").exists()
-
-    def test_plot_flag_writes_svg(self, tmp_path):
-        code = main(["demo_intro", "--out", str(tmp_path), "--plot"])
-        assert code == 0
-        svg = (tmp_path / "plot.svg").read_text()
-        assert svg.startswith("<svg")
-
-    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
-    def test_plot_draws_named_series_columns(self, experiment, tmp_path, monkeypatch):
-        """A runner's plot names series.csv columns, and plot.svg draws
-        one line per named y column."""
-        schema, runner = EXPERIMENTS[experiment]
-        outputs = []
-
-        def keep(*args):
-            outputs.append(runner(*args))
-            return outputs[-1]
-
-        monkeypatch.setitem(EXPERIMENTS, experiment, (schema, keep))
-        cfg = ExperimentConfig(experiment, SMALL_CONFIGS[experiment], seed=5)
-        run(cfg, out_dir=tmp_path, plot=True)
-        _, x, _, ys = outputs[0].plot
-        _, header, _ = read_outputs(tmp_path)
-        assert {x, *ys} <= set(header)
-        assert (tmp_path / "plot.svg").read_text().count("<polyline") == len(ys)
 
     def test_config_file_and_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

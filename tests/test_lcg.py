@@ -20,13 +20,12 @@ from born_branch import (
     RandomBarrier,
     TooLarge,
     lcg_delta_stream,
-    lcg_children,
     lcg_walk_survival,
     rng_stream,
     start_exponent,
 )
 from born_branch import walk as walk_module
-from born_branch.lcg import _C0, M61, _lcg_block_worst, _mulmod_m61
+from born_branch.lcg import _C0, M61, _lcg_block_worst, _lcg_children, _mulmod_m61
 
 M31 = (1 << 31) - 1
 LEHMER = LcgSpec(M31, 16807)
@@ -73,13 +72,13 @@ class TestTransitions:
         c = np.array([1], dtype=np.uint64)
         seq = []
         for _ in range(3):
-            c, _ = lcg_children(c, LEHMER)
+            c, _ = _lcg_children(c, LEHMER)
             seq.append(int(c[0]))
         assert seq == [16807, 282475249, 1622650073]
 
     def test_reflection_branch(self):
         """Branch 1 returns p - 1 - (a c mod p): 2147466839 from c=1."""
-        _, c1 = lcg_children(np.array([1], dtype=np.uint64), LEHMER)
+        _, c1 = _lcg_children(np.array([1], dtype=np.uint64), LEHMER)
         assert int(c1[0]) == M31 - 1 - 16807 == 2147466839
 
     def test_children_match_scalar_transitions(self):
@@ -89,18 +88,18 @@ class TestTransitions:
         rng = rng_stream(43, 0)
         for spec in (BIG, LEHMER):
             cs = rng.integers(1, spec.p, size=256, dtype=np.uint64)
-            c2, c1 = lcg_children(cs, spec)
+            c2, c1 = _lcg_children(cs, spec)
             expect = [(spec.a_eff * c) % spec.p for c in cs.tolist()]
             assert c2.tolist() == expect
             assert c1.tolist() == [spec.p - 1 - b for b in expect]
 
     def test_vectorized_path_rejects_oversized_modulus(self):
-        """lcg_children stores states as uint64, so p wider than 62 bits
+        """_lcg_children stores states as uint64, so p wider than 62 bits
         cannot be represented and must raise rather than wrap silently.
         The scalar stream has no such limit (Python integers)."""
         big = LcgSpec((1 << 89) - 1, 3)
         with pytest.raises(TooLarge):
-            lcg_children(np.array([5], dtype=np.uint64), big)
+            _lcg_children(np.array([5], dtype=np.uint64), big)
         assert lcg_delta_stream(big, 10, seed=0).shape == (10,)
 
 
@@ -296,7 +295,7 @@ def _lcg_alive_reference(spec, sched, t, lphis, rng, size):
     amps = np.zeros(size)
     alive = np.ones((len(lphis), size), dtype=bool)
     for s in range(1, t + 1):
-        c2, c1 = lcg_children(states, spec)
+        c2, c1 = _lcg_children(states, spec)
         pick = rng.integers(0, 2, size=size).astype(bool)
         states = np.where(pick, c1, c2)
         with np.errstate(divide="ignore"):

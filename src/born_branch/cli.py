@@ -268,8 +268,7 @@ class LcgParams:
     def __post_init__(self) -> None:
         if self.n_transitions < 1:
             raise ConfigError(f"n_transitions={self.n_transitions} must be >= 1")
-        if self.p.bit_length() > 62:
-            raise ConfigError(f"modulus p={self.p} exceeds the walk's 62-bit state width")
+        LcgSpec(self.p, self.a)  # refuses a modulus or multiplier the stream cannot take
 
 
 def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:

@@ -419,6 +419,28 @@ class TestDeterminism:
             outs.append((results["estimates"], (out / "series.csv").read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_lcg_reference_run_estimates_pinned(self, tmp_path):
+        """The full lcg reference run gives these estimates, to the last bit,
+        at 1 and 2 workers, with identical series.csv bytes. The delta
+        stream's 10^6 ratios feed three of them, so any change in a state or
+        in the rounding of a ratio shows here."""
+        pinned = {
+            "ks_uniform": 0.0006104810325358312,
+            "mean_neg_log_delta": 0.9998410390886453,
+            "var_log_delta": 1.0009069255190706,
+            "beta_hat": 0.12512400569654605,
+            "p_hat": {"1": 0.1759, "4": 0.2128, "16": 0.25165, "64": 0.29655},
+        }
+        series = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main(["lcg", "--workers", workers, "--out", str(out)]) == 2
+            results, _, _ = read_outputs(out)
+            assert results["config_hash"] == "e334867a05b83680"
+            assert results["estimates"] == pinned
+            series.append((out / "series.csv").read_bytes())
+        assert series[0] == series[1]
+
     def test_results_schema(self, tmp_path):
         run(ExperimentConfig("demo_intro"), out_dir=tmp_path)
         results = json.loads((tmp_path / "results.json").read_text())
@@ -505,6 +527,7 @@ class TestMain:
             ("walk", {"parameters": {"noise_sd": -0.5}}, "noise_sd"),
             ("walk", {"parameters": {"epsilon": 1.0, "x0s": [0.0, 1.0]}}, "x0=0.0"),
             ("lcg", {"parameters": {"p": (1 << 63) + 1}}, "modulus p"),
+            ("lcg", {"parameters": {"p": (1 << 32) + 15}}, "p"),
             ("diffusion", {"parameters": {"tau_grid": [], "mc_n_paths": 2000}}, "tau_grid"),
             ("walk", {"parameters": {"t": 0, "n_paths": 2000}}, "t"),
             ("walk", {"parameters": {"x0s": []}}, "x0s"),
@@ -528,7 +551,7 @@ class TestMain:
              "mc-paths-zero", "mc-paths-negative", "tau-nan", "epsilon-nan",
              "epsilon-infinity", "list-entry-nan", "int-beyond-float-range",
              "noise-sd-negative", "start-on-barrier",
-             "modulus-beyond-62-bits", "tau-grid-empty", "walk-t-zero",
+             "modulus-beyond-62-bits", "modulus-between-2-32-and-m61", "tau-grid-empty", "walk-t-zero",
              "walk-x0s-empty",
              "n-transitions-zero", "tree-late-bad-start",
              "walk-tilt-beyond-float-range", "diffusion-tilt-beyond-float-range",

@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import born_branch
 
@@ -25,7 +28,9 @@ from born_branch import (
     start_exponent,
 )
 from born_branch import walk as walk_module
-from born_branch.lcg import _C0, M61, _lcg_block_worst, _lcg_children, _mulmod_m61
+from born_branch.lcg import (
+    _C0, _CHUNK, M61, _lcg_block_worst, _lcg_children, _mulmod_m61, _ratios,
+)
 
 M31 = (1 << 31) - 1
 LEHMER = LcgSpec(M31, 16807)
@@ -36,19 +41,25 @@ class TestModularArithmetic:
     """Vectorized Mersenne-prime mulmod against exact integer arithmetic."""
 
     def test_m61_random_states(self):
-        """(a*c) mod (2^61-1) via 32-bit splitting equals big-int truth."""
+        """(x*y) mod (2^61-1) via 32-bit splitting equals big-int truth, for
+        a scalar multiplier and for an array of them."""
         rng = rng_stream(41, 0)
         cs = rng.integers(0, M61, size=4096, dtype=np.uint64)
-        got = _mulmod_m61(BIG.a_eff, cs)
-        expect = [(BIG.a_eff * int(c)) % M61 for c in cs.tolist()]
-        assert got.tolist() == expect
+        xs = rng.integers(0, M61, size=4096, dtype=np.uint64)
+        got = _mulmod_m61(np.uint64(BIG.a_eff), cs)
+        assert got.tolist() == [(BIG.a_eff * c) % M61 for c in cs.tolist()]
+        got = _mulmod_m61(xs, cs)
+        assert got.tolist() == [(x * c) % M61 for x, c in zip(xs.tolist(), cs.tolist())]
 
     def test_m61_edge_states(self):
         edges = np.array([0, 1, 2, M61 - 1, M61 - 2, (1 << 32) - 1, 1 << 60],
                          dtype=np.uint64)
-        got = _mulmod_m61(BIG.a_eff, edges)
+        got = _mulmod_m61(np.uint64(BIG.a_eff), edges)
         expect = [(BIG.a_eff * int(c)) % M61 for c in edges.tolist()]
         assert got.tolist() == expect
+        x, y = np.meshgrid(edges, edges)
+        expect = [(int(u) * int(v)) % M61 for u, v in zip(x.ravel(), y.ravel())]
+        assert _mulmod_m61(x.ravel(), y.ravel()).tolist() == expect
 
     def test_multiplier_reduced_at_construction(self):
         """The 64-bit multiplier exceeds 2^61-1 and is stored reduced."""
@@ -62,6 +73,19 @@ class TestModularArithmetic:
             LcgSpec(M31, M31 + 1)  # reduces to 1
         with pytest.raises(OutOfRange):
             LcgSpec(2, 1)
+        with pytest.raises(OutOfRange, match="unit"):
+            LcgSpec(100, 10)  # 10 has no inverse mod 100
+        assert LcgSpec(100, 3).a_eff == 3  # a composite modulus with a unit multiplier
+
+    @pytest.mark.parametrize(
+        "p", [1 << 32, (1 << 32) + 15, M61 - 2, M61 + 2, (1 << 62) - 57],
+    )
+    def test_unsupported_modulus_rejected(self, p):
+        """One uint64 multiplication reduces exactly only below 2^32 and for
+        2^61 - 1, so every other modulus is refused at construction, before
+        any state is stored."""
+        with pytest.raises(TooLarge, match=f"p={p}"):
+            LcgSpec(p, 3)
 
 
 class TestTransitions:
@@ -82,9 +106,9 @@ class TestTransitions:
         assert int(c1[0]) == M31 - 1 - 16807 == 2147466839
 
     def test_children_match_scalar_transitions(self):
-        """The uint64 path for 2^61 - 1 and the Python-integer path that
-        every other modulus takes, 2^31 - 1 included, against big-integer
-        arithmetic."""
+        """The carry-free path for 2^61 - 1 and the exact uint64 product that
+        every modulus below 2^32 takes, 2^31 - 1 included, against
+        big-integer arithmetic."""
         rng = rng_stream(43, 0)
         for spec in (BIG, LEHMER):
             cs = rng.integers(1, spec.p, size=256, dtype=np.uint64)
@@ -94,13 +118,11 @@ class TestTransitions:
             assert c1.tolist() == [spec.p - 1 - b for b in expect]
 
     def test_vectorized_path_rejects_oversized_modulus(self):
-        """_lcg_children stores states as uint64, so p wider than 62 bits
-        cannot be represented and must raise rather than wrap silently.
-        The scalar stream has no such limit (Python integers)."""
-        big = LcgSpec((1 << 89) - 1, 3)
-        with pytest.raises(TooLarge):
-            _lcg_children(np.array([5], dtype=np.uint64), big)
-        assert lcg_delta_stream(big, 10, seed=0).shape == (10,)
+        """States are stored as uint64, so a modulus wider than 62 bits cannot
+        be represented; it is refused when the spec is built, so neither the
+        walk's child map nor the delta stream ever sees it."""
+        with pytest.raises(TooLarge, match="modulus p"):
+            LcgSpec((1 << 89) - 1, 3)
 
 
 class TestPeriod:
@@ -194,8 +216,59 @@ def test_measure_run_does_not_load_scipy_integrate():
     assert not _loaded_by_import("scipy.integrate", then=run)
 
 
+def _delta_stream_reference(spec, n, seed):
+    """The stream one transition at a time in Python integers: the oracle
+    for the chunked closed form of lcg_delta_stream."""
+    branches = rng_stream(seed, 0).integers(1, 3, size=n)
+    out = np.empty(n)
+    c = _C0
+    p = spec.p
+    a = spec.a_eff
+    for i in range(n):
+        base = (a * c) % p
+        c = base if branches[i] == 2 else p - 1 - base
+        out[i] = c / p
+    return out
+
+
 class TestDeltaStream:
     """Sampled multiplicative increments delta = c/p."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        spec=st.sampled_from([BIG, LEHMER, LcgSpec(101, 2)]),
+        n=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_scalar_reference_bytewise(self, spec, n, seed):
+        """The chunked closed form gives the loop's states and rounds each
+        ratio as Python's int / int does, across chunk boundaries and for a
+        modulus whose chains reach state 0."""
+        got = lcg_delta_stream(spec, n, seed)
+        assert got.tobytes() == _delta_stream_reference(spec, n, seed).tobytes()
+
+    @pytest.mark.parametrize(
+        "c", [(1 << 53) + 1, (1 << 54) + 2, (1 << 54) + 6, (1 << 60) + (1 << 7), M61 - 1],
+    )
+    def test_m61_ratio_rounds_as_python_division(self, c):
+        """c / (2^61 - 1) lies just above c 2^-61, so where c is halfway
+        between two floats the ratio rounds up, not to even. The last state
+        rounds to 1.0."""
+        got = _ratios(np.array([c], dtype=np.uint64), M61)
+        assert got.tolist() == [c / M61]
+
+    def test_memory_is_chunked(self):
+        """Beyond the output and the branch draws (16 bytes per transition),
+        the stream allocates a fixed amount per chunk, not per transition."""
+        n = 200_000
+        lcg_delta_stream(BIG, 10, seed=3)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            lcg_delta_stream(BIG, n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n + 32 * 8 * _CHUNK
 
     def test_deterministic_and_in_range(self):
         a = lcg_delta_stream(BIG, 5000, seed=7)
@@ -342,8 +415,8 @@ class TestLcgWalkSurvival:
         "spec, sched, t",
         [
             (BIG, Exogenous(1e-4, DEFAULT_LCG_ALPHA), 60),
-            # p = 101 falls back to Python mulmod; reflecting a*c = p - 1
-            # sends a chain to state 0, where amps = -inf
+            # reflecting a*c = p - 1 = 100 sends a chain to state 0, where
+            # amps = -inf
             (LcgSpec(101, 2), Exogenous(1e-2, 0.5), 12),
         ],
         ids=["m61", "small_modulus"],

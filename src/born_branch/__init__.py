@@ -6,13 +6,11 @@ pipeline, with the closed forms they are verified against.
 """
 from .errors import (
     BadStart,
-    BadStep,
     BornBranchError,
     ConfigError,
     DegenerateDesign,
     DegenerateSpec,
     DivergentRegime,
-    DomainError,
     EmptySample,
     Extinction,
     OutOfRange,

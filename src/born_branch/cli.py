@@ -36,7 +36,7 @@ from .model import (
     WalkParams, _alpha_feasible, _positive_finite, alpha_for_unit_beta, endogenous_alpha,
 )
 from .population import BURN_IN, endogenous_population
-from .rng import map_blocks, resolve_workers
+from .rng import map_blocks
 from .stats import (
     binomial_count_fraction,
     binomial_interval_logprob,
@@ -121,7 +121,6 @@ _FITS: dict[str, Callable[[Any], bool]] = {
     "float": lambda v: isinstance(v, (int, float))
     and not isinstance(v, bool)
     and abs(v) <= sys.float_info.max,
-    "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
     "dict": lambda v: isinstance(v, dict),
     "list": lambda v: isinstance(v, list) and all(_FITS["float"](x) for x in v),
@@ -156,13 +155,9 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
         v = float(value)
         return v if math.isfinite(v) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
     return value
 
 
@@ -203,7 +198,7 @@ class TreeParams:
             raise ConfigError(f"phis={self.phis} must all be positive")
 
 
-def _run_tree(p: TreeParams, seed: int, workers: int) -> RunnerOutput:
+def _run_tree(p: TreeParams, seed: int, workers: int | None) -> RunnerOutput:
     spec = BranchingSpec(tuple(p.deltas))
     alpha = alpha_for_unit_beta(spec).alpha if p.alpha is None else float(p.alpha)
     feasible = _alpha_feasible(spec, alpha)
@@ -271,7 +266,7 @@ class LcgParams:
         LcgSpec(self.p, self.a)  # refuses a modulus or multiplier the stream cannot take
 
 
-def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
+def _run_lcg(p: LcgParams, seed: int, workers: int | None) -> RunnerOutput:
     spec = LcgSpec(p.p, p.a)
     phis = [float(v) for v in p.phis]
     walk = lcg_walk_survival(
@@ -319,6 +314,9 @@ def _run_lcg(p: LcgParams, seed: int, workers: int) -> RunnerOutput:
 #: Bound on |ratio / asymptotic ratio - 1| for each adjacent pair of starts.
 WALK_RATIO_REL_TOL = 0.05
 
+#: Shock law of each walk `shock` name.
+WALK_SHOCKS = {"gaussian": GaussianShocks(), "log_uniform": LogUniformShocks()}
+
 
 @dataclass(frozen=True)
 class WalkExpParams:
@@ -337,6 +335,8 @@ class WalkExpParams:
             raise ConfigError(f"t={self.t} must be >= 1")
         if not self.x0s:
             raise ConfigError("x0s is empty: the walk needs at least one start")
+        if self.shock not in WALK_SHOCKS:
+            raise ConfigError(f"shock must be one of {sorted(WALK_SHOCKS)}, got {self.shock!r}")
 
 
 def _asym_ratio(beta: float, sigma: float, d_a: float, d_b: float, t: float) -> float:
@@ -349,11 +349,8 @@ def _asym_ratio(beta: float, sigma: float, d_a: float, d_b: float, t: float) -> 
     )
 
 
-def _run_walk(p: WalkExpParams, seed: int, workers: int) -> RunnerOutput:
-    shocks = {"gaussian": GaussianShocks(), "log_uniform": LogUniformShocks()}.get(p.shock)
-    if shocks is None:
-        raise ConfigError(f"shock must be 'gaussian' or 'log_uniform', got {p.shock!r}")
-    params = WalkParams(p.mu, p.sigma, shocks)
+def _run_walk(p: WalkExpParams, seed: int, workers: int | None) -> RunnerOutput:
+    params = WalkParams(p.mu, p.sigma, WALK_SHOCKS[p.shock])
     barrier = RandomBarrier(p.epsilon, p.noise_sd)
     log_eps = math.log(p.epsilon)
     if len(p.x0s) > 1 and log_eps in p.x0s:
@@ -423,7 +420,7 @@ class DiffusionExpParams:
         diff._resolve_steps(self.mc_tau, self.mc_dt, "mc_dt")
 
 
-def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int) -> RunnerOutput:
+def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int | None) -> RunnerOutput:
     params = DiffusionParams(p.mu, p.sigma)
     with _targets_in_float_range(p.sigma):
         ratios = diff.ratio_convergence_scan(params, p.x_a, p.x_b, p.epsilon, p.tau_grid)
@@ -480,7 +477,7 @@ class EndogenousParams:
             raise ConfigError(f"tau={self.tau}, dt={self.dt} give one step; the fit needs two")
 
 
-def _run_endogenous(p: EndogenousParams, seed: int, workers: int) -> RunnerOutput:
+def _run_endogenous(p: EndogenousParams, seed: int, workers: int | None) -> RunnerOutput:
     pop = endogenous_population(
         p.tilde_mu, p.sigma, p.varepsilon, p.n_particles, p.tau, p.dt, 1.0, seed
     )
@@ -528,7 +525,7 @@ class MeasureParams:
     n_boot: int = 400
 
 
-def _run_measure(p: MeasureParams, seed: int, workers: int) -> RunnerOutput:
+def _run_measure(p: MeasureParams, seed: int, workers: int | None) -> RunnerOutput:
     setup = MeasurementSetup(tuple(p.deltas), p.sigma, p.epsilon, p.tau)
     res = measurement_pipeline(
         setup, p.n_paths, seed=seed, prep_rate=p.prep_rate, n_boot=p.n_boot,
@@ -577,7 +574,7 @@ class DemoIntroParams:
     """demo_intro takes no parameters: its targets hold for its one example."""
 
 
-def _run_demo_intro(p: DemoIntroParams, seed: int, workers: int) -> RunnerOutput:
+def _run_demo_intro(p: DemoIntroParams, seed: int, workers: int | None) -> RunnerOutput:
     """Weighted mass vs equal-weight path count over a success-count interval.
 
     Under Binomial(n, p) nearly all probability sits in [lo, hi], while the
@@ -634,9 +631,8 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
     is made only once the runner returns, so they leave none.
     """
     runner = EXPERIMENTS[config.experiment][1]
-    workers = resolve_workers(config.workers)
     start = time.perf_counter()
-    result = runner(config.params, config.seed, workers)
+    result = runner(config.params, config.seed, config.workers)
     runtime = time.perf_counter() - start
     out = Path(out_dir or Path("out") / config.experiment)
     out.mkdir(parents=True, exist_ok=True)

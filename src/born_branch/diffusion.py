@@ -30,15 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadStart,
-    BadStep,
-    DivergentRegime,
-    DomainError,
-    OutOfRange,
-    TooFewSurvivors,
-    TooLarge,
-)
+from .errors import BadStart, DivergentRegime, OutOfRange, TooFewSurvivors, TooLarge
 from .model import DiffusionParams, _positive_finite
 from .rng import map_blocks
 
@@ -47,14 +39,6 @@ _SQRT2 = math.sqrt(2.0)
 #: Most time steps one path may take: the bridge kernel and the population
 #: refuse a finer dt before they allocate or draw.
 MAX_STEPS = 10**7
-
-
-def _check_domain(mu: float, sigma: float, d: float, tau: float) -> None:
-    for name, value in (("barrier distance d", d), ("horizon tau", tau), ("sigma", sigma)):
-        if not value > 0.0:  # NaN included
-            raise DomainError(f"{name}={value} must be positive")
-    if not math.isfinite(mu):
-        raise DomainError(f"drift mu={mu} must be finite")
 
 
 def _log_erfcx(x: float) -> float:
@@ -86,9 +70,13 @@ def log_survival_closed_form(mu: float, sigma: float, d: float, tau: float) -> f
     for z2 < z1 <= 0 the log erfcx ratio, as (z2^2 - z1^2)/2 = 2 mu d/sigma^2
     cancels the exponentials exactly (accurate down to 1e-300 and far below);
     else 2 mu d/sigma^2 plus the log Phi ratio, since there the erfcx ratio
-    would subtract two rounded z^2/2 that grow with tau.
+    would subtract two rounded z^2/2 that grow with tau. A non-finite mu, a
+    sigma that DiffusionParams refuses, or a d or tau that is not positive
+    and finite raises OutOfRange.
     """
-    _check_domain(mu, sigma, d, tau)
+    DiffusionParams(mu, sigma)  # refuses a non-finite mu and a bad sigma
+    _positive_finite("barrier distance d", d)
+    _positive_finite("horizon tau", tau)
     st = sigma * math.sqrt(tau)
     z1 = (d - mu * tau) / st
     z2 = (-d - mu * tau) / st
@@ -114,7 +102,7 @@ def _resolve_steps(tau: float, dt: float, key: str = "dt") -> tuple[int, float]:
     """
     _positive_finite("tau", tau)
     if not dt > 0.0:  # NaN included
-        raise BadStep(f"{key}={dt} must be positive")
+        raise OutOfRange(f"{key}={dt} must be positive")
     steps = tau / dt
     if steps > MAX_STEPS:
         raise TooLarge(

@@ -25,16 +25,8 @@ class BadStart(BornBranchError):
     """Start point at or below the absorbing threshold."""
 
 
-class BadStep(BornBranchError):
-    """Non-positive or otherwise invalid step size."""
-
-
 class ZeroDenominator(BornBranchError):
     """Ratio estimate with no survivors in the denominator arm."""
-
-
-class DomainError(BornBranchError):
-    """Closed-form evaluation outside its domain of validity."""
 
 
 class RareEventRegime(BornBranchError):

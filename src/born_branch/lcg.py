@@ -13,8 +13,9 @@ c -> -a c - 1. With sigma_i = -1 on branch 1 and +1 on branch 2, S_i the
 product of sigma_1..sigma_i, and T_i the sum of S_j a^-j over the branch-1
 steps j <= i, the state after i steps is c_i = S_i a^i (c_0 - T_i) mod p.
 The delta stream evaluates that closed form _CHUNK transitions at a time,
-each chunk starting from the last state of the one before, and rounds each
-c_i / p exactly as Python's int / int does.
+each chunk starting from the last state of the one before. It and the walk
+kernel round each c / p by one rule, _ratios, exactly as Python's int / int
+does.
 
 States are held in uint64, so the supported moduli are those whose
 products one multiplication can reduce exactly: every p below 2^32, where
@@ -196,7 +197,7 @@ def _lcg_block_worst(
         pick = rng.integers(0, 2, size=size).astype(bool)
         states = np.where(pick, c1, c2)
         with np.errstate(divide="ignore"):
-            amps = amps + np.log(states.astype(np.float64) / spec.p)
+            amps = amps + np.log(_ratios(states, spec.p))
         np.maximum(worst, sched.log_xi(s) - amps, out=worst)
     return worst
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .diffusion import _SQRT2, _log_erfcx, batch_survive
 from .errors import OutOfRange, TooFewSurvivors
-from .model import BranchingSpec
+from .model import BranchingSpec, _positive_finite
 from .rng import map_blocks
 from .stats import bootstrap_ci
 
@@ -60,9 +60,7 @@ class MeasurementSetup:
     def __post_init__(self) -> None:
         spec = BranchingSpec(self.deltas)
         for name in ("sigma", "epsilon", "tau"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise OutOfRange(f"{name}={value} must be finite and positive")
+            _positive_finite(name, getattr(self, name))
         if self.sigma * self.sigma == 0.0:  # the drift mu = sigma^2 would be 0
             raise OutOfRange(f"sigma={self.sigma} must have a square above 0")
         object.__setattr__(self, "deltas", spec.deltas)
@@ -84,9 +82,7 @@ def outcome_weights(
     """Exact conditioned frequencies delta_k^r normalized (r = prep_rate) and
     per-arm survival probabilities delta_k^r * C, by the factorization and
     the closed form of C in the module docstring."""
-    r = prep_rate
-    if not 0.0 < r < math.inf:
-        raise OutOfRange(f"prep_rate={r} must be finite and positive")
+    r = _positive_finite("prep_rate", prep_rate)
     # scaled by max delta^r, so the sum is at least 1 even where every
     # delta_k^r underflows
     top = max(setup.deltas)

@@ -109,11 +109,7 @@ def endogenous_alpha(tilde_mu: float, sigma: float, varepsilon: float) -> Endoge
     rate of the interacting particle system deviates from this ansatz (see
     endogenous_population docs).
     """
-    if not math.isfinite(tilde_mu):
-        raise OutOfRange(f"tilde_mu={tilde_mu} must be finite")
-    _positive_finite("sigma", sigma)
-    if not (0.0 < varepsilon < 1.0):
-        raise OutOfRange(f"varepsilon={varepsilon} outside (0, 1)")
+    _check_endogenous(tilde_mu, sigma, varepsilon)
     log_alpha = sigma * sigma / (1.0 - varepsilon) - tilde_mu
     return EndogenousAlpha(log_alpha, varepsilon / (1.0 - varepsilon))
 
@@ -123,6 +119,16 @@ def _positive_finite(name: str, value: float) -> float:
     if not 0.0 < value < math.inf:
         raise OutOfRange(f"{name}={value} must be positive and finite")
     return value
+
+
+def _check_endogenous(tilde_mu: float, sigma: float, varepsilon: float) -> None:
+    """OutOfRange unless tilde_mu is finite, sigma positive and finite, and
+    varepsilon in (0, 1): the inputs of the endogenous threshold."""
+    if not math.isfinite(tilde_mu):
+        raise OutOfRange(f"tilde_mu={tilde_mu} must be finite")
+    _positive_finite("sigma", sigma)
+    if not (0.0 < varepsilon < 1.0):
+        raise OutOfRange(f"varepsilon={varepsilon} outside (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .diffusion import _resolve_steps
 from .errors import Extinction, OutOfRange
-from .model import _positive_finite
+from .model import _check_endogenous, _positive_finite
 from .rng import rng_stream
 from .stats import FitResult, _logsumexp, fit_power_law
 
@@ -69,11 +69,7 @@ def endogenous_population(
     rounds to one step, which leaves the fit one point. The growth fit
     discards the first BURN_IN fraction of the trajectory.
     """
-    if not math.isfinite(tilde_mu):
-        raise OutOfRange(f"tilde_mu={tilde_mu} must be finite")
-    _positive_finite("sigma", sigma)
-    if not (0.0 < varepsilon < 1.0):
-        raise OutOfRange(f"varepsilon={varepsilon} outside (0, 1)")
+    _check_endogenous(tilde_mu, sigma, varepsilon)
     if n_particles < 2:
         raise OutOfRange(f"n_particles={n_particles} must be >= 2")
     if not 0.0 < dt <= tau:  # NaN included

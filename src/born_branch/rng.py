@@ -41,15 +41,6 @@ def block_sizes(n: int) -> list[int]:
     return [BLOCK_SIZE] * full + ([rem] if rem else [])
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count from the argument; None means 1."""
-    if workers is None:
-        return 1
-    if workers < 1:
-        raise OutOfRange(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 def map_blocks(
     fn: Callable[[int, np.random.Generator, int], T],
     n_items: int,
@@ -60,10 +51,12 @@ def map_blocks(
 
     Block i draws from rng_stream(seed, i). Results come back in block
     order whatever the worker count, so any associative reduction over them
-    is deterministic.
+    is deterministic. workers None means 1.
     """
     sizes = block_sizes(n_items)
-    workers = resolve_workers(workers)
+    workers = 1 if workers is None else workers
+    if workers < 1:
+        raise OutOfRange(f"worker count must be >= 1, got {workers}")
 
     def run(i: int) -> T:
         return fn(i, rng_stream(seed, i), sizes[i])

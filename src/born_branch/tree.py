@@ -118,6 +118,8 @@ def enumerate_brute(
     """
     sched = _check_exogenous(sched)
     lphi0 = _log_phi0(phi0)
+    if t < 0:
+        raise OutOfRange(f"t={t} must be >= 0")
     k = spec.K
     _check_brute_size(k, t)
     lds = _sorted_log_deltas(spec)

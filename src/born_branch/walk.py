@@ -156,8 +156,8 @@ def walk_survival(
     over start i, as survival_ratio(x0s[i + 1], x0s[i], ..., seed) gives
     it. Deterministic in (seed, n_paths) for any worker count.
 
-    A start below the barrier raises BadStart, and a horizon t < 0
-    OutOfRange. When the exact diffusion
+    A start below the barrier or infinite raises BadStart, and a horizon
+    t < 0 OutOfRange. When the exact diffusion
     survival of a start, at the discrete-monitoring distance d + 0.5826
     sigma, is below 1e-8, the op refuses naive MC and points to the closed
     form instead. A ratio raises ZeroDenominator when start i has no
@@ -169,6 +169,8 @@ def walk_survival(
     for x0 in x0s:
         if not x0 >= log_eps:  # NaN included
             raise BadStart(f"x0={x0} below the barrier log eps={log_eps}")
+        if x0 == math.inf:
+            raise BadStart("x0=inf: a start must be finite")
     if n_paths < 1:
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")
     if t < 0:

@@ -544,6 +544,8 @@ class TestMain:
             ("diffusion", {"parameters": {"x_b": -30}}, "x_b"),
             ("diffusion", {"parameters": {"epsilon": 2.0}}, "x_b"),
             ("diffusion", {"parameters": {"mc_d": 0}}, "mc_d"),
+            ("walk", {"parameters": {"shock": "cauchy"}}, "shock"),
+            ("tree", [], "object"),
         ],
         ids=["seed-str", "workers-str", "workers-zero", "int-param-str",
              "int-param-float", "record-points-negative", "experiment-list",
@@ -559,7 +561,7 @@ class TestMain:
              "measure-weights-underflow", "endogenous-steps-beyond-bound",
              "diffusion-steps-beyond-bound", "endogenous-one-step",
              "diffusion-x_b-below-barrier", "diffusion-epsilon-above-start",
-             "diffusion-mc_d-zero"],
+             "diffusion-mc_d-zero", "walk-shock-unknown", "config-not-object"],
     )
     def test_bad_config_value_maps_to_exit_one(
         self, experiment, config, key, tmp_path, capsys, monkeypatch

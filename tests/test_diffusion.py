@@ -11,10 +11,8 @@ from scipy.stats import expon, gamma, kstest, norm
 
 from born_branch import (
     BadStart,
-    BadStep,
     DiffusionParams,
     DivergentRegime,
-    DomainError,
     OutOfRange,
     TooFewSurvivors,
     TooLarge,
@@ -161,8 +159,14 @@ class TestClosedForm:
         assert survival_closed_form(1.0, 1.0, 5.0, 0.01) == pytest.approx(1.0, abs=1e-12)
 
     def test_domain_errors(self):
-        for bad in [(1, 1, 0.0, 1), (1, 1, -1, 1), (1, 1, 1, 0.0), (1, 0.0, 1, 1)]:
-            with pytest.raises(DomainError):
+        """A d, tau or sigma that is not positive and finite is refused: an
+        infinite one would give NaN or -inf. So is a sigma whose square
+        underflows, which would divide by zero."""
+        for bad in [
+            (1, 1, 0.0, 1), (1, 1, -1, 1), (1, 1, 1, 0.0), (1, 0.0, 1, 1),
+            (1, 1, math.inf, 1), (1, 1, 1, math.inf), (1, math.inf, 1, 1), (1, 1e-170, 2, 1),
+        ]:
+            with pytest.raises(OutOfRange):
                 log_survival_closed_form(*bad)
 
     @pytest.mark.parametrize("i", range(4))
@@ -170,7 +174,7 @@ class TestClosedForm:
         """A NaN argument would make the result NaN; it is refused."""
         args = [1.0, 1.0, 1.0, 1.0]
         args[i] = math.nan
-        with pytest.raises(DomainError, match="nan"):
+        with pytest.raises(OutOfRange, match="nan"):
             log_survival_closed_form(*args)
 
 
@@ -239,14 +243,14 @@ class TestBatchSurvive:
         assert y[0] == -1.0 and y[1] == 0.0
 
     def test_bad_step(self):
-        with pytest.raises(BadStep):
+        with pytest.raises(OutOfRange, match="dt=0.0"):
             batch_survive(1.0, 1.0, 1.0, 1.0, 0.0, rng_stream(0, 0), 4)
 
     def test_nan_horizon_and_step_refused(self):
         """NaN would reach round(tau / dt) and raise a bare ValueError."""
         with pytest.raises(OutOfRange, match="tau=nan"):
             batch_survive(1.0, 1.0, 1.0, math.nan, 0.1, rng_stream(0, 0), 4)
-        with pytest.raises(BadStep, match="dt=nan"):
+        with pytest.raises(OutOfRange, match="dt=nan"):
             batch_survive(1.0, 1.0, 1.0, 1.0, math.nan, rng_stream(0, 0), 4)
 
     @pytest.mark.parametrize(
@@ -327,7 +331,7 @@ class TestRatioScan:
     def test_epsilon_validation(self):
         with pytest.raises(OutOfRange):
             ratio_convergence_scan(DiffusionParams(1.0, 1.0), 1.0, 0.0, 0.0, [1.0])
-        with pytest.raises(OutOfRange, match="epsilon=nan"):  # not a DomainError on d
+        with pytest.raises(OutOfRange, match="epsilon=nan"):  # named epsilon, not d
             ratio_convergence_scan(DiffusionParams(1.0, 1.0), 1.0, 0.0, math.nan, [1.0])
 
 
@@ -382,7 +386,7 @@ class TestConditionedSample:
             conditioned_sample(DiffusionParams(-0.5, 1.0), 1e-3, 1.0, 100)
         with pytest.raises(BadStart):
             conditioned_sample(DiffusionParams(1.0, 1.0), 1.0, 1.0, 100)
-        with pytest.raises(OutOfRange, match="epsilon=nan"):  # not a DomainError on d
+        with pytest.raises(OutOfRange, match="epsilon=nan"):  # named epsilon, not d
             conditioned_sample(DiffusionParams(1.0, 1.0), math.nan, 1.0, 100)
 
 

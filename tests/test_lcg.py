@@ -277,6 +277,10 @@ class TestDeltaStream:
         assert a.min() > 0.0
         assert a.max() < 1.0
 
+    def test_no_transitions_refused(self):
+        with pytest.raises(OutOfRange, match="n >= 1"):
+            lcg_delta_stream(BIG, 0, 0)
+
     def test_seed_changes_stream(self):
         a = lcg_delta_stream(BIG, 1000, seed=7)
         b = lcg_delta_stream(BIG, 1000, seed=8)
@@ -363,7 +367,8 @@ class _PathBits:
 def _lcg_alive_reference(spec, sched, t, lphis, rng, size):
     """Per-start loop: each start keeps its own alive mask from step to
     step, on the chain and branch draws _lcg_block_worst makes, and compares
-    in the kernel's float form, lphi >= log xi_s - amps_s."""
+    in the kernel's float form, lphi >= log xi_s - amps_s. Each ratio is
+    Python's int(c) / p, the rounding the kernel's _ratios must give."""
     states = np.full(size, _C0, dtype=np.uint64)
     amps = np.zeros(size)
     alive = np.ones((len(lphis), size), dtype=bool)
@@ -371,8 +376,9 @@ def _lcg_alive_reference(spec, sched, t, lphis, rng, size):
         c2, c1 = _lcg_children(states, spec)
         pick = rng.integers(0, 2, size=size).astype(bool)
         states = np.where(pick, c1, c2)
+        ratios = np.array([int(c) / spec.p for c in states.tolist()])
         with np.errstate(divide="ignore"):
-            amps = amps + np.log(states.astype(np.float64) / spec.p)
+            amps = amps + np.log(ratios)
         for j, lphi in enumerate(lphis):
             alive[j] &= lphi >= sched.log_xi(s) - amps
     return alive
@@ -443,6 +449,12 @@ class TestLcgWalkSurvival:
     def test_negative_horizon_rejected(self):
         with pytest.raises(OutOfRange):
             lcg_walk_survival(BIG, Exogenous(1e-2, 0.5), -3, [1.0], 100)
+
+    def test_no_starts_or_paths_rejected(self):
+        with pytest.raises(OutOfRange, match="phi0"):
+            lcg_walk_survival(BIG, Exogenous(1e-2, 0.5), 10, [], 100)
+        with pytest.raises(OutOfRange, match="n_paths"):
+            lcg_walk_survival(BIG, Exogenous(1e-2, 0.5), 10, [1.0], 0)
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_bad_start_rejected(self, bad):

@@ -55,6 +55,8 @@ class TestFitPowerLaw:
             fit_power_law([1.0], [2.0])
         with pytest.raises(DegenerateDesign):
             fit_power_law([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DegenerateDesign, match="equal-length"):
+            fit_power_law([0.0, 1.0, 2.0], [1.0, 2.0])
 
     def test_constant_response_is_flat_with_unit_r2(self):
         """SST = 0: the flat line through the points explains everything."""
@@ -249,3 +251,7 @@ class TestBootstrapCi:
     def test_non_positive_n_boot(self, n_boot):
         with pytest.raises(OutOfRange):
             bootstrap_ci([1.0, 2.0, 3.0], n_boot=n_boot)
+
+    def test_empty_sample_raises(self):
+        with pytest.raises(EmptySample):
+            bootstrap_ci([])

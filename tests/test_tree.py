@@ -371,6 +371,18 @@ class TestSeriesShape:
                 [1.0],
             )
 
+    def test_negative_horizon_and_no_starts_refused(self):
+        """A negative depth is refused, not met as the depth-0 row or as
+        K^-1 in the size guard."""
+        spec = BranchingSpec((1 / 2, 1 / 2))
+        sched = Exogenous(0.2, 0.9)
+        with pytest.raises(OutOfRange, match="t=-1"):
+            enumerate_brute(spec, sched, -1, 1.0)
+        with pytest.raises(OutOfRange, match="t_max=-1"):
+            count_survivors_dp(spec, sched, -1, [1.0])
+        with pytest.raises(OutOfRange, match="phi0"):
+            count_survivors_dp(spec, sched, 5, [])
+
     def test_brute_guard_does_not_form_k_to_the_t(self):
         """3^(10^9) has over 10^9 bits; the guard refuses without it."""
         spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from born_branch import (
@@ -20,13 +20,14 @@ from born_branch import (
     RareEventRegime,
     WalkParams,
     ZeroDenominator,
+    count_survivors_dp,
     estimate_survival,
     rng_stream,
     survival_closed_form,
     survival_ratio,
     walk_survival,
 )
-from born_branch.rng import BLOCK_SIZE
+from born_branch.rng import BLOCK_SIZE, block_sizes
 from born_branch.walk import RARE_EVENT_FLOOR, _block_worst, _start_estimates
 
 # alpha is folded into mu for walks, so its value here is inert
@@ -271,6 +272,8 @@ class TestWalkSurvival:
             walk_survival(params, [9.0, 0.0], BARRIER, 40, 1_000)
         with pytest.raises(BadStart):
             walk_survival(params, [0.0, -2.0], BARRIER, 5, 100)
+        with pytest.raises(BadStart, match="x0=inf"):  # would give p_hat = 1
+            walk_survival(params, [0.0, math.inf], BARRIER, 5, 100)
         with pytest.raises(OutOfRange):
             walk_survival(params, [], BARRIER, 5, 100)
         with pytest.raises(OutOfRange):
@@ -279,6 +282,8 @@ class TestWalkSurvival:
     def test_bad_worker_count(self):
         with pytest.raises(OutOfRange, match="worker count"):
             walk_survival(self.PARAMS, self.X0S, self.LOW, 5, 100, workers=0)
+        with pytest.raises(OutOfRange, match="negative item count"):
+            block_sizes(-1)
 
     @pytest.mark.parametrize("x0s", [[0.0, math.nan], [math.nan, 0.0]])
     def test_nan_start_refused(self, x0s):
@@ -321,3 +326,45 @@ class TestWalkSurvival:
             self.PARAMS, self.X0S, barrier, 6, n_paths, seed=7, workers=workers
         )
         assert one == many
+
+
+class TestTreeOracle:
+    """The finite-support walk against exact tree counts."""
+
+    N_PATHS = 200_000
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        weights=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4),
+        beta=st.floats(0.5, 1.5),
+        depth=st.floats(0.2, 1.5),
+        t=st.integers(5, 40),
+        phis=st.lists(st.floats(1.0, 16.0), min_size=1, max_size=3),
+    )
+    def test_survival_is_tree_count_fraction(self, weights, beta, depth, t, phis):
+        """The walk of WalkParams.from_branching(spec, alpha) from
+        x0 = log phi0 against the constant barrier log epsilon steps
+        x0 + sum log delta_i - s log alpha, the tree's log amplitude over
+        its threshold epsilon alpha^s, with each branch equally likely. So
+        it survives t steps with probability exactly N_t(phi0) / K^t, and
+        the MC frequency must sit within 4.5 binomial SEs of it. epsilon
+        puts phi0 = 1 depth sigma sqrt(t) above the barrier, so that
+        survival is neither certain nor rare."""
+        total = math.fsum(weights)
+        spec = BranchingSpec(tuple(w / total for w in weights))
+        alpha = math.exp(spec.log_delta_bar + beta * spec.sigma2)
+        assume(spec.sigma2 > 1e-3 and alpha < 1.0)  # a walk with drift mu > 0
+        sched = Exogenous(math.exp(-depth * spec.sigma * math.sqrt(t)), alpha)
+        (row,) = count_survivors_dp(spec, sched, t, phis, [t])
+        # starts whose survival the MC resolves: at least 100 expected survivors
+        exact = {math.log(p): n / spec.K**t for p, n in zip(phis, row.counts)}
+        exact = {x0: q for x0, q in exact.items() if q >= 1e-3}
+        assume(exact)
+        params = WalkParams.from_branching(spec, alpha)
+        singles, _ = walk_survival(params, list(exact), sched, t, self.N_PATHS, seed=t)
+        for p_exact, est in zip(exact.values(), singles):
+            se = math.sqrt(p_exact * (1.0 - p_exact) / self.N_PATHS)
+            if se == 0.0:
+                assert est.p_hat == p_exact
+            else:
+                assert abs(est.p_hat - p_exact) < 4.5 * se

@@ -4,22 +4,7 @@ Exact tree counting, random-walk and diffusion Monte Carlo, an interacting
 particle system for endogenous thresholds, and an end-to-end measurement
 pipeline, with the closed forms they are verified against.
 """
-from .errors import (
-    BadStart,
-    BornBranchError,
-    ConfigError,
-    DegenerateDesign,
-    DegenerateSpec,
-    DivergentRegime,
-    EmptySample,
-    Extinction,
-    OutOfRange,
-    RareEventRegime,
-    StateExplosion,
-    TooFewSurvivors,
-    TooLarge,
-    ZeroDenominator,
-)
+from .errors import BornBranchError, ConfigError, OutOfRange, TooFewSurvivors, TooLarge
 from .model import (
     AlphaResult,
     BranchingSpec,

@@ -26,7 +26,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import diffusion as diff
-from .errors import BadStart, BornBranchError, ConfigError, OutOfRange
+from .errors import BornBranchError, ConfigError, OutOfRange
 from .lcg import DEFAULT_LCG_ALPHA, LcgSpec, lcg_delta_stream, lcg_walk_survival
 from .measure import (
     MeasurementSetup, measurement_pipeline, outcome_weights, prepared_median_reference,
@@ -354,10 +354,10 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int | None) -> RunnerOutput:
     barrier = RandomBarrier(p.epsilon, p.noise_sd)
     log_eps = math.log(p.epsilon)
     if len(p.x0s) > 1 and log_eps in p.x0s:
-        raise BadStart(f"x0={log_eps} on the barrier: a survival ratio needs starts above it")
+        raise OutOfRange(f"x0={log_eps} on the barrier: a survival ratio needs starts above it")
     # the targets are refused here, before any path is drawn: beta raises
-    # DegenerateSpec when sigma^2 is 0, and an exponent beyond float range
-    # raises OutOfRange
+    # OutOfRange when sigma^2 is 0, and so does an exponent beyond float
+    # range
     beta = params.beta
     d0 = p.x0s[0] - log_eps
     with _targets_in_float_range(p.sigma):
@@ -410,7 +410,7 @@ class DiffusionExpParams:
 
     def __post_init__(self) -> None:
         if self.mc_n_paths < 1:
-            raise OutOfRange(f"mc_n_paths={self.mc_n_paths} must be >= 1")
+            raise ConfigError(f"mc_n_paths={self.mc_n_paths} must be >= 1")
         if not self.tau_grid:
             raise ConfigError("tau_grid is empty: the ratio scan needs at least one horizon")
         log_eps = math.log(_positive_finite("epsilon", self.epsilon))

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadStart, DivergentRegime, OutOfRange, TooFewSurvivors, TooLarge
+from .errors import OutOfRange, TooFewSurvivors, TooLarge
 from .model import DiffusionParams, _positive_finite
 from .rng import map_blocks
 
@@ -188,7 +188,7 @@ def _survivor_ys(
     """
     d = -math.log(_positive_finite("epsilon", epsilon))
     if d <= 0.0:
-        raise BadStart(f"start 0 not above the barrier log eps={-d}")
+        raise OutOfRange(f"start 0 not above the barrier log eps={-d}")
     dt = tau if dt is None else dt
     expected = n_paths * survival_closed_form(params.mu, params.sigma, d, tau)
     if expected < 1e3:
@@ -251,7 +251,7 @@ def conditional_mean_ratio(
     so treat it as a lower bound on the uncertainty.
     """
     if params.beta <= 1.0:
-        raise DivergentRegime(f"beta={params.beta:.4g} <= 1: conditional mean diverges")
+        raise OutOfRange(f"beta={params.beta:.4g} <= 1: conditional mean diverges")
     ys = _survivor_ys(params, epsilon, tau, n_paths, seed, dt, workers)
     vals = np.exp(ys)
     n_surv = int(vals.size)

@@ -1,56 +1,27 @@
-"""Typed exceptions shared across the package."""
+"""Typed exceptions shared across the package: one base class and four
+failure kinds, so one failure raises one type in every module."""
 
 
 class BornBranchError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DegenerateSpec(BornBranchError):
-    """All branching ratios equal: the log-deviation scale sigma is zero."""
-
-
 class OutOfRange(BornBranchError):
-    """Parameter outside its admissible interval."""
+    """An input outside its domain: a parameter outside its interval, a
+    zero-variance spec or walk, a start at or below the barrier, a regime
+    with no finite answer (beta <= 1), an empty sample or unequal lengths,
+    or a regression design with fewer than two distinct abscissae."""
 
 
 class TooLarge(BornBranchError):
-    """Requested enumeration exceeds the path-count guard."""
-
-
-class StateExplosion(BornBranchError):
-    """Dynamic-program state space exceeds the memory budget."""
-
-
-class BadStart(BornBranchError):
-    """Start point at or below the absorbing threshold."""
-
-
-class ZeroDenominator(BornBranchError):
-    """Ratio estimate with no survivors in the denominator arm."""
-
-
-class RareEventRegime(BornBranchError):
-    """Predicted survival too small for naive Monte Carlo."""
+    """A request beyond a size guard: brute-force paths, DP compositions,
+    time steps, or an LCG modulus outside the exact arithmetic."""
 
 
 class TooFewSurvivors(BornBranchError):
-    """Expected surviving sample too small for the requested estimate."""
-
-
-class DivergentRegime(BornBranchError):
-    """Conditional mean has no finite stationary value (beta <= 1)."""
-
-
-class Extinction(BornBranchError):
-    """Entire particle population absorbed in a single step."""
-
-
-class DegenerateDesign(BornBranchError):
-    """Regression design with fewer than two distinct abscissae."""
-
-
-class EmptySample(BornBranchError):
-    """Statistic of an empty sample requested."""
+    """Too few survivors for the requested estimate, whether predicted
+    before sampling (a rare-event or small-sample screen) or drawn (a
+    ratio with no survivors in its denominator, an extinct population)."""
 
 
 class ConfigError(BornBranchError):

@@ -218,7 +218,7 @@ def lcg_walk_survival(
     other than Exogenous raises TypeError before any draw.
     """
     sched = _check_exogenous(sched)
-    if not phi0s:
+    if len(phi0s) == 0:
         raise OutOfRange("need at least one phi0")
     lphis = [_log_phi0(p) for p in phi0s]
     if n_paths < 1:

@@ -13,7 +13,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DegenerateSpec, OutOfRange
+from .errors import OutOfRange
 
 #: Absolute tolerance on sum(deltas) == 1.
 SIMPLEX_TOL = 1e-12
@@ -174,7 +174,7 @@ class FiniteSupportShocks:
     @classmethod
     def from_spec(cls, spec: BranchingSpec) -> "FiniteSupportShocks":
         if spec.sigma2 == 0.0:
-            raise DegenerateSpec("cannot standardize shocks of a zero-variance spec")
+            raise OutOfRange("cannot standardize shocks of a zero-variance spec")
         s = spec.sigma
         return cls(tuple(d / s for d in spec.log_devs))
 
@@ -221,7 +221,7 @@ class WalkParams:
     def from_branching(cls, spec: BranchingSpec, alpha: float) -> "WalkParams":
         """Walk induced by a branching spec under decay rate alpha: mu =
         log(alpha / delta_bar), sigma and shocks from the spec. alpha outside
-        (0, 1) raises OutOfRange, a zero-variance spec DegenerateSpec."""
+        (0, 1) or a zero-variance spec raises OutOfRange."""
         if not (0.0 < alpha < 1.0):
             raise OutOfRange(f"decay rate alpha={alpha} outside (0, 1)")
         shocks = FiniteSupportShocks.from_spec(spec)
@@ -230,7 +230,7 @@ class WalkParams:
     @property
     def beta(self) -> float:
         if self.sigma * self.sigma == 0.0:  # sigma = 0, or a square that underflows
-            raise DegenerateSpec(
+            raise OutOfRange(
                 f"beta undefined: sigma={self.sigma} squares to 0, as for a "
                 "deterministic walk (sigma = 0)"
             )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import _resolve_steps
-from .errors import Extinction, OutOfRange
+from .errors import OutOfRange, TooFewSurvivors
 from .model import _check_endogenous, _positive_finite
 from .rng import rng_stream
 from .stats import FitResult, _logsumexp, fit_power_law
@@ -64,7 +64,7 @@ def endogenous_population(
     Update order per step: diffuse all particles, recompute the threshold
     from the diffused population, absorb (strictly below dies, equality
     survives), then clone survivors onto the absorbed slots. Raises
-    Extinction if a step leaves no survivors, and before any allocation
+    TooFewSurvivors if a step leaves no survivors, and before any allocation
     TooLarge if tau / dt exceeds diffusion.MAX_STEPS and OutOfRange if it
     rounds to one step, which leaves the fit one point. The growth fit
     discards the first BURN_IN fraction of the trajectory.
@@ -101,7 +101,7 @@ def endogenous_population(
         np.less(z, cur_xi, out=mask)
         n_dead = int(np.count_nonzero(mask))
         if n_dead == n_particles:
-            raise Extinction(f"all {n_particles} particles absorbed at step {step + 1}")
+            raise TooFewSurvivors(f"all {n_particles} particles absorbed at step {step + 1}")
         if n_dead:
             survivors = np.flatnonzero(~mask)
             donors = survivors[rng.integers(0, survivors.size, size=n_dead)]

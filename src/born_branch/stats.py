@@ -13,8 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDesign, EmptySample, OutOfRange
+from .errors import OutOfRange
 from .rng import rng_stream
+
+_BOOT_CHUNK = 1 << 20  # resample elements drawn and reduced at a time
 
 
 @dataclass(frozen=True)
@@ -53,14 +55,14 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
     """OLS fit ys ~ slope * xs + intercept on already-transformed data.
 
     Callers pass log-transformed coordinates, so the slope is the power-law
-    exponent. Fewer than two distinct xs raise DegenerateDesign.
+    exponent. Unequal lengths or fewer than two distinct xs raise OutOfRange.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
-        raise DegenerateDesign("xs and ys must be equal-length 1-d sequences")
+        raise OutOfRange("xs and ys must be equal-length 1-d sequences")
     if x.size < 2 or np.ptp(x) == 0.0:
-        raise DegenerateDesign("need at least two distinct abscissae")
+        raise OutOfRange("need at least two distinct abscissae")
     xbar = x.mean()
     ybar = y.mean()
     dx = x - xbar
@@ -91,7 +93,7 @@ def ks_distance(sample: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]
     xs = np.sort(np.asarray(sample, dtype=float))
     n = xs.size
     if n == 0:
-        raise EmptySample("KS distance of an empty sample")
+        raise OutOfRange("KS distance of an empty sample")
     f = np.asarray(cdf(xs), dtype=float)
     if f.shape != xs.shape:
         raise TypeError(f"cdf returned shape {f.shape} for a sample of shape {xs.shape}")
@@ -151,13 +153,23 @@ def binomial_count_fraction(n: int, lo: int, hi: int) -> tuple[float, Fraction]:
 def bootstrap_ci(
     sample: Sequence[float], n_boot: int = 1000, seed: int = 0
 ) -> tuple[float, float]:
-    """95% percentile bootstrap interval for the median of sample."""
+    """95% percentile bootstrap interval for the median of sample.
+
+    The (n_boot, n) resample indices are drawn and reduced to row medians
+    _BOOT_CHUNK elements at a time (at least one row). The generator gives
+    the same numbers when a draw is split by rows, so the interval is the
+    one a single (n_boot, n) draw gives, without holding it in memory.
+    """
     arr = np.asarray(sample, dtype=float)
     if arr.size == 0:
-        raise EmptySample("bootstrap of an empty sample")
+        raise OutOfRange("bootstrap of an empty sample")
     if n_boot < 1:
         raise OutOfRange(f"n_boot={n_boot} must be >= 1")
-    idx = rng_stream(seed, 0).integers(0, arr.size, size=(n_boot, arr.size))
-    stats = np.median(arr[idx], axis=1)
+    rng = rng_stream(seed, 0)
+    rows = max(1, _BOOT_CHUNK // arr.size)
+    stats = np.concatenate([
+        np.median(arr[rng.integers(0, arr.size, size=(min(rows, n_boot - r), arr.size))], axis=1)
+        for r in range(0, n_boot, rows)
+    ])
     tail = (1.0 - 0.95) / 2.0  # just above 0.025; the literal would move the last bits
     return float(np.quantile(stats, tail)), float(np.quantile(stats, 1.0 - tail))

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import OutOfRange, StateExplosion, TooLarge
+from .errors import OutOfRange, TooLarge
 from .model import BranchingSpec, Exogenous, _positive_finite
 from .stats import start_exponent
 
@@ -255,11 +255,11 @@ def count_survivors_dp(
     sched = _check_exogenous(sched)
     if t_max < 0:
         raise OutOfRange(f"t_max={t_max} must be >= 0")
-    if not phi0s:
+    if len(phi0s) == 0:
         raise OutOfRange("need at least one phi0")
     n_states = math.comb(t_max + spec.K - 1, spec.K - 1)
     if n_states > MAX_DP_STATES:
-        raise StateExplosion(
+        raise TooLarge(
             f"C(t_max+K-1, K-1) = {n_states} compositions exceeds "
             f"MAX_DP_STATES={MAX_DP_STATES}"
         )

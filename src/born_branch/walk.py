@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diffusion import survival_closed_form
-from .errors import BadStart, OutOfRange, RareEventRegime, ZeroDenominator
+from .errors import OutOfRange, TooFewSurvivors
 from .model import Exogenous, RandomBarrier, ThresholdSchedule, WalkParams
 from .rng import map_blocks
 
@@ -127,7 +127,7 @@ def _ratio_estimate(x_b: float, k_a: int, k_b: int, n: int) -> RatioEstimate:
     survive from both starts; the SE uses the cross-covariance this gives.
     """
     if k_b == 0:
-        raise ZeroDenominator(f"no survivors from x_b={x_b} in {n} paths")
+        raise TooFewSurvivors(f"no survivors from x_b={x_b} in {n} paths")
     p_a, p_b, p_ab = k_a / n, k_b / n, min(k_a, k_b) / n
     ratio = p_a / p_b
     var_a = p_a * (1.0 - p_a) / n
@@ -156,21 +156,21 @@ def walk_survival(
     over start i, as survival_ratio(x0s[i + 1], x0s[i], ..., seed) gives
     it. Deterministic in (seed, n_paths) for any worker count.
 
-    A start below the barrier or infinite raises BadStart, and a horizon
-    t < 0 OutOfRange. When the exact diffusion
-    survival of a start, at the discrete-monitoring distance d + 0.5826
-    sigma, is below 1e-8, the op refuses naive MC and points to the closed
-    form instead. A ratio raises ZeroDenominator when start i has no
-    survivors; a deterministic walk (sigma = 0) gets its exact ratio.
+    A start below the barrier or infinite, or a horizon t < 0, raises
+    OutOfRange. When the exact diffusion survival of a start, at the
+    discrete-monitoring distance d + 0.5826 sigma, is below 1e-8, the op
+    refuses naive MC as TooFewSurvivors and points to the closed form
+    instead. A ratio raises TooFewSurvivors when start i has no survivors;
+    a deterministic walk (sigma = 0) gets its exact ratio.
     """
     log_eps, noise_sd = _barrier_params(barrier)
     if len(x0s) == 0:
         raise OutOfRange("need at least one start")
     for x0 in x0s:
         if not x0 >= log_eps:  # NaN included
-            raise BadStart(f"x0={x0} below the barrier log eps={log_eps}")
+            raise OutOfRange(f"x0={x0} below the barrier log eps={log_eps}")
         if x0 == math.inf:
-            raise BadStart("x0=inf: a start must be finite")
+            raise OutOfRange("x0=inf: a start must be finite")
     if n_paths < 1:
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")
     if t < 0:
@@ -180,7 +180,7 @@ def walk_survival(
             d = x0 - log_eps + _MONITORING_SHIFT * params.sigma
             predicted = survival_closed_form(params.mu, params.sigma, d, float(t))
             if predicted < RARE_EVENT_FLOOR:
-                raise RareEventRegime(
+                raise TooFewSurvivors(
                     f"predicted survival {predicted:.3e} < {RARE_EVENT_FLOOR} from "
                     f"x0={x0}; naive MC cannot resolve it, use "
                     "diffusion.survival_closed_form"

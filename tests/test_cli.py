@@ -134,6 +134,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=re.escape(f"unknown parameter key(s) ['{key}']")):
             ExperimentConfig(experiment, {key: value})
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_diffusion_paths_below_one_is_a_config_error(self, n):
+        """mc_n_paths is range-checked at config time, and refused as
+        ConfigError like every other parameter's config-time check."""
+        with pytest.raises(ConfigError, match=f"mc_n_paths={n} must be >= 1"):
+            ExperimentConfig("diffusion", {"mc_n_paths": n})
+
     def test_output_is_not_a_config_key(self):
         """The output directory is set only by run(out_dir=) or --out."""
         with pytest.raises(ConfigError, match="output"):
@@ -289,7 +296,7 @@ class TestRunSmallConfigs:
         the run fails with exit code 1 before any path is drawn."""
 
         def no_draws(*args, **kwargs):
-            raise AssertionError("paths drawn before DegenerateSpec")
+            raise AssertionError("paths drawn before beta refused sigma = 0")
 
         monkeypatch.setattr(walk_module, "map_blocks", no_draws)
         cfg_path = tmp_path / "cfg.json"

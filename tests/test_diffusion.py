@@ -10,9 +10,7 @@ from scipy.integrate import quad
 from scipy.stats import expon, gamma, kstest, norm
 
 from born_branch import (
-    BadStart,
     DiffusionParams,
-    DivergentRegime,
     OutOfRange,
     TooFewSurvivors,
     TooLarge,
@@ -384,7 +382,7 @@ class TestConditionedSample:
     def test_validation(self):
         with pytest.raises(OutOfRange):
             conditioned_sample(DiffusionParams(-0.5, 1.0), 1e-3, 1.0, 100)
-        with pytest.raises(BadStart):
+        with pytest.raises(OutOfRange, match="start 0 not above the barrier"):
             conditioned_sample(DiffusionParams(1.0, 1.0), 1.0, 1.0, 100)
         with pytest.raises(OutOfRange, match="epsilon=nan"):  # named epsilon, not d
             conditioned_sample(DiffusionParams(1.0, 1.0), math.nan, 1.0, 100)
@@ -415,7 +413,7 @@ class TestConditionalMeanRatio:
     def test_divergent_below_beta_one(self):
         """beta = 1 exactly is already divergent: the Gamma(2, 1) tail of
         e^Y is not integrable."""
-        with pytest.raises(DivergentRegime):
+        with pytest.raises(OutOfRange, match="beta=1 <= 1: conditional mean diverges"):
             conditional_mean_ratio(DiffusionParams(1.0, 1.0), 1e-3, 1.0, 100)
 
     def test_too_few_survivors_precheck(self):

@@ -181,6 +181,29 @@ def test_imports_at_module_level():
     assert sorted(nested) == []
 
 
+def test_every_raise_is_one_of_four_failure_kinds():
+    """errors.py defines the base class and four failure kinds, and every
+    raise in the package raises one of the kinds, or the TypeError of a
+    wrong schedule or CDF: one failure raises one type in every module."""
+    pkg = Path(born_branch.__file__).parent
+    defined = {
+        node.name
+        for node in ast.walk(ast.parse((pkg / "errors.py").read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    kinds = {"OutOfRange", "TooLarge", "TooFewSurvivors", "ConfigError"}
+    assert defined == kinds | {"BornBranchError"}
+    others = set()
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = ast.unparse(exc) if exc is not None else "bare raise"
+                if name not in kinds | {"TypeError"}:
+                    others.add(f"{path.name}:{node.lineno}: {name}")
+    assert sorted(others) == []
+
+
 def test_import_does_not_load_scipy_integrate():
     """The package never imports scipy.integrate."""
     assert not _loaded_by_import("scipy.integrate")
@@ -449,6 +472,15 @@ class TestLcgWalkSurvival:
     def test_negative_horizon_rejected(self):
         with pytest.raises(OutOfRange):
             lcg_walk_survival(BIG, Exogenous(1e-2, 0.5), -3, [1.0], 100)
+
+    def test_array_starts_equal_list_starts(self):
+        """A numpy array of starts gives the list's estimates; its truth
+        value is never asked for, and an empty array is refused."""
+        sched = Exogenous(1e-4, DEFAULT_LCG_ALPHA)
+        listed = lcg_walk_survival(BIG, sched, 40, [1.0, 4.0], 2_000, seed=1)
+        assert lcg_walk_survival(BIG, sched, 40, np.array([1.0, 4.0]), 2_000, seed=1) == listed
+        with pytest.raises(OutOfRange, match="phi0"):
+            lcg_walk_survival(BIG, sched, 40, np.array([]), 2_000)
 
     def test_no_starts_or_paths_rejected(self):
         with pytest.raises(OutOfRange, match="phi0"):

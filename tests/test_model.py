@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from born_branch import (
     AlphaResult,
     BranchingSpec,
-    DegenerateSpec,
     DiffusionParams,
     Exogenous,
     FiniteSupportShocks,
@@ -120,7 +119,7 @@ class TestBasicParams:
 
     def test_zero_variance_raises(self):
         """beta = mu/sigma^2 is undefined when all ratios are equal."""
-        with pytest.raises(DegenerateSpec):
+        with pytest.raises(OutOfRange, match="zero-variance spec"):
             WalkParams.from_branching(BranchingSpec((0.5, 0.5)), 0.4)
 
 
@@ -291,10 +290,10 @@ class TestWalkParams:
 
     def test_beta_requires_variance(self):
         assert WalkParams(0.5, 0.5).beta == pytest.approx(2.0, rel=1e-14)
-        with pytest.raises(DegenerateSpec):
+        with pytest.raises(OutOfRange, match="beta undefined: sigma=0.0 squares to 0"):
             _ = WalkParams(0.5, 0.0).beta
         # positive, but its square underflows to 0
-        with pytest.raises(DegenerateSpec, match="sigma=1e-200"):
+        with pytest.raises(OutOfRange, match="sigma=1e-200"):
             _ = WalkParams(0.5, 1e-200).beta
 
 

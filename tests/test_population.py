@@ -123,9 +123,10 @@ class TestRecordingSchema:
         assert run.resample_count == int(np.sum(500 - run.n_survivors))
 
     def test_at_least_one_survivor_every_step(self):
-        """Extinction cannot occur: the threshold sits log(varepsilon) < 0
-        below the log mean amplitude, and the log mean never exceeds the
-        maximum, so the top particle is always at or above threshold."""
+        """No step can absorb every particle: the threshold sits
+        log(varepsilon) < 0 below the log mean amplitude, and the log mean
+        never exceeds the maximum, so the top particle is always at or above
+        threshold."""
         run = small_run()
         assert run.n_survivors.min() >= 1
 

@@ -1,6 +1,7 @@
 """Tests for fitting, KS distance, binomial tail arithmetic, and resampling."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -10,8 +11,6 @@ from scipy import stats as sps
 from scipy.special import logsumexp
 
 from born_branch import (
-    DegenerateDesign,
-    EmptySample,
     OutOfRange,
     binomial_count_fraction,
     binomial_interval_logprob,
@@ -22,6 +21,7 @@ from born_branch import (
     rng_stream,
     start_exponent,
 )
+from born_branch import stats as stats_module
 
 
 class TestFitPowerLaw:
@@ -51,11 +51,11 @@ class TestFitPowerLaw:
         assert (fit.slope, fit.intercept) == (1.0, 2.0)
 
     def test_degenerate_designs_raise(self):
-        with pytest.raises(DegenerateDesign):
+        with pytest.raises(OutOfRange, match="two distinct abscissae"):
             fit_power_law([1.0], [2.0])
-        with pytest.raises(DegenerateDesign):
+        with pytest.raises(OutOfRange, match="two distinct abscissae"):
             fit_power_law([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-        with pytest.raises(DegenerateDesign, match="equal-length"):
+        with pytest.raises(OutOfRange, match="equal-length"):
             fit_power_law([0.0, 1.0, 2.0], [1.0, 2.0])
 
     def test_constant_response_is_flat_with_unit_r2(self):
@@ -121,7 +121,7 @@ class TestKsDistance:
             ks_distance([0.25, 0.75], lambda x: 0.5)
 
     def test_empty_sample_raises(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(OutOfRange, match="KS distance of an empty sample"):
             ks_distance([], lambda x: x)
 
 
@@ -247,11 +247,44 @@ class TestBootstrapCi:
         expect = (float(np.quantile(meds, tail)), float(np.quantile(meds, 1.0 - tail)))
         assert bootstrap_ci(sample, n_boot=7, seed=6) == expect
 
+    @pytest.mark.parametrize(
+        "n, n_boot, seed, chunk",
+        [(57, 7, 6, 1 << 20), (20_000, 60, 3, 1 << 20), (1, 5, 0, 64),
+         (13, 41, 2, 64), (100, 9, 8, 64), (1000, 3, 4, 64)],
+        ids=["one-chunk", "default-chunk-remainder", "n-one", "remainder-rows",
+             "even-rows", "row-beyond-chunk"],
+    )
+    def test_chunked_draw_equals_one_shot(self, n, n_boot, seed, chunk, monkeypatch):
+        """Drawing and reducing the resamples _BOOT_CHUNK elements at a time
+        gives the interval of one (n_boot, n) draw bit for bit, for an
+        n_boot that is not a multiple of the rows per chunk and for a row
+        longer than the chunk."""
+        monkeypatch.setattr(stats_module, "_BOOT_CHUNK", chunk)
+        sample = rng_stream(seed + 100, 0).normal(size=n)
+        idx = rng_stream(seed, 0).integers(0, n, size=(n_boot, n))
+        meds = np.median(sample[idx], axis=1)
+        tail = (1.0 - 0.95) / 2.0
+        expect = (float(np.quantile(meds, tail)), float(np.quantile(meds, 1.0 - tail)))
+        assert bootstrap_ci(sample, n_boot=n_boot, seed=seed) == expect
+
+    def test_peak_memory_bounded_by_chunk(self):
+        """2e4 points and 400 resamples would hold 8e6 indices and their
+        gathered values (184 MB traced) in one draw; by chunks the traced
+        peak stays below 48 MB."""
+        sample = rng_stream(7, 0).normal(size=20_000)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(sample, n_boot=400, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
+
     @pytest.mark.parametrize("n_boot", [0, -3])
     def test_non_positive_n_boot(self, n_boot):
         with pytest.raises(OutOfRange):
             bootstrap_ci([1.0, 2.0, 3.0], n_boot=n_boot)
 
     def test_empty_sample_raises(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(OutOfRange, match="bootstrap of an empty sample"):
             bootstrap_ci([])

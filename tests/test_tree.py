@@ -15,7 +15,6 @@ from born_branch import (
     Exogenous,
     OutOfRange,
     RandomBarrier,
-    StateExplosion,
     TooLarge,
     alpha_for_unit_beta,
     count_survivors_dp,
@@ -363,7 +362,7 @@ class TestSeriesShape:
 
     def test_state_guard(self):
         """C(3002, 2) = 4504501 compositions exceed MAX_DP_STATES."""
-        with pytest.raises(StateExplosion):
+        with pytest.raises(TooLarge, match="MAX_DP_STATES"):
             count_survivors_dp(
                 BranchingSpec((1 / 6, 1 / 3, 1 / 2)),
                 Exogenous(1e-4, 0.372041),
@@ -382,6 +381,16 @@ class TestSeriesShape:
             count_survivors_dp(spec, sched, -1, [1.0])
         with pytest.raises(OutOfRange, match="phi0"):
             count_survivors_dp(spec, sched, 5, [])
+
+    def test_array_starts_equal_list_starts(self):
+        """A numpy array of starts gives the list's counts; its truth value
+        is never asked for, and an empty array is refused."""
+        spec = BranchingSpec((1 / 6, 1 / 3, 1 / 2))
+        sched = Exogenous(1e-3, 0.6)
+        listed = count_survivors_dp(spec, sched, 12, [1.0, 2.0])
+        assert count_survivors_dp(spec, sched, 12, np.array([1.0, 2.0])) == listed
+        with pytest.raises(OutOfRange, match="phi0"):
+            count_survivors_dp(spec, sched, 12, np.array([]))
 
     def test_brute_guard_does_not_form_k_to_the_t(self):
         """3^(10^9) has over 10^9 bits; the guard refuses without it."""

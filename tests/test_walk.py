@@ -10,16 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from born_branch import (
-    BadStart,
     BranchingSpec,
     Exogenous,
     FiniteSupportShocks,
     LogUniformShocks,
     OutOfRange,
     RandomBarrier,
-    RareEventRegime,
+    TooFewSurvivors,
     WalkParams,
-    ZeroDenominator,
     count_survivors_dp,
     estimate_survival,
     rng_stream,
@@ -75,7 +73,7 @@ class TestEstimateSurvival:
         exp(-t mu^2 / (2 sigma^2)) ~ 1e-44, far below what naive MC can
         resolve, so the estimator refuses instead of returning 0."""
         params = WalkParams(mu=1.0, sigma=1.0)
-        with pytest.raises(RareEventRegime):
+        with pytest.raises(TooFewSurvivors, match="naive MC cannot resolve it"):
             estimate_survival(params, 0.0, BARRIER, 200, 1_000, seed=0)
 
     def test_rare_event_screen_uses_exact_survival(self):
@@ -125,7 +123,7 @@ class TestEstimateSurvival:
 
     def test_validation(self):
         params = WalkParams(mu=0.5, sigma=1.0)
-        with pytest.raises(BadStart):
+        with pytest.raises(OutOfRange, match="x0=-2.0 below the barrier"):
             estimate_survival(params, -2.0, BARRIER, 5, 100, seed=0)
         with pytest.raises(OutOfRange):
             estimate_survival(params, 0.0, BARRIER, 5, 0, seed=0)
@@ -219,7 +217,7 @@ class TestSurvivalRatio:
         shock. The screen lets it through (predicted survival 0.028), but
         none of the 20 paths at seed 0 draws one, so the ratio must raise
         rather than divide by zero."""
-        with pytest.raises(ZeroDenominator):
+        with pytest.raises(TooFewSurvivors, match=r"no survivors from x_b=-1.0 in 20 paths"):
             survival_ratio(WalkParams(2.0, 1.0), 0.0, -1.0, BARRIER, 1, 20, seed=0)
 
     def test_negative_horizon_rejected(self):
@@ -237,7 +235,7 @@ class TestSurvivalRatio:
         assert (res.ratio, res.se, res.n_survivors_a, res.n_survivors_b) == (0.0, 0.0, 0, 100)
 
     def test_validation(self):
-        with pytest.raises(BadStart, match="x0=-5.0 below the barrier"):
+        with pytest.raises(OutOfRange, match="x0=-5.0 below the barrier"):
             survival_ratio(WalkParams(0.5, 1.0), 1.0, -5.0, BARRIER, 5, 100, seed=0)
 
 
@@ -268,11 +266,11 @@ class TestWalkSurvival:
 
     def test_screen_and_validation_cover_every_start(self):
         params = WalkParams(mu=1.0, sigma=1.0)
-        with pytest.raises(RareEventRegime, match="x0=0.0"):
+        with pytest.raises(TooFewSurvivors, match="x0=0.0; naive MC cannot resolve it"):
             walk_survival(params, [9.0, 0.0], BARRIER, 40, 1_000)
-        with pytest.raises(BadStart):
+        with pytest.raises(OutOfRange, match="x0=-2.0 below the barrier"):
             walk_survival(params, [0.0, -2.0], BARRIER, 5, 100)
-        with pytest.raises(BadStart, match="x0=inf"):  # would give p_hat = 1
+        with pytest.raises(OutOfRange, match="x0=inf"):  # would give p_hat = 1
             walk_survival(params, [0.0, math.inf], BARRIER, 5, 100)
         with pytest.raises(OutOfRange):
             walk_survival(params, [], BARRIER, 5, 100)
@@ -289,7 +287,7 @@ class TestWalkSurvival:
     def test_nan_start_refused(self, x0s):
         """A NaN start passes an `x0 < log eps` check and would give 0
         survivors; it is refused before any draw."""
-        with pytest.raises(BadStart, match="x0=nan"):
+        with pytest.raises(OutOfRange, match="x0=nan"):
             walk_survival(self.PARAMS, x0s, self.LOW, 10, 1_000)
 
     def test_negative_horizon_rejected(self):

@@ -33,7 +33,7 @@ from .measure import (
 )
 from .model import (
     BranchingSpec, DiffusionParams, Exogenous, GaussianShocks, LogUniformShocks, RandomBarrier,
-    WalkParams, _alpha_feasible, _positive_finite, alpha_for_unit_beta, endogenous_alpha,
+    WalkParams, _alpha_feasible, alpha_for_unit_beta, endogenous_alpha,
 )
 from .population import BURN_IN, endogenous_population
 from .rng import map_blocks
@@ -399,9 +399,8 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int | None) -> RunnerOutput:
 class DiffusionExpParams:
     mu: float = 1.0
     sigma: float = 1.0
-    epsilon: float = 1e-8
-    x_a: float = 2.0
-    x_b: float = 0.0
+    d_a: float = 20.420680743952367  # 2 - log 1e-8
+    d_b: float = 18.420680743952367  # -log 1e-8
     tau_grid: list = field(default_factory=lambda: [5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0])
     mc_d: float = 3.0
     mc_tau: float = 10.0
@@ -413,18 +412,17 @@ class DiffusionExpParams:
             raise ConfigError(f"mc_n_paths={self.mc_n_paths} must be >= 1")
         if not self.tau_grid:
             raise ConfigError("tau_grid is empty: the ratio scan needs at least one horizon")
-        log_eps = math.log(_positive_finite("epsilon", self.epsilon))
-        for key, d in (("x_a", self.x_a - log_eps), ("x_b", self.x_b - log_eps), ("mc_d", self.mc_d)):
-            if not d > 0.0:
-                raise ConfigError(f"{key}: the distance {d:.6g} above the barrier must be positive")
+        for key in ("d_a", "d_b", "mc_d"):
+            if not getattr(self, key) > 0.0:
+                raise ConfigError(f"{key}={getattr(self, key)} must be positive")
         diff._resolve_steps(self.mc_tau, self.mc_dt, "mc_dt")
 
 
 def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int | None) -> RunnerOutput:
     params = DiffusionParams(p.mu, p.sigma)
     with _targets_in_float_range(p.sigma):
-        ratios = diff.ratio_convergence_scan(params, p.x_a, p.x_b, p.epsilon, p.tau_grid)
-        target = math.exp(params.beta * (p.x_a - p.x_b))  # the bare tilt
+        ratios = diff.ratio_convergence_scan(params, p.d_a, p.d_b, p.tau_grid)
+        target = math.exp(params.beta * (p.d_a - p.d_b))  # the bare tilt
         q = diff.survival_closed_form(p.mu, p.sigma, p.mc_d, p.mc_tau)
 
     def block(i: int, rng: np.random.Generator, size: int) -> int:
@@ -444,8 +442,7 @@ def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int | None) -> Run
     targets = {
         "closed_form_q": q,
         "ratio_target": target,
-        "limit_ratio": target
-        * ((p.x_a - math.log(p.epsilon)) / (p.x_b - math.log(p.epsilon))),
+        "limit_ratio": target * (p.d_a / p.d_b),
     }
     columns = ["tau", "ratio", "target"]
     rows = [[float(tau), r, target] for tau, r in zip(p.tau_grid, ratios)]
@@ -518,7 +515,6 @@ def _run_endogenous(p: EndogenousParams, seed: int, workers: int | None) -> Runn
 class MeasureParams:
     deltas: list = field(default_factory=lambda: [0.2, 0.3, 0.5])
     sigma: float = 0.22360679774997896  # sigma^2 = 0.05
-    epsilon: float = 1e-3
     tau: float = 100.0
     n_paths: int = 60_000
     prep_rate: float = 1.0
@@ -526,7 +522,7 @@ class MeasureParams:
 
 
 def _run_measure(p: MeasureParams, seed: int, workers: int | None) -> RunnerOutput:
-    setup = MeasurementSetup(tuple(p.deltas), p.sigma, p.epsilon, p.tau)
+    setup = MeasurementSetup(tuple(p.deltas), p.sigma, p.tau)
     res = measurement_pipeline(
         setup, p.n_paths, seed=seed, prep_rate=p.prep_rate, n_boot=p.n_boot,
         workers=workers,
@@ -538,20 +534,19 @@ def _run_measure(p: MeasureParams, seed: int, workers: int | None) -> RunnerOutp
         checks[f"freq_delta_{o.delta:g}_within_3se"] = abs(o.frequency - w) <= tol
     estimates = {
         "frequencies": {f"{o.delta:g}": o.frequency for o in res.outcomes},
-        "medians_x0": {f"{o.delta:g}": o.median_x0 for o in res.outcomes},
+        "medians_y0": {f"{o.delta:g}": o.median_y0 for o in res.outcomes},
         "n_survivors": res.n_survivors,
     }
     targets = {
         "born_weights": {f"{d:g}": w for d, w in zip(setup.deltas, weights)},
-        "median_sqrt_tau_reference": math.log(setup.epsilon)
-        + prepared_median_reference(setup),
+        "median_sqrt_tau_reference": prepared_median_reference(setup),
     }
     columns = [
         "delta", "n_survivors", "frequency", "freq_se",
-        "median_x0", "median_lo", "median_hi", "born_weight",
+        "median_y0", "median_lo", "median_hi", "born_weight",
     ]
     rows = [
-        [o.delta, o.n_survivors, o.frequency, o.freq_se, o.median_x0,
+        [o.delta, o.n_survivors, o.frequency, o.freq_se, o.median_y0,
          o.median_ci[0], o.median_ci[1], w]
         for o, w in zip(res.outcomes, weights)
     ]

@@ -1,23 +1,22 @@
 """Absorbed drifted Brownian motion: closed forms and bridge-corrected MC.
 
 The scaling limit of the truncated walk is dX = -mu dt + sigma dW absorbed
-at log epsilon. survival_closed_form is the exact method-of-images
-probability of staying above the barrier to time tau. The Monte Carlo
-kernels step the motion exactly and kill each step with the Brownian-bridge
-crossing probability given both ends, which for constant drift and
-volatility is exact for a step of any length (Glasserman, Monte Carlo
-Methods in Financial Engineering, 2004, sec. 6.4). Ops that need only
-survival and the endpoint (the conditioned samplers) therefore take one
-step of length tau by default.
+at log epsilon. Every op here takes a start as its distance d above that
+barrier, which is all the law of a path depends on. survival_closed_form is
+the exact method-of-images probability of staying above the barrier to
+time tau. The Monte Carlo kernels step the motion exactly and kill each
+step with the Brownian-bridge crossing probability given both ends, which
+for constant drift and volatility is exact for a step of any length
+(Glasserman, Monte Carlo Methods in Financial Engineering, 2004, sec. 6.4).
+Ops that need only survival and the endpoint (the conditioned samplers)
+therefore take one step of length tau by default.
 
-The conditioned samplers start every path at 0, so the barrier log epsilon
-sits d = -log epsilon below it and epsilon must be below 1. The conditioned
-sample is the survivors' distances above the barrier and nothing else: the
-laws it is checked against live in the tests. Its limit law is Gamma(2,
-mu/sigma^2) (density proportional to y exp(-mu y/sigma^2)), the Yaglom
-limit of drifted Brownian motion (Martinez & San Martin, J. Appl. Probab.
-31, 1994), which the tests pin. At finite tau the survivors follow the
-method-of-images density exactly.
+The conditioned sample is the survivors' distances above the barrier and
+nothing else: the laws it is checked against live in the tests. Its limit
+law is Gamma(2, mu/sigma^2) (density proportional to y exp(-mu y/sigma^2)),
+the Yaglom limit of drifted Brownian motion (Martinez & San Martin, J. Appl.
+Probab. 31, 1994), which the tests pin. At finite tau the survivors follow
+the method-of-images density exactly.
 
 The one special function the closed forms need, log(e^{x^2} erfc(x)), is
 _log_erfcx below, built from math.erfc and a continued fraction alone.
@@ -70,23 +69,35 @@ def log_survival_closed_form(mu: float, sigma: float, d: float, tau: float) -> f
     for z2 < z1 <= 0 the log erfcx ratio, as (z2^2 - z1^2)/2 = 2 mu d/sigma^2
     cancels the exponentials exactly (accurate down to 1e-300 and far below);
     else 2 mu d/sigma^2 plus the log Phi ratio, since there the erfcx ratio
-    would subtract two rounded z^2/2 that grow with tau. A non-finite mu, a
-    sigma that DiffusionParams refuses, or a d or tau that is not positive
-    and finite raises OutOfRange.
+    would subtract two rounded z^2/2 that grow with tau. A term below
+    float range of Phi(z1) is dropped, so the result is never NaN. A
+    non-finite mu, a sigma that DiffusionParams refuses, or a d or tau that
+    is not positive and finite raises OutOfRange.
     """
     DiffusionParams(mu, sigma)  # refuses a non-finite mu and a bad sigma
     _positive_finite("barrier distance d", d)
     _positive_finite("horizon tau", tau)
-    st = sigma * math.sqrt(tau)
+    st = sigma * math.sqrt(tau)  # finite, as sigma^2 and tau are
     z1 = (d - mu * tau) / st
     z2 = (-d - mu * tau) / st
+    head = _log_ndtr(z1)
+    if head == -math.inf:  # q <= Phi(z1), which is 0 in float range
+        return head
     if z1 <= 0.0:
         r = _log_erfcx(-z2 / _SQRT2) - _log_erfcx(-z1 / _SQRT2)
     else:
-        r = 2.0 * mu * d / (sigma * sigma) + _log_ndtr(z2) - _log_ndtr(z1)
+        tail = _log_ndtr(z2)
+        # |z2| > 1.3e154 and e^{2 mu d/sigma^2} phi(z2) = phi(z1): the image
+        # is below e^-354 of Phi(z1)
+        if tail == -math.inf:
+            return head
+        r = 2.0 * mu * d / (sigma * sigma) + tail - head
     if r >= 0.0:
         return -math.inf
-    return _log_ndtr(z1) + math.log1p(-math.exp(r))
+    image = math.exp(r)
+    if image == 1.0:  # -r below an ulp of 1: 1 - e^r is -expm1(r), not 0
+        return head + math.log(-math.expm1(r))
+    return head + math.log1p(-image)
 
 
 def survival_closed_form(mu: float, sigma: float, d: float, tau: float) -> float:
@@ -151,22 +162,19 @@ def batch_survive(
 
 def ratio_convergence_scan(
     params: DiffusionParams,
-    x_a: float,
-    x_b: float,
-    epsilon: float,
+    d_a: float,
+    d_b: float,
     tau_grid: Sequence[float],
 ) -> list[float]:
-    """Deterministic survival ratios q(x_a)/q(x_b), one per horizon in tau_grid.
+    """Deterministic survival ratios q(d_a)/q(d_b), one per horizon in tau_grid.
 
-    The exact ratio approaches (d_a/d_b) exp((mu/sigma^2)(x_a - x_b)) as
-    tau grows, with d the start's distance above the barrier, so for
-    x_a > x_b finite-tau values sit above the bare tilt.
+    The exact ratio approaches (d_a/d_b) exp((mu/sigma^2)(d_a - d_b)) as
+    tau grows, so for d_a > d_b finite-tau values sit above the bare tilt.
     """
-    log_eps = math.log(_positive_finite("epsilon", epsilon))
     return [
         math.exp(
-            log_survival_closed_form(params.mu, params.sigma, x_a - log_eps, tau)
-            - log_survival_closed_form(params.mu, params.sigma, x_b - log_eps, tau)
+            log_survival_closed_form(params.mu, params.sigma, d_a, tau)
+            - log_survival_closed_form(params.mu, params.sigma, d_b, tau)
         )
         for tau in tau_grid
     ]
@@ -174,27 +182,24 @@ def ratio_convergence_scan(
 
 def _survivor_ys(
     params: DiffusionParams,
-    epsilon: float,
+    d: float,
     tau: float,
     n_paths: int,
     seed: int,
     dt: float | None,
     workers: int | None,
 ) -> np.ndarray:
-    """Survivors' distances Y_tau above the barrier from X_0 = 0, in block order.
+    """Survivors' distances Y_tau above the barrier from Y_0 = d, in block order.
 
     dt defaults to tau (one exact step). Requires the closed form to
     predict at least 1e3 survivors.
     """
-    d = -math.log(_positive_finite("epsilon", epsilon))
-    if d <= 0.0:
-        raise OutOfRange(f"start 0 not above the barrier log eps={-d}")
     dt = tau if dt is None else dt
     expected = n_paths * survival_closed_form(params.mu, params.sigma, d, tau)
     if expected < 1e3:
         raise TooFewSurvivors(
             f"closed form predicts {expected:.3g} survivors from {n_paths} paths; "
-            "need >= 1000 (raise n_paths or move epsilon/tau)"
+            "need >= 1000 (raise n_paths or move d/tau)"
         )
 
     def block(i: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -206,21 +211,21 @@ def _survivor_ys(
 
 def conditioned_sample(
     params: DiffusionParams,
-    epsilon: float,
+    d: float,
     tau: float,
     n_paths: int,
     seed: int = 0,
     dt: float | None = None,
     workers: int | None = None,
 ) -> np.ndarray:
-    """Sorted survivor distances Y_tau = X_tau - log eps at horizon tau, from X_0 = 0.
+    """Sorted survivor distances Y_tau above the barrier at horizon tau, from Y_0 = d.
 
     Survivors are drawn in one exact step unless dt is given. Requires the
     closed form to predict at least 1e3 survivors.
     """
     if params.mu <= 0.0:
         raise OutOfRange("conditioned limit law needs downward drift mu > 0")
-    return np.sort(_survivor_ys(params, epsilon, tau, n_paths, seed, dt, workers))
+    return np.sort(_survivor_ys(params, d, tau, n_paths, seed, dt, workers))
 
 
 @dataclass(frozen=True)
@@ -235,14 +240,14 @@ class MeanRatioResult:
 
 def conditional_mean_ratio(
     params: DiffusionParams,
-    epsilon: float,
+    d: float,
     tau: float,
     n_paths: int,
     seed: int = 0,
     dt: float | None = None,
     workers: int | None = None,
 ) -> MeanRatioResult:
-    """Estimate E[Phi | Phi > 0] / xi at horizon tau, from X_0 = 0.
+    """Estimate E[Phi | Phi > 0] / xi at horizon tau, from Y_0 = d.
 
     Defined for beta = mu/sigma^2 > 1. At finite tau the exact value is
     E[e^Y] under the method-of-images density. The estimator averages
@@ -252,7 +257,7 @@ def conditional_mean_ratio(
     """
     if params.beta <= 1.0:
         raise OutOfRange(f"beta={params.beta:.4g} <= 1: conditional mean diverges")
-    ys = _survivor_ys(params, epsilon, tau, n_paths, seed, dt, workers)
+    ys = _survivor_ys(params, d, tau, n_paths, seed, dt, workers)
     vals = np.exp(ys)
     n_surv = int(vals.size)
     estimate = float(vals.mean())

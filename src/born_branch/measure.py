@@ -2,10 +2,10 @@
 
 A measurement splits a prepared amplitude into K outcome branches with
 weights delta_k. Preparation draws the pre-measurement log amplitude a
-distance u ~ Exp(prep_rate) above the threshold; branch k then starts at
-X_0 = log eps + u + log delta_k and diffuses under the critically tuned
-drift mu = sigma^2 until horizon tau, absorbed at log eps. Conditioned on
-survival, the branch frequencies estimate the outcome weights.
+distance u ~ Exp(prep_rate) above the threshold; branch k then starts
+Y_0 = u + log delta_k above it and diffuses under the critically tuned
+drift mu = sigma^2, absorbed at the threshold, until horizon tau.
+Conditioned on survival, the branch frequencies estimate the outcome weights.
 
 Exact factorization: with q_tau the survival probability as a function of
 the start distance, the survivors in arm k have unnormalized mass
@@ -53,13 +53,12 @@ class MeasurementSetup:
 
     deltas: tuple[float, ...]
     sigma: float
-    epsilon: float
     tau: float
     log_deltas: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         spec = BranchingSpec(self.deltas)
-        for name in ("sigma", "epsilon", "tau"):
+        for name in ("sigma", "tau"):
             _positive_finite(name, getattr(self, name))
         if self.sigma * self.sigma == 0.0:  # the drift mu = sigma^2 would be 0
             raise OutOfRange(f"sigma={self.sigma} must have a square above 0")
@@ -110,13 +109,13 @@ class OutcomeStats:
     n_survivors: int
     frequency: float
     freq_se: float
-    median_x0: float
+    median_y0: float
     median_ci: tuple[float, float]
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Per-outcome conditioned frequencies and start-point medians."""
+    """Per-outcome conditioned frequencies and start-distance medians."""
 
     outcomes: tuple[OutcomeStats, ...]
     n_paths: int
@@ -137,7 +136,7 @@ def measurement_pipeline(
     (arms are exchangeable, so this estimates the conditioned frequencies),
     and diffuses to tau in one exact bridge-killed step (survival is all
     the pipeline reads, and that step draws its law exactly). Per-arm
-    medians of the post-measurement start X_0 carry percentile-bootstrap
+    medians of the post-measurement start Y_0 carry percentile-bootstrap
     intervals; prepared_median_reference gives their large-tau law.
 
     Any tau runs, as the factorization is exact. The one precondition is an
@@ -160,7 +159,6 @@ def measurement_pipeline(
             f"expected survivors below {MIN_EXPECTED_PER_ARM:g} per arm with "
             f"n_paths={n_paths}: " + "; ".join(too_few)
         )
-    log_eps = math.log(setup.epsilon)
     log_deltas = np.asarray(setup.log_deltas)
 
     def block(i: int, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,9 +181,8 @@ def measurement_pipeline(
         freq = n_k / n_surv
         freq_se = math.sqrt(freq * (1.0 - freq) / n_surv)
         if n_k:
-            x0_k = log_eps + y0_k
-            med = float(np.quantile(x0_k, 0.5))
-            ci = bootstrap_ci(x0_k, n_boot=n_boot, seed=seed + 7919 * (k + 1))
+            med = float(np.quantile(y0_k, 0.5))
+            ci = bootstrap_ci(y0_k, n_boot=n_boot, seed=seed + 7919 * (k + 1))
         else:
             med = math.nan
             ci = (math.nan, math.nan)
@@ -194,7 +191,7 @@ def measurement_pipeline(
 
 
 def prepared_median_reference(setup: MeasurementSetup) -> float:
-    """Large-tau reference median of X_0 - log eps under rate-1 preparation.
+    """Large-tau reference median of the start distance Y_0 under rate-1 preparation.
 
     With prep_rate = mu/sigma^2 the preparation tilt cancels the e^{mu
     y/sigma^2} factor in the survival asymptote, leaving a Rayleigh law

@@ -247,8 +247,8 @@ class DiffusionParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu):
             raise OutOfRange(f"mu={self.mu} must be finite")
-        if _positive_finite("sigma", self.sigma) ** 2 == 0.0:  # the square underflows
-            raise OutOfRange(f"sigma={self.sigma} must be positive, with a square above 0")
+        if not 0.0 < _positive_finite("sigma", self.sigma) * self.sigma < math.inf:
+            raise OutOfRange(f"sigma={self.sigma} must be positive, with a finite square above 0")
 
     @property
     def beta(self) -> float:

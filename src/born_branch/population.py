@@ -33,8 +33,7 @@ BURN_IN = 0.3
 
 @dataclass(frozen=True)
 class PopulationRun:
-    """Threshold trajectory of one run, its fitted growth rate, and the
-    final particle log amplitudes z."""
+    """Threshold trajectory of one run and its fitted growth rate."""
 
     times: np.ndarray
     log_xi: np.ndarray
@@ -42,7 +41,6 @@ class PopulationRun:
     mean_z: np.ndarray
     fit: FitResult
     resample_count: int
-    z: np.ndarray
 
     @property
     def slope(self) -> float:
@@ -120,5 +118,4 @@ def endogenous_population(
         mean_z=mean_z,
         fit=fit,
         resample_count=resampled,
-        z=z + log_phi0,
     )

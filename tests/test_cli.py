@@ -111,9 +111,9 @@ class TestExperimentConfig:
             ("tree", "a0d220bfb45c2b4a"),
             ("lcg", "e334867a05b83680"),
             ("walk", "09dcb7f798b71873"),
-            ("diffusion", "238d4bcf07f8eb0c"),
+            ("diffusion", "e56173e75142d03c"),
             ("endogenous", "b32437aecf8773c9"),
-            ("measure", "72e2c73b76461b30"),
+            ("measure", "088d357d0054e5a2"),
             ("demo_intro", "ccea4c7c18e45916"),
         ],
     )
@@ -383,7 +383,7 @@ class TestRunSmallConfigs:
         assert set(results["targets"]) == {"born_weights", "median_sqrt_tau_reference"}
         assert header == [
             "delta", "n_survivors", "frequency", "freq_se",
-            "median_x0", "median_lo", "median_hi", "born_weight",
+            "median_y0", "median_lo", "median_hi", "born_weight",
         ]
 
     def test_demo_intro_defaults_pass(self, tmp_path):
@@ -544,12 +544,12 @@ class TestMain:
             ("diffusion", {"parameters": {"sigma": 1e-9}}, "sigma"),
             ("walk", {"parameters": {"sigma": 1e-200}}, "sigma"),
             ("measure", {"parameters": {"sigma": 1e-200}}, "sigma"),
+            ("diffusion", {"parameters": {"sigma": 1e200}}, "sigma"),
             ("measure", {"parameters": {"prep_rate": 1100}}, "survivors"),
             ("endogenous", {"parameters": {"dt": 1e-300, "n_particles": 200, "tau": 1.0}}, "dt"),
             ("diffusion", {"parameters": {"mc_dt": 1e-300, "mc_n_paths": 100}}, "mc_dt"),
             ("endogenous", {"parameters": {"tau": 0.01, "dt": 0.01}}, "tau=0.01, dt"),
-            ("diffusion", {"parameters": {"x_b": -30}}, "x_b"),
-            ("diffusion", {"parameters": {"epsilon": 2.0}}, "x_b"),
+            ("diffusion", {"parameters": {"d_b": -1.5}}, "d_b"),
             ("diffusion", {"parameters": {"mc_d": 0}}, "mc_d"),
             ("walk", {"parameters": {"shock": "cauchy"}}, "shock"),
             ("tree", [], "object"),
@@ -565,9 +565,10 @@ class TestMain:
              "n-transitions-zero", "tree-late-bad-start",
              "walk-tilt-beyond-float-range", "diffusion-tilt-beyond-float-range",
              "walk-sigma-squared-underflows", "measure-sigma-squared-underflows",
+             "diffusion-sigma-squared-overflows",
              "measure-weights-underflow", "endogenous-steps-beyond-bound",
              "diffusion-steps-beyond-bound", "endogenous-one-step",
-             "diffusion-x_b-below-barrier", "diffusion-epsilon-above-start",
+             "diffusion-d_b-not-positive",
              "diffusion-mc_d-zero", "walk-shock-unknown", "config-not-object"],
     )
     def test_bad_config_value_maps_to_exit_one(

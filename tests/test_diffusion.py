@@ -1,11 +1,15 @@
 """Tests for the absorbed diffusion: closed forms, bridge MC, conditioning."""
 
+import dataclasses
+import inspect
 import math
 import random
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import expon, gamma, kstest, norm
 
@@ -22,8 +26,19 @@ from born_branch import (
     rng_stream,
     survival_closed_form,
 )
+from born_branch import cli, diffusion, measure
 from born_branch.diffusion import _log_erfcx, _log_ndtr
 from image_law import image_cdf, image_density, image_survival
+
+#: Starts that are not a positive, finite distance above the barrier.
+BAD_DISTANCES = [0.0, -1.0, math.nan, math.inf]
+
+#: Positive finite floats, subnormals included.
+POSITIVE = st.floats(0.0, math.inf, exclude_min=True, exclude_max=True)
+
+
+def _no_blocks(*args, **kwargs):
+    raise AssertionError("a block ran on a bad start")
 
 
 def _mp_log_survival(mu, sigma, d, tau):
@@ -167,6 +182,35 @@ class TestClosedForm:
             with pytest.raises(OutOfRange):
                 log_survival_closed_form(*bad)
 
+    @pytest.mark.parametrize(
+        "mu, sigma, d, tau",
+        [(1.0, 1e-154, 20.0, 10.0), (1.0, 1.0, 1e308, 10.0), (1.0, 1e-20, 1e300, 1.0)],
+    )
+    def test_image_exponent_beyond_float_range(self, mu, sigma, d, tau):
+        """2 mu d / sigma^2 overflows while log Phi(z2) is -inf. The image
+        term is below e^-354 of the direct one (by the Gaussian tail
+        asymptotic for z2), so the exact value is log Phi(z1) = 0 to float
+        precision, not inf - inf = NaN."""
+        assert log_survival_closed_form(mu, sigma, d, tau) == 0.0
+
+    def test_image_within_an_ulp_of_the_direct_term(self):
+        """At d = 5e-324 the log ratio r is -3.8e-322, so e^r rounds to 1;
+        log(1 - e^r) is log(-expm1(r)), not log1p(-1). The reference is
+        400-digit mpmath."""
+        assert log_survival_closed_form(-38.0, 1.0, 5e-324, 1.0) == pytest.approx(
+            -740.1093385810949, rel=1e-14
+        )
+
+    @settings(max_examples=3000, deadline=None, derandomize=True)
+    @given(mu=st.floats(allow_nan=False, allow_infinity=False), sigma=POSITIVE, d=POSITIVE,
+           tau=POSITIVE)
+    def test_never_nan(self, mu, sigma, d, tau):
+        """Every finite mu, positive sigma with a finite square above 0,
+        and positive finite d and tau give a log probability: not NaN and
+        at most 0."""
+        assume(0.0 < sigma * sigma < math.inf)
+        assert log_survival_closed_form(mu, sigma, d, tau) <= 0.0  # False for NaN
+
     @pytest.mark.parametrize("i", range(4))
     def test_nan_refused(self, i):
         """A NaN argument would make the result NaN; it is refused."""
@@ -303,34 +347,33 @@ class TestRatioScan:
 
     def test_points_recompute_from_log_closed_form(self):
         params = DiffusionParams(1.0, 1.0)
-        log_eps = math.log(1e-8)
+        d_a, d_b = 2.0 - math.log(1e-8), -math.log(1e-8)
         taus = [5.0, 50.0, 500.0]
-        ratios = ratio_convergence_scan(params, 2.0, 0.0, 1e-8, taus)
+        ratios = ratio_convergence_scan(params, d_a, d_b, taus)
         assert len(ratios) == len(taus)
         for tau, ratio in zip(taus, ratios):
-            la = log_survival_closed_form(1.0, 1.0, 2.0 - log_eps, tau)
-            lb = log_survival_closed_form(1.0, 1.0, -log_eps, tau)
+            la = log_survival_closed_form(1.0, 1.0, d_a, tau)
+            lb = log_survival_closed_form(1.0, 1.0, d_b, tau)
             assert ratio == pytest.approx(math.exp(la - lb), rel=1e-12)
 
     def test_converges_to_prefactored_target(self):
-        """The exact ratio tends to (d_a/d_b) e^{beta(x_a - x_b)}, sitting
-        above the bare tilt for x_a > x_b; at tau = 500 the remaining
+        """The exact ratio tends to (d_a/d_b) e^{beta(d_a - d_b)}, sitting
+        above the bare tilt for d_a > d_b; at tau = 500 the remaining
         Gaussian factor exp(-(d_a^2 - d_b^2)/(2 sigma^2 tau)) still bites."""
         params = DiffusionParams(1.0, 1.0)
-        log_eps = math.log(1e-8)
-        d_a, d_b = 2.0 - log_eps, -log_eps
-        (ratio,) = ratio_convergence_scan(params, 2.0, 0.0, 1e-8, [500.0])
+        d_a, d_b = 2.0 - math.log(1e-8), -math.log(1e-8)
+        (ratio,) = ratio_convergence_scan(params, d_a, d_b, [500.0])
         tilt = math.exp(params.beta * 2.0)
         limit = (d_a / d_b) * tilt
         gauss = math.exp(-(d_a * d_a - d_b * d_b) / (2.0 * 500.0))
         assert ratio > tilt
         assert ratio == pytest.approx(limit * gauss, rel=0.01)
 
-    def test_epsilon_validation(self):
-        with pytest.raises(OutOfRange):
-            ratio_convergence_scan(DiffusionParams(1.0, 1.0), 1.0, 0.0, 0.0, [1.0])
-        with pytest.raises(OutOfRange, match="epsilon=nan"):  # named epsilon, not d
-            ratio_convergence_scan(DiffusionParams(1.0, 1.0), 1.0, 0.0, math.nan, [1.0])
+    @pytest.mark.parametrize("d", BAD_DISTANCES)
+    def test_distance_validation(self, d):
+        for d_a, d_b in ((d, 1.0), (1.0, d)):
+            with pytest.raises(OutOfRange, match=r"\bd="):
+                ratio_convergence_scan(DiffusionParams(1.0, 1.0), d_a, d_b, [1.0])
 
 
 class TestConditionedSample:
@@ -343,7 +386,7 @@ class TestConditionedSample:
         5x closer than rate 2 beta. Pinning the ordering pins the limit
         law without waiting for full convergence."""
         ys = conditioned_sample(
-            DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, 60_000, seed=4, dt=0.01
+            DiffusionParams(1.0, 1.0), 3.0, 8.0, 60_000, seed=4, dt=0.01
         )
         assert ys.size > 1000
         ks_gamma = kstest(ys, gamma(2, scale=1.0).cdf).statistic
@@ -358,7 +401,7 @@ class TestConditionedSample:
         survivors must follow the method-of-images law at (mu = sigma = 1,
         d = 3, tau = 8) within the 0.1% KS critical value."""
         n = 400_000
-        ys = conditioned_sample(DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, n, seed=4)
+        ys = conditioned_sample(DiffusionParams(1.0, 1.0), 3.0, 8.0, n, seed=4)
         q = survival_closed_form(1.0, 1.0, 3.0, 8.0)
         assert abs(ys.size / n - q) <= 4.0 * math.sqrt(q * (1 - q) / n)
         ks = kstest(ys, image_cdf(1.0, 1.0, 3.0, 8.0)).statistic
@@ -366,7 +409,7 @@ class TestConditionedSample:
 
     def test_sample_sorted_and_above_barrier(self):
         ys = conditioned_sample(
-            DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, 60_000, seed=4, dt=0.01
+            DiffusionParams(1.0, 1.0), 3.0, 8.0, 60_000, seed=4, dt=0.01
         )
         assert np.all(np.diff(ys) >= 0.0)
         assert np.all(ys > 0.0)
@@ -375,17 +418,19 @@ class TestConditionedSample:
         """The guard uses the closed form, so it fires before any paths
         are simulated: 1000 paths at q ~ 0.018 predict only ~18."""
         with pytest.raises(TooFewSurvivors):
-            conditioned_sample(
-                DiffusionParams(1.0, 1.0), math.exp(-3.0), 8.0, 1000
-            )
+            conditioned_sample(DiffusionParams(1.0, 1.0), 3.0, 8.0, 1000)
 
     def test_validation(self):
         with pytest.raises(OutOfRange):
-            conditioned_sample(DiffusionParams(-0.5, 1.0), 1e-3, 1.0, 100)
-        with pytest.raises(OutOfRange, match="start 0 not above the barrier"):
-            conditioned_sample(DiffusionParams(1.0, 1.0), 1.0, 1.0, 100)
-        with pytest.raises(OutOfRange, match="epsilon=nan"):  # named epsilon, not d
-            conditioned_sample(DiffusionParams(1.0, 1.0), math.nan, 1.0, 100)
+            conditioned_sample(DiffusionParams(-0.5, 1.0), 3.0, 1.0, 100)
+
+    @pytest.mark.parametrize("d", BAD_DISTANCES)
+    def test_distance_validation(self, d, monkeypatch):
+        """A bad start is refused by the closed-form precheck, before any
+        block runs."""
+        monkeypatch.setattr(diffusion, "map_blocks", _no_blocks)
+        with pytest.raises(OutOfRange, match=r"\bd="):
+            conditioned_sample(DiffusionParams(1.0, 1.0), d, 1.0, 10_000)
 
 
 class TestConditionalMeanRatio:
@@ -406,7 +451,7 @@ class TestConditionalMeanRatio:
         oracle = num / survival_closed_form(mu, sigma, d, tau)
         assert oracle == pytest.approx(2.786931713519756, rel=1e-9)
         res = conditional_mean_ratio(
-            DiffusionParams(mu, sigma), math.exp(-d), tau, 60_000, seed=8, dt=0.01
+            DiffusionParams(mu, sigma), d, tau, 60_000, seed=8, dt=0.01
         )
         assert abs(res.estimate - oracle) <= 4.0 * res.se
 
@@ -414,10 +459,36 @@ class TestConditionalMeanRatio:
         """beta = 1 exactly is already divergent: the Gamma(2, 1) tail of
         e^Y is not integrable."""
         with pytest.raises(OutOfRange, match="beta=1 <= 1: conditional mean diverges"):
-            conditional_mean_ratio(DiffusionParams(1.0, 1.0), 1e-3, 1.0, 100)
+            conditional_mean_ratio(DiffusionParams(1.0, 1.0), 3.0, 1.0, 100)
 
     def test_too_few_survivors_precheck(self):
         with pytest.raises(TooFewSurvivors):
-            conditional_mean_ratio(
-                DiffusionParams(0.5, 0.5), math.exp(-1.5), 8.0, 1000
-            )
+            conditional_mean_ratio(DiffusionParams(0.5, 0.5), 1.5, 8.0, 1000)
+
+    @pytest.mark.parametrize("d", BAD_DISTANCES)
+    def test_distance_validation(self, d, monkeypatch):
+        monkeypatch.setattr(diffusion, "map_blocks", _no_blocks)
+        with pytest.raises(OutOfRange, match=r"\bd="):
+            conditional_mean_ratio(DiffusionParams(2.0, 1.0), d, 1.0, 10_000)
+
+
+def test_starts_are_distances_above_the_barrier():
+    """No public function or dataclass of diffusion or measure, and neither
+    the CLI's diffusion nor its measure family, takes a position or the
+    barrier epsilon: a start is its distance above the barrier, all its law
+    depends on."""
+    owners = [cli.DiffusionExpParams, cli.MeasureParams]
+    for module in (diffusion, measure):
+        owners += [
+            obj
+            for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or dataclasses.is_dataclass(obj))
+            and obj.__module__ == module.__name__
+        ]
+    assert len(owners) > 10
+    for obj in owners:
+        names = set(inspect.signature(obj).parameters)
+        if dataclasses.is_dataclass(obj):
+            names |= {f.name for f in dataclasses.fields(obj)}
+        assert not names & {"epsilon", "x_a", "x_b"}, obj.__qualname__

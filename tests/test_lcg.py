@@ -234,7 +234,7 @@ def test_measure_run_does_not_load_scipy_integrate():
     whole run leaves the quadrature module unloaded."""
     run = (
         "born_branch.measurement_pipeline(born_branch.MeasurementSetup("
-        "(0.3, 0.7), 0.05 ** 0.5, 1e-3, 70.0), 12_000, n_boot=20, workers=1)"
+        "(0.3, 0.7), 0.05 ** 0.5, 70.0), 12_000, n_boot=20, workers=1)"
     )
     assert not _loaded_by_import("scipy.integrate", then=run)
 

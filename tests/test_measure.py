@@ -24,7 +24,7 @@ from born_branch.rng import BLOCK_SIZE
 
 # survival delta_k * C = 0.018/0.043 per arm (C = erfc(sqrt(1.75)) = 0.061):
 # a few thousand paths already clear the 50-per-arm floor, keeping tests fast
-FAST = MeasurementSetup((0.3, 0.7), math.sqrt(0.05), 1e-3, 70.0)
+FAST = MeasurementSetup((0.3, 0.7), math.sqrt(0.05), 70.0)
 
 
 @pytest.fixture(scope="module")
@@ -37,33 +37,33 @@ class TestMeasurementSetup:
 
     def test_weights_must_be_simplex(self):
         with pytest.raises(OutOfRange):
-            MeasurementSetup((), 1.0, 1e-3, 50.0)
+            MeasurementSetup((), 1.0, 50.0)
         with pytest.raises(OutOfRange):
-            MeasurementSetup((0.5, 0.6), 1.0, 1e-3, 50.0)
+            MeasurementSetup((0.5, 0.6), 1.0, 50.0)
         with pytest.raises(OutOfRange):
-            MeasurementSetup((-0.2, 1.2), 1.0, 1e-3, 50.0)
+            MeasurementSetup((-0.2, 1.2), 1.0, 50.0)
         with pytest.raises(OutOfRange):
-            MeasurementSetup((1.0, 0.0), 1.0, 1e-3, 50.0)
+            MeasurementSetup((1.0, 0.0), 1.0, 50.0)
 
     def test_single_outcome_allowed(self):
-        setup = MeasurementSetup((1.0,), 1.0, 1e-3, 50.0)
+        setup = MeasurementSetup((1.0,), 1.0, 50.0)
         assert setup.K == 1
         assert setup.log_deltas == (0.0,)
 
     def test_scale_validation(self):
         """Each scale must be finite and positive."""
-        for name in ("sigma", "epsilon", "tau"):
+        for name in ("sigma", "tau"):
             for value in (0.0, math.nan, math.inf):
-                args = dict(deltas=(0.5, 0.5), sigma=1.0, epsilon=1e-3, tau=50.0)
+                args = dict(deltas=(0.5, 0.5), sigma=1.0, tau=50.0)
                 args[name] = value
                 with pytest.raises(OutOfRange, match=name):
                     MeasurementSetup(**args)
         # the critical drift mu = sigma^2 must be positive too
         with pytest.raises(OutOfRange, match="sigma=1e-200"):
-            MeasurementSetup((0.5, 0.5), 1e-200, 1e-3, 50.0)
+            MeasurementSetup((0.5, 0.5), 1e-200, 50.0)
 
     def test_critical_tuning(self):
-        setup = MeasurementSetup((0.5, 0.5), 0.4, 1e-3, 50.0)
+        setup = MeasurementSetup((0.5, 0.5), 0.4, 50.0)
         assert setup.mu == pytest.approx(0.16)
 
 
@@ -109,7 +109,7 @@ class TestOutcomeWeights:
         """At r = 1, C = 2 Phi(-w) = erfc(sigma sqrt(tau/2)), here erfc(10)
         = 2.1e-45, a depth at which an absolute quadrature tolerance
         stops early."""
-        setup = MeasurementSetup((1.0,), 1.0, 1e-3, 200.0)
+        setup = MeasurementSetup((1.0,), 1.0, 200.0)
         _, (c_val,) = outcome_weights(setup)
         assert math.isclose(c_val, math.erfc(10.0), rel_tol=1e-12)
 
@@ -119,7 +119,7 @@ class TestOutcomeWeights:
         """C against r * integral_0^inf e^{-r y} q_tau(y) dy by quadrature
         with no absolute tolerance, split at the integrand's peak
         (1 - r) sigma^2 tau, down to C ~ 1e-222 at tau = 1000."""
-        setup = MeasurementSetup((1.0,), math.sqrt(sigma2), 1e-3, tau)
+        setup = MeasurementSetup((1.0,), math.sqrt(sigma2), tau)
         _, (c_val,) = outcome_weights(setup, prep_rate=r)
 
         def integrand(y):
@@ -143,7 +143,7 @@ class TestOutcomeWeights:
         quotient, and at r = 2 the limit, cancel about w^2 to w^4 (1e6 at
         w^2 = tau = 1000) of their terms' rounding; scipy's erfcx left up
         to 2.4e-10 here, the helper 9.2e-11."""
-        setup = MeasurementSetup((0.2, 0.3, 0.5), 1.0, 1e-3, tau)
+        setup = MeasurementSetup((0.2, 0.3, 0.5), 1.0, tau)
         _, survival = outcome_weights(setup, prep_rate=r)
         with mpmath.workdps(80):
             w = mpmath.sqrt(tau)
@@ -169,7 +169,7 @@ class TestOutcomeWeights:
         """C at r = 2 -+ 10^-e, e = 2..12 (sigma = 1), against the quotient
         at 80 digits. The float quotient was off by 12.6x and 15.9x at
         |2 - r| = 1e-12, tau = 1000; g' at the midpoint stays within 1e-7."""
-        setup = MeasurementSetup((1.0,), 1.0, 1e-3, tau)
+        setup = MeasurementSetup((1.0,), 1.0, tau)
         for e in range(2, 13):
             for r in (2.0 - 10.0**-e, 2.0 + 10.0**-e):
                 _, (c_val,) = outcome_weights(setup, prep_rate=r)
@@ -184,7 +184,7 @@ class TestOutcomeWeights:
                 assert math.isclose(c_val, ref, rel_tol=1e-7), (r, c_val, ref)
 
     def test_single_outcome_is_certain(self):
-        setup = MeasurementSetup((1.0,), math.sqrt(0.05), 1e-3, 70.0)
+        setup = MeasurementSetup((1.0,), math.sqrt(0.05), 70.0)
         weights, _ = outcome_weights(setup)
         assert weights == (1.0,)
 
@@ -195,7 +195,7 @@ class TestOutcomeWeights:
     def test_weights_finite_where_every_power_underflows(self):
         """0.5^1100 underflows to 0 in every arm; the weights are still
         exact, and the survival underflows to 0."""
-        setup = MeasurementSetup((0.5, 0.5), 1.0, 1e-3, 70.0)
+        setup = MeasurementSetup((0.5, 0.5), 1.0, 70.0)
         assert outcome_weights(setup, 1100.0) == ((0.5, 0.5), (0.0, 0.0))
 
 
@@ -231,12 +231,12 @@ class TestPipeline:
         hi = min(o0.median_ci[1], o1.median_ci[1])
         assert lo <= hi
         for o in (o0, o1):
-            assert o.median_ci[0] <= o.median_x0 <= o.median_ci[1]
+            assert o.median_ci[0] <= o.median_y0 <= o.median_ci[1]
 
     def test_short_horizon_runs(self):
         """The factorization is exact at every tau, so a horizon with
         tau * min(delta) = 4 still gives frequencies delta_k."""
-        setup = MeasurementSetup((0.2, 0.3, 0.5), math.sqrt(0.05), 1e-3, 20.0)
+        setup = MeasurementSetup((0.2, 0.3, 0.5), math.sqrt(0.05), 20.0)
         res = measurement_pipeline(setup, 20_000, seed=3, n_boot=20)
         for o in res.outcomes:
             assert abs(o.frequency - o.delta) <= 4.0 * o.freq_se
@@ -301,5 +301,5 @@ class TestPreparedMedianReference:
     def test_formula_and_scaling(self):
         ref = prepared_median_reference(FAST)
         assert ref == pytest.approx(math.sqrt(2.0 * 0.05 * 70.0 * math.log(2.0)))
-        longer = MeasurementSetup((0.3, 0.7), math.sqrt(0.05), 1e-3, 280.0)
+        longer = MeasurementSetup((0.3, 0.7), math.sqrt(0.05), 280.0)
         assert prepared_median_reference(longer) == pytest.approx(2.0 * ref)

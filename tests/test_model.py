@@ -312,6 +312,8 @@ class TestDiffusionParams:
             DiffusionParams(1.0, -1.0)
         with pytest.raises(OutOfRange, match="sigma=1e-200"):
             DiffusionParams(1.0, 1e-200)  # its square underflows to 0
+        with pytest.raises(OutOfRange, match=r"sigma=1e\+200"):
+            DiffusionParams(1.0, 1e200)  # its square overflows
         with pytest.raises(OutOfRange, match="sigma=nan"):
             DiffusionParams(1.0, math.nan)
         for mu in (math.nan, math.inf, -math.inf):

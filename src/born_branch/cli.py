@@ -424,6 +424,7 @@ def _run_diffusion(p: DiffusionExpParams, seed: int, workers: int | None) -> Run
         ratios = diff.ratio_convergence_scan(params, p.d_a, p.d_b, p.tau_grid)
         target = math.exp(params.beta * (p.d_a - p.d_b))  # the bare tilt
         q = diff.survival_closed_form(p.mu, p.sigma, p.mc_d, p.mc_tau)
+    diff._screen_survivors(p.mc_n_paths, [("the bridge MC (mc_n_paths)", p.mc_n_paths * q)])
 
     def block(i: int, rng: np.random.Generator, size: int) -> int:
         alive, _ = diff.batch_survive(p.mu, p.sigma, p.mc_d, p.mc_tau, p.mc_dt, rng, size)

@@ -39,6 +39,22 @@ _SQRT2 = math.sqrt(2.0)
 #: refuse a finer dt before they allocate or draw.
 MAX_STEPS = 10**7
 
+#: Fewest survivors the closed form must predict per estimate (Poisson counts:
+#: none with probability e^-50, or e^-25 if the form is twofold high).
+MIN_EXPECTED_SURVIVORS = 50
+
+
+def _screen_survivors(n_paths: int, predicted: Sequence[tuple[str, float]]) -> None:
+    """The one survivor screen of every Monte Carlo op with a closed form:
+    before any block of the n_paths is drawn, refuse as TooFewSurvivors
+    each (name, predicted count) below MIN_EXPECTED_SURVIVORS, NaN too."""
+    short = [f"{name} expects {n:.3g}" for name, n in predicted if not n >= MIN_EXPECTED_SURVIVORS]
+    if short:
+        raise TooFewSurvivors(
+            f"closed form predicts fewer than {MIN_EXPECTED_SURVIVORS} survivors from {n_paths} "
+            f"paths: {'; '.join(short)}; raise the path count or start further from the barrier"
+        )
+
 
 def _log_erfcx(x: float) -> float:
     """log(e^{x^2} erfc(x)) for every finite x: direct below 2.5 (the sum loses
@@ -191,16 +207,12 @@ def _survivor_ys(
 ) -> np.ndarray:
     """Survivors' distances Y_tau above the barrier from Y_0 = d, in block order.
 
-    dt defaults to tau (one exact step). Requires the closed form to
-    predict at least 1e3 survivors.
+    dt defaults to tau (one exact step). The closed form must predict at
+    least MIN_EXPECTED_SURVIVORS survivors.
     """
     dt = tau if dt is None else dt
-    expected = n_paths * survival_closed_form(params.mu, params.sigma, d, tau)
-    if expected < 1e3:
-        raise TooFewSurvivors(
-            f"closed form predicts {expected:.3g} survivors from {n_paths} paths; "
-            "need >= 1000 (raise n_paths or move d/tau)"
-        )
+    q = survival_closed_form(params.mu, params.sigma, d, tau)
+    _screen_survivors(n_paths, [(f"d={d}", n_paths * q)])
 
     def block(i: int, rng: np.random.Generator, size: int) -> np.ndarray:
         alive, y = batch_survive(params.mu, params.sigma, d, tau, dt, rng, size)
@@ -220,8 +232,8 @@ def conditioned_sample(
 ) -> np.ndarray:
     """Sorted survivor distances Y_tau above the barrier at horizon tau, from Y_0 = d.
 
-    Survivors are drawn in one exact step unless dt is given. Requires the
-    closed form to predict at least 1e3 survivors.
+    Survivors are drawn in one exact step unless dt is given. The closed
+    form must predict at least MIN_EXPECTED_SURVIVORS survivors.
     """
     if params.mu <= 0.0:
         raise OutOfRange("conditioned limit law needs downward drift mu > 0")

@@ -215,7 +215,8 @@ def lcg_walk_survival(
 
     All starts share each path's chain and branch choices (common random
     numbers), so survivor sets are nested, as in walk_survival. A schedule
-    other than Exogenous raises TypeError before any draw.
+    other than Exogenous raises TypeError before any draw. With no closed
+    form, no survivor screen runs.
     """
     sched = _check_exogenous(sched)
     if len(phi0s) == 0:

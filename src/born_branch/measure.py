@@ -37,14 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import _SQRT2, _log_erfcx, batch_survive
+from .diffusion import _SQRT2, _log_erfcx, _screen_survivors, batch_survive
 from .errors import OutOfRange, TooFewSurvivors
 from .model import BranchingSpec, _positive_finite
 from .rng import map_blocks
 from .stats import bootstrap_ci
-
-#: Minimum expected survivors per outcome arm before the pipeline runs.
-MIN_EXPECTED_PER_ARM = 50.0
 
 
 @dataclass(frozen=True)
@@ -139,8 +136,8 @@ def measurement_pipeline(
     medians of the post-measurement start Y_0 carry percentile-bootstrap
     intervals; prepared_median_reference gives their large-tau law.
 
-    Any tau runs, as the factorization is exact. The one precondition is an
-    expected survivor count (exact C) of at least MIN_EXPECTED_PER_ARM per arm.
+    Any tau runs, as the factorization is exact. The one precondition, the
+    survivor screen, is n_paths/K delta_k^r C >= 50 (exact C) in every arm.
     """
     if n_paths < 1:
         raise OutOfRange(f"n_paths={n_paths} must be >= 1")
@@ -148,17 +145,10 @@ def measurement_pipeline(
         raise OutOfRange(f"n_boot={n_boot} must be >= 1")
     _, survival = outcome_weights(setup, prep_rate)
     k_arms = setup.K
-    expected = [n_paths / k_arms * s for s in survival]
-    too_few = [
-        f"arm {k} (delta={setup.deltas[k]}): expected {e:.3g}"
-        for k, e in enumerate(expected)
-        if not e >= MIN_EXPECTED_PER_ARM  # a NaN count is refused too
-    ]
-    if too_few:
-        raise TooFewSurvivors(
-            f"expected survivors below {MIN_EXPECTED_PER_ARM:g} per arm with "
-            f"n_paths={n_paths}: " + "; ".join(too_few)
-        )
+    _screen_survivors(n_paths, [
+        (f"arm {k} (delta={delta})", n_paths / k_arms * s)
+        for k, (delta, s) in enumerate(zip(setup.deltas, survival))
+    ])
     log_deltas = np.asarray(setup.log_deltas)
 
     def block(i: int, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:

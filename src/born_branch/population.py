@@ -65,7 +65,8 @@ def endogenous_population(
     TooFewSurvivors if a step leaves no survivors, and before any allocation
     TooLarge if tau / dt exceeds diffusion.MAX_STEPS and OutOfRange if it
     rounds to one step, which leaves the fit one point. The growth fit
-    discards the first BURN_IN fraction of the trajectory.
+    discards the first BURN_IN fraction of the trajectory. With no closed
+    form, no survivor screen runs.
     """
     _check_endogenous(tilde_mu, sigma, varepsilon)
     if n_particles < 2:

@@ -23,13 +23,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import survival_closed_form
+from .diffusion import _screen_survivors, survival_closed_form
 from .errors import OutOfRange, TooFewSurvivors
 from .model import Exogenous, RandomBarrier, ThresholdSchedule, WalkParams
 from .rng import map_blocks
-
-#: walk_survival refuses naive MC below this predicted survival.
-RARE_EVENT_FLOOR = 1e-8
 
 #: A walk monitored once per period survives like the continuous motion
 #: started this many shock scales further from the barrier: -zeta(1/2) /
@@ -157,11 +154,11 @@ def walk_survival(
     it. Deterministic in (seed, n_paths) for any worker count.
 
     A start below the barrier or infinite, or a horizon t < 0, raises
-    OutOfRange. When the exact diffusion survival of a start, at the
-    discrete-monitoring distance d + 0.5826 sigma, is below 1e-8, the op
-    refuses naive MC as TooFewSurvivors and points to the closed form
-    instead. A ratio raises TooFewSurvivors when start i has no survivors;
-    a deterministic walk (sigma = 0) gets its exact ratio.
+    OutOfRange. Before any draw, the survivor screen refuses a start whose
+    n_paths times exact diffusion survival at the discrete-monitoring
+    distance d + 0.5826 sigma is below 50 (sigma = 0 or t = 0 needs none).
+    A ratio raises TooFewSurvivors when start i has no survivors; a
+    deterministic walk (sigma = 0) gets its exact ratio.
     """
     log_eps, noise_sd = _barrier_params(barrier)
     if len(x0s) == 0:
@@ -176,15 +173,9 @@ def walk_survival(
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
     if params.sigma > 0.0 and t > 0:
-        for x0 in x0s:
-            d = x0 - log_eps + _MONITORING_SHIFT * params.sigma
-            predicted = survival_closed_form(params.mu, params.sigma, d, float(t))
-            if predicted < RARE_EVENT_FLOOR:
-                raise TooFewSurvivors(
-                    f"predicted survival {predicted:.3e} < {RARE_EVENT_FLOOR} from "
-                    f"x0={x0}; naive MC cannot resolve it, use "
-                    "diffusion.survival_closed_form"
-                )
+        shift = _MONITORING_SHIFT * params.sigma
+        _screen_survivors(n_paths, [(f"x0={x0}", n_paths * survival_closed_form(
+            params.mu, params.sigma, x0 - log_eps + shift, float(t))) for x0 in x0s])
     est = _start_estimates(
         partial(_block_worst, params, log_eps, noise_sd, t),
         x0s, n_paths, seed, workers,
@@ -208,8 +199,7 @@ def estimate_survival(
     """Monte Carlo survival probability to horizon t from start x0.
 
     The one-start case of walk_survival, with its checks: deterministic in
-    (seed, n_paths) for any worker count, and refusing naive MC when the
-    predicted survival is below 1e-8.
+    (seed, n_paths) for any worker count, and its survivor screen.
     """
     return walk_survival(params, [x0], barrier, t, n_paths, seed, workers)[0][0]
 
@@ -226,7 +216,7 @@ def survival_ratio(
 ) -> RatioEstimate:
     """Ratio of survival probabilities from x_a over x_b, with CRN pairing.
 
-    The two-start case of walk_survival, with its checks and rare-event
+    The two-start case of walk_survival, with its checks and survivor
     screen: both arms see identical shock and barrier-noise draws, so the
     ratio is far tighter than independent runs. The SE is the delta method
     with the empirical cross-covariance.

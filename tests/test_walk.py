@@ -26,7 +26,7 @@ from born_branch import (
     walk_survival,
 )
 from born_branch.rng import BLOCK_SIZE, block_sizes
-from born_branch.walk import RARE_EVENT_FLOOR, _block_worst, _start_estimates
+from born_branch.walk import _block_worst, _start_estimates
 
 # alpha is folded into mu for walks, so its value here is inert
 BARRIER = Exogenous(math.exp(-1.0), 0.5)
@@ -64,8 +64,8 @@ class TestEstimateSurvival:
 
     def test_worker_count_invariance(self):
         params = WalkParams(mu=0.4, sigma=1.0)
-        a = estimate_survival(params, 0.0, BARRIER, 25, 5_000, seed=9, workers=None)
-        b = estimate_survival(params, 0.0, BARRIER, 25, 5_000, seed=9, workers=3)
+        a = estimate_survival(params, 0.0, BARRIER, 25, 6_000, seed=9, workers=None)
+        b = estimate_survival(params, 0.0, BARRIER, 25, 6_000, seed=9, workers=3)
         assert a == b
 
     def test_rare_event_regime_refused(self):
@@ -73,32 +73,38 @@ class TestEstimateSurvival:
         exp(-t mu^2 / (2 sigma^2)) ~ 1e-44, far below what naive MC can
         resolve, so the estimator refuses instead of returning 0."""
         params = WalkParams(mu=1.0, sigma=1.0)
-        with pytest.raises(TooFewSurvivors, match="naive MC cannot resolve it"):
+        with pytest.raises(TooFewSurvivors, match="from 1000 paths: x0=0.0 expects"):
             estimate_survival(params, 0.0, BARRIER, 200, 1_000, seed=0)
 
     def test_rare_event_screen_uses_exact_survival(self):
-        """At mu = sigma = 1, d = 10, t = 40 the exact diffusion survival is
-        4.0e-7, above the 1e-8 floor, while the coarse Gaussian-tail scale
-        reads 2.6e-9; the screen must follow the exact value and run."""
+        """At mu = sigma = 1, d = 10, t = 40 the refusal names the count
+        n_paths times the exact diffusion survival at the discrete-monitoring
+        distance d + 0.5826 sigma (6.64e-4 from 1e3 paths), not the coarse
+        Gaussian-tail scale, which reads 2.6e-9 per path."""
         params = WalkParams(mu=1.0, sigma=1.0)
         d = 10.0
         # (2d / (sigma sqrt(2 pi tau))) exp(-mu^2 tau / (2 sigma^2)) at tau = 40
         gaussian_tail = 2.0 * d / math.sqrt(2.0 * math.pi * 40.0) * math.exp(-20.0)
-        assert gaussian_tail < RARE_EVENT_FLOOR
-        assert survival_closed_form(1.0, 1.0, d, 40.0) > RARE_EVENT_FLOOR
+        expected = 1_000 * survival_closed_form(1.0, 1.0, d + 0.5826, 40.0)
+        assert f"{expected:.3g}" != f"{1_000 * gaussian_tail:.3g}"
         x0 = math.log(BARRIER.epsilon) + d
-        est = estimate_survival(params, x0, BARRIER, 40, 1_000, seed=0)
-        assert est.n_paths == 1_000
+        with pytest.raises(TooFewSurvivors) as refusal:
+            estimate_survival(params, x0, BARRIER, 40, 1_000, seed=0)
+        assert str(refusal.value).startswith(
+            f"closed form predicts fewer than 50 survivors from 1000 paths: "
+            f"x0={x0} expects {expected:.3g}; "
+        )
 
     def test_start_on_the_barrier_runs(self):
         """A start exactly on the barrier is legal. The screen evaluates the
         closed form at the discrete-monitoring distance d + 0.5826 sigma,
-        which is positive at d = 0 and predicts 0.045 here, so the estimate
-        runs instead of failing on the closed form's d > 0 domain."""
+        which is positive at d = 0 and predicts 0.045 here (90 survivors
+        from 2e3 paths), so the estimate runs instead of failing on the
+        closed form's d > 0 domain."""
         params = WalkParams(0.5, 1.0)
-        est = estimate_survival(params, -1.0, BARRIER, 5, 100)
-        assert est.n_paths == 100
-        assert 0 < est.n_survivors < 100
+        est = estimate_survival(params, -1.0, BARRIER, 5, 2_000)
+        assert est.n_paths == 2_000
+        assert 0 < est.n_survivors < 2_000
 
     def test_deterministic_absorption_time(self):
         """With sigma = 0 every path loses exactly mu = 0.25 per step. From
@@ -185,7 +191,7 @@ class TestSurvivalRatio:
 
     def test_ratio_consistent_with_counts(self):
         params = WalkParams(mu=0.5, sigma=1.0)
-        res = survival_ratio(params, 1.0, 0.0, BARRIER, 30, 4_000, seed=5)
+        res = survival_ratio(params, 1.0, 0.0, BARRIER, 30, 50_000, seed=5)
         assert res.ratio == res.n_survivors_a / res.n_survivors_b
         assert res.n_survivors_a >= res.n_survivors_b
         assert res.ratio >= 1.0
@@ -208,17 +214,17 @@ class TestSurvivalRatio:
 
     def test_worker_count_invariance(self):
         params = WalkParams(mu=0.5, sigma=1.0)
-        a = survival_ratio(params, 1.0, 0.0, BARRIER, 20, 6_000, seed=2, workers=None)
-        b = survival_ratio(params, 1.0, 0.0, BARRIER, 20, 6_000, seed=2, workers=4)
+        a = survival_ratio(params, 1.0, 0.0, BARRIER, 20, 8_000, seed=2, workers=None)
+        b = survival_ratio(params, 1.0, 0.0, BARRIER, 20, 8_000, seed=2, workers=4)
         assert a == b
 
     def test_zero_denominator(self):
-        """From x_b on the barrier one step survives only with a +2 sigma
-        shock. The screen lets it through (predicted survival 0.028), but
-        none of the 20 paths at seed 0 draws one, so the ratio must raise
-        rather than divide by zero."""
+        """A deterministic walk (sigma = 0) needs no screen: from x_b on
+        the barrier its one step of -0.25 lands below it on every path, so
+        x_b keeps no survivors and the ratio must raise rather than divide
+        by zero."""
         with pytest.raises(TooFewSurvivors, match=r"no survivors from x_b=-1.0 in 20 paths"):
-            survival_ratio(WalkParams(2.0, 1.0), 0.0, -1.0, BARRIER, 1, 20, seed=0)
+            survival_ratio(WalkParams(0.25, 0.0), 0.0, -1.0, BARRIER, 1, 20, seed=0)
 
     def test_negative_horizon_rejected(self):
         with pytest.raises(OutOfRange):
@@ -266,7 +272,7 @@ class TestWalkSurvival:
 
     def test_screen_and_validation_cover_every_start(self):
         params = WalkParams(mu=1.0, sigma=1.0)
-        with pytest.raises(TooFewSurvivors, match="x0=0.0; naive MC cannot resolve it"):
+        with pytest.raises(TooFewSurvivors, match="x0=0.0 expects"):
             walk_survival(params, [9.0, 0.0], BARRIER, 40, 1_000)
         with pytest.raises(OutOfRange, match="x0=-2.0 below the barrier"):
             walk_survival(params, [0.0, -2.0], BARRIER, 5, 100)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import born_branch
-from born_branch import ConfigError, WalkParams
+from born_branch import ConfigError, TooFewSurvivors, WalkParams, survival_closed_form
 from born_branch import cli as cli_module
 from born_branch import measure as measure_module
 from born_branch import walk as walk_module
@@ -316,6 +316,27 @@ class TestRunSmallConfigs:
         assert results["checks"]["bridge_mc_z_within_3"] == "pass"
         assert len(rows) == 2
 
+    def test_diffusion_mc_refused_just_below_fifty_survivors(self, tmp_path, monkeypatch):
+        """The bridge MC predicts mc_n_paths closed_form_q survivors: the
+        fewest paths that predict 50 run, and one path fewer is refused
+        before any block is drawn."""
+        q = survival_closed_form(1.0, 1.0, 3.0, 10.0)  # the defaults mc_d and mc_tau
+        n = math.ceil(50 / q)
+        assert (n - 1) * q < 50 <= n * q
+        params = {"tau_grid": [5], "mc_dt": 10.0}
+        cfg = ExperimentConfig("diffusion", {**params, "mc_n_paths": n})
+        assert run(cfg, out_dir=tmp_path / "at") in (0, 2)
+        assert read_outputs(tmp_path / "at")[0]["targets"]["closed_form_q"] == q
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the bridge MC drew before the survivor screen")
+
+        monkeypatch.setattr(cli_module, "map_blocks", no_draws)
+        cfg = ExperimentConfig("diffusion", {**params, "mc_n_paths": n - 1})
+        with pytest.raises(TooFewSurvivors, match=f"from {n - 1} paths: the bridge MC"):
+            run(cfg, out_dir=tmp_path / "below")
+        assert not (tmp_path / "below").exists()
+
     def test_endogenous_small_run_fails_slope_honestly(self, tmp_path):
         """Scale invariance is exact, but the measured threshold growth
         exceeds the exponential ansatz at every scale we have tried, so
@@ -553,6 +574,8 @@ class TestMain:
             ("diffusion", {"parameters": {"mc_d": 0}}, "mc_d"),
             ("walk", {"parameters": {"shock": "cauchy"}}, "shock"),
             ("tree", [], "object"),
+            ("diffusion", {"parameters": {"mc_n_paths": 100}}, "mc_n_paths"),
+            ("diffusion", {"parameters": {"sigma": 1e150}}, "survivors"),
         ],
         ids=["seed-str", "workers-str", "workers-zero", "int-param-str",
              "int-param-float", "record-points-negative", "experiment-list",
@@ -569,7 +592,8 @@ class TestMain:
              "measure-weights-underflow", "endogenous-steps-beyond-bound",
              "diffusion-steps-beyond-bound", "endogenous-one-step",
              "diffusion-d_b-not-positive",
-             "diffusion-mc_d-zero", "walk-shock-unknown", "config-not-object"],
+             "diffusion-mc_d-zero", "walk-shock-unknown", "config-not-object",
+             "diffusion-mc-survivors-below-50", "diffusion-sigma-survival-near-zero"],
     )
     def test_bad_config_value_maps_to_exit_one(
         self, experiment, config, key, tmp_path, capsys, monkeypatch

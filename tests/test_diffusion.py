@@ -420,6 +420,17 @@ class TestConditionedSample:
         with pytest.raises(TooFewSurvivors):
             conditioned_sample(DiffusionParams(1.0, 1.0), 3.0, 8.0, 1000)
 
+    def test_refused_just_below_fifty_and_run_at_fifty(self, monkeypatch):
+        """The fewest paths whose predicted survivor count reaches 50 run;
+        one path fewer is refused before any block is drawn."""
+        q = survival_closed_form(1.0, 1.0, 3.0, 8.0)
+        n = math.ceil(50 / q)
+        assert (n - 1) * q < 50 <= n * q
+        assert conditioned_sample(DiffusionParams(1.0, 1.0), 3.0, 8.0, n, seed=2).size > 0
+        monkeypatch.setattr(diffusion, "map_blocks", _no_blocks)
+        with pytest.raises(TooFewSurvivors, match=f"from {n - 1} paths: d=3.0 expects 50"):
+            conditioned_sample(DiffusionParams(1.0, 1.0), 3.0, 8.0, n - 1, seed=2)
+
     def test_validation(self):
         with pytest.raises(OutOfRange):
             conditioned_sample(DiffusionParams(-0.5, 1.0), 3.0, 1.0, 100)

@@ -267,6 +267,22 @@ class TestPreconditions:
         with pytest.raises(TooFewSurvivors, match="delta=0.3"):
             measurement_pipeline(FAST, 300, seed=0)
 
+    def test_refused_just_below_fifty_and_run_at_fifty(self, monkeypatch):
+        """The lighter arm predicts n_paths/K delta^r C survivors: the
+        fewest paths that bring it to 50 run, and one path fewer is
+        refused before any block is drawn."""
+        light = outcome_weights(FAST)[1][0]
+        n = math.ceil(50 * FAST.K / light)
+        assert (n - 1) / FAST.K * light < 50 <= n / FAST.K * light
+        assert measurement_pipeline(FAST, n, seed=3, n_boot=20).n_paths == n
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("paths were drawn before the survivor screen")
+
+        monkeypatch.setattr(measure_module, "map_blocks", no_draws)
+        with pytest.raises(TooFewSurvivors, match=rf"{n - 1} paths: arm 0 \(delta=0.3\) expects 50;"):
+            measurement_pipeline(FAST, n - 1, seed=3, n_boot=20)
+
     def test_rate_and_path_validation(self):
         with pytest.raises(OutOfRange):
             measurement_pipeline(FAST, 0)

@@ -25,6 +25,7 @@ from born_branch import (
     survival_ratio,
     walk_survival,
 )
+from born_branch import walk as walk_module
 from born_branch.rng import BLOCK_SIZE, block_sizes
 from born_branch.walk import _block_worst, _start_estimates
 
@@ -133,6 +134,41 @@ class TestEstimateSurvival:
             estimate_survival(params, -2.0, BARRIER, 5, 100, seed=0)
         with pytest.raises(OutOfRange):
             estimate_survival(params, 0.0, BARRIER, 5, 0, seed=0)
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("a block was drawn before the survivor screen")
+
+
+class TestSurvivorScreen:
+    """Before any draw, each start must be predicted to keep at least 50
+    survivors: n_paths times the diffusion survival at d + 0.5826 sigma."""
+
+    def test_finite_support_walk_refused_before_drawing(self, monkeypatch):
+        """(1/6, 1/3, 1/2) at alpha_1 from phi0 = 1, 4 and 16, eps 1e-3,
+        t = 200: 2e5 paths predict 0.14, 0.44 and 1.3 survivors. Every
+        start is named, and none of the 4e7 path-steps is drawn."""
+        params = WalkParams.from_branching(BranchingSpec((1 / 6, 1 / 3, 1 / 2)), 0.363708)
+        x0s = [math.log(1.0), math.log(4.0), math.log(16.0)]
+        monkeypatch.setattr(walk_module, "map_blocks", _no_draws)
+        with pytest.raises(TooFewSurvivors) as refusal:
+            walk_survival(params, x0s, Exogenous(1e-3, 0.363708), 200, 200_000)
+        for x0, count in zip(x0s, ("0.138", "0.44", "1.31")):
+            assert f"x0={x0} expects {count};" in str(refusal.value)
+
+    def test_refused_just_below_fifty_and_run_at_fifty(self, monkeypatch):
+        """From the barrier at t = 5 (predicted survival 0.045), the fewest
+        paths that predict 50 survivors run; one path fewer is refused."""
+        params = WalkParams(0.5, 1.0)
+        d = -1.0 - math.log(BARRIER.epsilon) + 0.5826
+        q = survival_closed_form(0.5, 1.0, d, 5.0)
+        n = math.ceil(50 / q)
+        assert (n - 1) * q < 50 <= n * q
+        est = estimate_survival(params, -1.0, BARRIER, 5, n, seed=1)
+        assert est.n_paths == n and est.n_survivors > 0
+        monkeypatch.setattr(walk_module, "map_blocks", _no_draws)
+        with pytest.raises(TooFewSurvivors, match=f"from {n - 1} paths: x0=-1.0 expects 50"):
+            estimate_survival(params, -1.0, BARRIER, 5, n - 1, seed=1)
 
 
 def _block_alive_reference(params, x0s, log_eps, noise_sd, t, rng, size):

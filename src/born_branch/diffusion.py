@@ -34,6 +34,7 @@ from .model import DiffusionParams, _positive_finite
 from .rng import map_blocks
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_PI = math.sqrt(math.pi)
 
 #: Most time steps one path may take: the bridge kernel and the population
 #: refuse a finer dt before they allocate or draw.
@@ -56,16 +57,22 @@ def _screen_survivors(n_paths: int, predicted: Sequence[tuple[str, float]]) -> N
         )
 
 
+def _cf_tail(x: float) -> float:
+    """f - x for f = x + (1/2)/(x + 1/(x + (3/2)/(x + ...))), the continued
+    fraction of 1/(sqrt(pi) erfcx(x)) (Abramowitz & Stegun 7.1.14), over 40
+    terms, truncated below 5e-17 for x >= 2.5."""
+    f = x
+    for k in range(40, 1, -1):
+        f = x + 0.5 * k / f
+    return 0.5 / f
+
+
 def _log_erfcx(x: float) -> float:
     """log(e^{x^2} erfc(x)) for every finite x: direct below 2.5 (the sum loses
-    under ulp(6.25)), else 1 / (sqrt(pi) (x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))))
-    (Abramowitz & Stegun 7.1.14) over 40 terms, truncated below 5e-17."""
+    under ulp(6.25)), else through the continued fraction of _cf_tail."""
     if x < 2.5:
         return x * x + math.log(math.erfc(x))
-    f = x
-    for k in range(40, 0, -1):
-        f = x + 0.5 * k / f
-    return -math.log(f) - 0.5 * math.log(math.pi)
+    return -math.log(x + _cf_tail(x)) - 0.5 * math.log(math.pi)
 
 
 def _log_ndtr(z: float) -> float:
@@ -85,10 +92,14 @@ def log_survival_closed_form(mu: float, sigma: float, d: float, tau: float) -> f
     for z2 < z1 <= 0 the log erfcx ratio, as (z2^2 - z1^2)/2 = 2 mu d/sigma^2
     cancels the exponentials exactly (accurate down to 1e-300 and far below);
     else 2 mu d/sigma^2 plus the log Phi ratio, since there the erfcx ratio
-    would subtract two rounded z^2/2 that grow with tau. A term below
-    float range of Phi(z1) is dropped, so the result is never NaN. A
-    non-finite mu, a sigma that DiffusionParams refuses, or a d or tau that
-    is not positive and finite raises OutOfRange.
+    would subtract two rounded z^2/2 that grow with tau. Below d = 1e-5
+    sigma sqrt(tau) both forms of r cancel to nothing, so r is taken at
+    first order in d: -2 (d / (sigma sqrt tau)) (phi(a)/Phi(-a) - a) with
+    a = mu sqrt(tau) / sigma, the bracket read off the erfcx continued
+    fraction for large a, where it cancels too (within 1e-9 of 400-digit
+    values down to d = 1e-300). A term below float range of Phi(z1) is
+    dropped, so the result is never NaN. A non-finite mu, a sigma that DiffusionParams refuses, or a d or
+    tau that is not positive and finite raises OutOfRange.
     """
     DiffusionParams(mu, sigma)  # refuses a non-finite mu and a bad sigma
     _positive_finite("barrier distance d", d)
@@ -99,6 +110,14 @@ def log_survival_closed_form(mu: float, sigma: float, d: float, tau: float) -> f
     head = _log_ndtr(z1)
     if head == -math.inf:  # q <= Phi(z1), which is 0 in float range
         return head
+    if d < 1e-5 * st:  # the terms cancel in r: its first order, O((d/st)^3) off
+        x = mu * tau / (st * _SQRT2)
+        gap = _cf_tail(x) if x >= 2.5 else math.exp(-_log_erfcx(x)) / _SQRT_PI - x
+        c = 2.0 * _SQRT2 * gap  # r = -c d / st
+        if c * d >= 1e-5 * st:
+            return head + math.log(-math.expm1(-c * d / st))
+        # log(1 - e^r) = log(-r) + r/2 + O(r^2), with no underflow in -r
+        return head + math.log(c) + math.log(d) - math.log(st) - c * (d / st) / 2.0
     if z1 <= 0.0:
         r = _log_erfcx(-z2 / _SQRT2) - _log_erfcx(-z1 / _SQRT2)
     else:

@@ -111,6 +111,22 @@ class TestClosedFormAgainstMpmath:
         ref = _mp_log_survival(1.0, 1.0, d, tau)
         assert log_survival_closed_form(1.0, 1.0, d, tau) == pytest.approx(ref, rel=1e-13)
 
+    @pytest.mark.parametrize("mu", [1.0, -1.0])
+    def test_near_the_barrier(self, mu):
+        """d = 10^-k for k = 1..300 at sigma = 1, tau = 10, against 400-digit
+        mpmath: the image and direct terms agree there to far below float
+        precision, so the log ratio r is taken at first order in d."""
+        worst = 0.0
+        with mpmath.workdps(400):
+            for k in range(1, 301):
+                d = 10.0**-k
+                x, st = mpmath.mpf(d), mpmath.sqrt(10)
+                direct = mpmath.ncdf((x - mu * 10) / st)
+                image = mpmath.exp(2 * mu * x) * mpmath.ncdf((-x - mu * 10) / st)
+                ref = float(mpmath.log(direct - image))
+                worst = max(worst, abs(log_survival_closed_form(mu, 1.0, d, 10.0) - ref))
+        assert worst <= 1e-8
+
 
 class TestClosedForm:
     """Method-of-images survival probability, bulk and deep tail."""

@@ -189,7 +189,8 @@ def batch_survive(
         z = rng.standard_normal(size)
         u = rng.random(size)
         y_new = y - mu * dt_eff + sdt * z
-        bridge = np.exp(-two_over * np.maximum(y, 0.0) * np.maximum(y_new, 0.0))
+        with np.errstate(over="ignore"):  # an inf product is a kill chance of 0
+            bridge = np.exp(-two_over * np.maximum(y, 0.0) * np.maximum(y_new, 0.0))
         alive &= ~((y_new < 0.0) | (u < bridge))
         y = np.where(alive, y_new, y)
     return alive, y

@@ -289,6 +289,14 @@ class TestBatchSurvive:
         ks = kstest(ys, image_cdf(mu, sigma, d, tau)).statistic
         assert ks < 1.95 / math.sqrt(ys.size)
 
+    def test_far_start_kills_nothing_without_overflow(self):
+        """From y0 = 1e300 the bridge exponent 2 y y' / (sigma^2 dt)
+        overflows to inf: its kill probability e^-inf = 0 is right, and
+        the overflow raises no warning (the suite makes one an error)."""
+        alive, y = batch_survive(1.0, 1.0, 1e300, 1.0, 0.5, rng_stream(5, 0), 8)
+        assert alive.all()
+        assert np.all(y == 1e300)
+
     def test_born_dead_paths(self):
         alive, y = batch_survive(1.0, 1.0, 0.0, 1.0, 0.1, rng_stream(0, 0), 8)
         assert not alive.any()

@@ -20,8 +20,9 @@ class TooLarge(BornBranchError):
 
 class TooFewSurvivors(BornBranchError):
     """Too few survivors for the requested estimate, whether predicted
-    before sampling (a rare-event or small-sample screen) or drawn (a
-    ratio with no survivors in its denominator, an extinct population)."""
+    before sampling (the one survivor screen, diffusion._screen_survivors,
+    refuses fewer than 50 predicted for an estimate) or drawn (a ratio with
+    no survivors in its denominator, an extinct population)."""
 
 
 class ConfigError(BornBranchError):

@@ -27,6 +27,8 @@ derived from Var(log delta) = 1/12, and the docs do not say which correct
 tuning it means.
 
 Run with: python3 -m pytest tests/test_acceptance.py -v -s
+(criteria 02, 05, 06, 07 and 08 carry the slow marker, so -m "not slow"
+leaves them out of a quick loop).
 """
 
 import math
@@ -34,6 +36,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 from born_branch import (
@@ -121,6 +124,7 @@ def test_criterion_01_dp_matches_brute_force():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_critical_tuning_exponent_and_ratio():
     """Unit-tilt DP: the 4:1 count ratio and the exponent follow the theta = 1 law.
 
@@ -271,6 +275,7 @@ def test_criterion_04_start_tilt_against_bare_exponential():
     )
 
 
+@pytest.mark.slow
 def test_criterion_05_euler_survival_unbiased_on_grid():
     """Euler-simulated survival matches the closed form across a 3x3 grid.
 
@@ -302,6 +307,7 @@ def test_criterion_05_euler_survival_unbiased_on_grid():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_conditioned_law_is_not_shifted_exponential():
     """The survivor overshoot law is the image law, not a shifted exponential.
 
@@ -352,6 +358,7 @@ def test_criterion_06_conditioned_law_is_not_shifted_exponential():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_conditional_mean_ratio_constants():
     """E[value | survival] / threshold matches the image-law value at both betas.
 
@@ -399,6 +406,7 @@ def test_criterion_07_conditional_mean_ratio_constants():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_endogenous_growth_and_scale_invariance():
     """Self-thresholding population: invariance is exact, the rate is not 0.25.
 

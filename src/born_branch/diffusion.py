@@ -34,7 +34,6 @@ from .model import DiffusionParams, _positive_finite
 from .rng import map_blocks
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_PI = math.sqrt(math.pi)
 
 #: Most time steps one path may take: the bridge kernel and the population
 #: refuse a finer dt before they allocate or draw.
@@ -98,8 +97,9 @@ def log_survival_closed_form(mu: float, sigma: float, d: float, tau: float) -> f
     a = mu sqrt(tau) / sigma, the bracket read off the erfcx continued
     fraction for large a, where it cancels too (within 1e-9 of 400-digit
     values down to d = 1e-300). A term below float range of Phi(z1) is
-    dropped, so the result is never NaN. A non-finite mu, a sigma that DiffusionParams refuses, or a d or
-    tau that is not positive and finite raises OutOfRange.
+    dropped, so the result is never NaN. A non-finite mu, a sigma that
+    DiffusionParams refuses, or a d or tau that is not positive and finite
+    raises OutOfRange.
     """
     DiffusionParams(mu, sigma)  # refuses a non-finite mu and a bad sigma
     _positive_finite("barrier distance d", d)
@@ -112,7 +112,7 @@ def log_survival_closed_form(mu: float, sigma: float, d: float, tau: float) -> f
         return head
     if d < 1e-5 * st:  # the terms cancel in r: its first order, O((d/st)^3) off
         x = mu * tau / (st * _SQRT2)
-        gap = _cf_tail(x) if x >= 2.5 else math.exp(-_log_erfcx(x)) / _SQRT_PI - x
+        gap = _cf_tail(x) if x >= 2.5 else math.exp(-_log_erfcx(x)) / math.sqrt(math.pi) - x
         c = 2.0 * _SQRT2 * gap  # r = -c d / st
         if c * d >= 1e-5 * st:
             return head + math.log(-math.expm1(-c * d / st))

@@ -280,7 +280,8 @@ class TestPreconditions:
             raise AssertionError("paths were drawn before the survivor screen")
 
         monkeypatch.setattr(measure_module, "map_blocks", no_draws)
-        with pytest.raises(TooFewSurvivors, match=rf"{n - 1} paths: arm 0 \(delta=0.3\) expects 50;"):
+        refusal = rf"from {n - 1} paths: arm 0 \(delta=0.3\) expects 50;"
+        with pytest.raises(TooFewSurvivors, match=refusal):
             measurement_pipeline(FAST, n - 1, seed=3, n_boot=20)
 
     def test_rate_and_path_validation(self):

@@ -4,6 +4,8 @@ Exact tree counting, random-walk and diffusion Monte Carlo, an interacting
 particle system for endogenous thresholds, and an end-to-end measurement
 pipeline, with the closed forms they are verified against.
 """
+import types as _types
+
 from .errors import BornBranchError, ConfigError, OutOfRange, TooFewSurvivors, TooLarge
 from .model import (
     AlphaResult,
@@ -73,4 +75,8 @@ from .rng import BLOCK_SIZE, rng_stream
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API's names, without the submodules that the imports above bind
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+]

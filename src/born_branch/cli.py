@@ -251,7 +251,6 @@ LCG_VAR_REL_TOL = 0.02
 
 @dataclass(frozen=True)
 class LcgParams:
-    p: int = (1 << 61) - 1
     a: int = 6364136223846793005
     n_transitions: int = 1_000_000
     alpha: float = DEFAULT_LCG_ALPHA
@@ -263,11 +262,11 @@ class LcgParams:
     def __post_init__(self) -> None:
         if self.n_transitions < 1:
             raise ConfigError(f"n_transitions={self.n_transitions} must be >= 1")
-        LcgSpec(self.p, self.a)  # refuses a modulus or multiplier the stream cannot take
+        LcgSpec(self.a)  # refuses a multiplier the stream cannot take
 
 
 def _run_lcg(p: LcgParams, seed: int, workers: int | None) -> RunnerOutput:
-    spec = LcgSpec(p.p, p.a)
+    spec = LcgSpec(p.a)
     phis = [float(v) for v in p.phis]
     walk = lcg_walk_survival(
         spec, Exogenous(p.epsilon, p.alpha), p.t, phis, p.n_paths,

@@ -14,8 +14,8 @@ class OutOfRange(BornBranchError):
 
 
 class TooLarge(BornBranchError):
-    """A request beyond a size guard: brute-force paths, DP compositions,
-    time steps, or an LCG modulus outside the exact arithmetic."""
+    """A request beyond a size guard: brute-force paths, DP compositions or
+    time steps."""
 
 
 class TooFewSurvivors(BornBranchError):

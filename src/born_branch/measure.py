@@ -39,7 +39,7 @@ import numpy as np
 
 from .diffusion import _SQRT2, _log_erfcx, _screen_survivors, batch_survive
 from .errors import OutOfRange, TooFewSurvivors
-from .model import BranchingSpec, _positive_finite
+from .model import BranchingSpec, DiffusionParams, _positive_finite
 from .rng import map_blocks
 from .stats import bootstrap_ci
 
@@ -55,10 +55,8 @@ class MeasurementSetup:
 
     def __post_init__(self) -> None:
         spec = BranchingSpec(self.deltas)
-        for name in ("sigma", "tau"):
-            _positive_finite(name, getattr(self, name))
-        if self.sigma * self.sigma == 0.0:  # the drift mu = sigma^2 would be 0
-            raise OutOfRange(f"sigma={self.sigma} must have a square above 0")
+        DiffusionParams(0.0, self.sigma)  # refuses sigma unless 0 < sigma^2 = mu < inf
+        _positive_finite("tau", self.tau)
         object.__setattr__(self, "deltas", spec.deltas)
         object.__setattr__(self, "log_deltas", spec.log_deltas)
 

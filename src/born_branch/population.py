@@ -71,8 +71,6 @@ def endogenous_population(
     _check_endogenous(tilde_mu, sigma, varepsilon)
     if n_particles < 2:
         raise OutOfRange(f"n_particles={n_particles} must be >= 2")
-    if not 0.0 < dt <= tau:  # NaN included
-        raise OutOfRange(f"need 0 < dt <= tau, got dt={dt}, tau={tau}")
     _positive_finite("phi0", phi0)
     n_steps, dt_eff = _resolve_steps(tau, dt)
     if n_steps < 2:

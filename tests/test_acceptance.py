@@ -582,7 +582,7 @@ def test_criterion_12_lcg_shock_moments_and_walk_exponent():
     out of reach of 20,000 paths. Budget 180 s.
     """
     t0 = time.perf_counter()
-    spec = LcgSpec((1 << 61) - 1, 6364136223846793005)
+    spec = LcgSpec(6364136223846793005)
     deltas = lcg_delta_stream(spec, 1_000_000, seed=0)
     ks = ks_distance(deltas, lambda v: np.clip(v, 0.0, 1.0))
     logs = np.log(deltas)

@@ -109,7 +109,7 @@ class TestExperimentConfig:
         "experiment, digest",
         [
             ("tree", "a0d220bfb45c2b4a"),
-            ("lcg", "e334867a05b83680"),
+            ("lcg", "584d9c5c5dbb9434"),
             ("walk", "09dcb7f798b71873"),
             ("diffusion", "e56173e75142d03c"),
             ("endogenous", "b32437aecf8773c9"),
@@ -464,7 +464,7 @@ class TestDeterminism:
             out = tmp_path / workers
             assert main(["lcg", "--workers", workers, "--out", str(out)]) == 2
             results, _, _ = read_outputs(out)
-            assert results["config_hash"] == "e334867a05b83680"
+            assert results["config_hash"] == "584d9c5c5dbb9434"
             assert results["estimates"] == pinned
             series.append((out / "series.csv").read_bytes())
         assert series[0] == series[1]
@@ -554,8 +554,8 @@ class TestMain:
             ("measure", {"parameters": {"tau": 10**400}}, "tau"),
             ("walk", {"parameters": {"noise_sd": -0.5}}, "noise_sd"),
             ("walk", {"parameters": {"epsilon": 1.0, "x0s": [0.0, 1.0]}}, "x0=0.0"),
-            ("lcg", {"parameters": {"p": (1 << 63) + 1}}, "modulus p"),
-            ("lcg", {"parameters": {"p": (1 << 32) + 15}}, "p"),
+            ("lcg", {"parameters": {"a": (1 << 61) - 1}}, "a=2305843009213693951"),
+            ("lcg", {"parameters": {"a": 1 << 61}}, "a=2305843009213693952"),
             ("diffusion", {"parameters": {"tau_grid": [], "mc_n_paths": 2000}}, "tau_grid"),
             ("walk", {"parameters": {"t": 0, "n_paths": 2000}}, "t"),
             ("walk", {"parameters": {"x0s": []}}, "x0s"),
@@ -566,6 +566,7 @@ class TestMain:
             ("walk", {"parameters": {"sigma": 1e-200}}, "sigma"),
             ("measure", {"parameters": {"sigma": 1e-200}}, "sigma"),
             ("diffusion", {"parameters": {"sigma": 1e200}}, "sigma"),
+            ("measure", {"parameters": {"sigma": 1e200}}, "sigma"),
             ("measure", {"parameters": {"prep_rate": 1100}}, "survivors"),
             ("endogenous", {"parameters": {"dt": 1e-300, "n_particles": 200, "tau": 1.0}}, "dt"),
             ("diffusion", {"parameters": {"mc_dt": 1e-300, "mc_n_paths": 100}}, "mc_dt"),
@@ -583,12 +584,13 @@ class TestMain:
              "mc-paths-zero", "mc-paths-negative", "tau-nan", "epsilon-nan",
              "epsilon-infinity", "list-entry-nan", "int-beyond-float-range",
              "noise-sd-negative", "start-on-barrier",
-             "modulus-beyond-62-bits", "modulus-between-2-32-and-m61", "tau-grid-empty", "walk-t-zero",
+             "lcg-multiplier-reduces-to-0", "lcg-multiplier-reduces-to-1",
+             "tau-grid-empty", "walk-t-zero",
              "walk-x0s-empty",
              "n-transitions-zero", "tree-late-bad-start",
              "walk-tilt-beyond-float-range", "diffusion-tilt-beyond-float-range",
              "walk-sigma-squared-underflows", "measure-sigma-squared-underflows",
-             "diffusion-sigma-squared-overflows",
+             "diffusion-sigma-squared-overflows", "measure-sigma-squared-overflows",
              "measure-weights-underflow", "endogenous-steps-beyond-bound",
              "diffusion-steps-beyond-bound", "endogenous-one-step",
              "diffusion-d_b-not-positive",

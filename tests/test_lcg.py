@@ -21,7 +21,6 @@ from born_branch import (
     LcgSpec,
     OutOfRange,
     RandomBarrier,
-    TooLarge,
     lcg_delta_stream,
     lcg_walk_survival,
     rng_stream,
@@ -29,12 +28,12 @@ from born_branch import (
 )
 from born_branch import walk as walk_module
 from born_branch.lcg import (
-    _C0, _CHUNK, M61, _lcg_block_worst, _lcg_children, _mulmod_m61, _ratios,
+    _C0, _CHUNK, M61, _lcg_block_worst, _lcg_children, _mulmod, _ratios,
 )
 
-M31 = (1 << 31) - 1
-LEHMER = LcgSpec(M31, 16807)
-BIG = LcgSpec()  # p = 2^61 - 1 with the 64-bit MCG multiplier reduced mod p
+BIG = LcgSpec()  # the 64-bit MCG multiplier reduced mod p = 2^61 - 1
+# a = -1: branch 1 sends state 1 to state 0, where a chain's ratio is 0
+ZERO = LcgSpec(M61 - 1)
 
 
 class TestModularArithmetic:
@@ -46,20 +45,20 @@ class TestModularArithmetic:
         rng = rng_stream(41, 0)
         cs = rng.integers(0, M61, size=4096, dtype=np.uint64)
         xs = rng.integers(0, M61, size=4096, dtype=np.uint64)
-        got = _mulmod_m61(np.uint64(BIG.a_eff), cs)
+        got = _mulmod(np.uint64(BIG.a_eff), cs)
         assert got.tolist() == [(BIG.a_eff * c) % M61 for c in cs.tolist()]
-        got = _mulmod_m61(xs, cs)
+        got = _mulmod(xs, cs)
         assert got.tolist() == [(x * c) % M61 for x, c in zip(xs.tolist(), cs.tolist())]
 
     def test_m61_edge_states(self):
         edges = np.array([0, 1, 2, M61 - 1, M61 - 2, (1 << 32) - 1, 1 << 60],
                          dtype=np.uint64)
-        got = _mulmod_m61(np.uint64(BIG.a_eff), edges)
+        got = _mulmod(np.uint64(BIG.a_eff), edges)
         expect = [(BIG.a_eff * int(c)) % M61 for c in edges.tolist()]
         assert got.tolist() == expect
         x, y = np.meshgrid(edges, edges)
         expect = [(int(u) * int(v)) % M61 for u, v in zip(x.ravel(), y.ravel())]
-        assert _mulmod_m61(x.ravel(), y.ravel()).tolist() == expect
+        assert _mulmod(x.ravel(), y.ravel()).tolist() == expect
 
     def test_multiplier_reduced_at_construction(self):
         """The 64-bit multiplier exceeds 2^61-1 and is stored reduced."""
@@ -67,86 +66,56 @@ class TestModularArithmetic:
         assert BIG.a_eff == 6364136223846793005 % M61 == 1752450205419405103
 
     def test_spec_validation(self):
-        with pytest.raises(OutOfRange):
-            LcgSpec(M31, M31)  # reduces to 0
-        with pytest.raises(OutOfRange):
-            LcgSpec(M31, M31 + 1)  # reduces to 1
-        with pytest.raises(OutOfRange):
-            LcgSpec(2, 1)
-        with pytest.raises(OutOfRange, match="unit"):
-            LcgSpec(100, 10)  # 10 has no inverse mod 100
-        assert LcgSpec(100, 3).a_eff == 3  # a composite modulus with a unit multiplier
-
-    @pytest.mark.parametrize(
-        "p", [1 << 32, (1 << 32) + 15, M61 - 2, M61 + 2, (1 << 62) - 57],
-    )
-    def test_unsupported_modulus_rejected(self, p):
-        """One uint64 multiplication reduces exactly only below 2^32 and for
-        2^61 - 1, so every other modulus is refused at construction, before
-        any state is stored."""
-        with pytest.raises(TooLarge, match=f"p={p}"):
-            LcgSpec(p, 3)
+        """p is prime, so the only multipliers without an inverse, or with a
+        trivial orbit, are those that reduce to 0 or 1; the error names a."""
+        for a in (0, 1, M61, M61 + 1, 2 * M61):
+            with pytest.raises(OutOfRange, match=f"multiplier a={a} reduces to {a % M61}"):
+                LcgSpec(a)
+        assert LcgSpec(M61 + 2).a_eff == 2
 
 
 class TestTransitions:
     """The two-branch state map: multiply, or reflect the product."""
 
-    def test_lehmer_reference_chain(self):
-        """From c=1: 16807 -> 282475249 -> 1622650073 (classic sequence)."""
-        c = np.array([1], dtype=np.uint64)
-        seq = []
-        for _ in range(3):
-            c, _ = _lcg_children(c, LEHMER)
-            seq.append(int(c[0]))
-        assert seq == [16807, 282475249, 1622650073]
-
     def test_reflection_branch(self):
-        """Branch 1 returns p - 1 - (a c mod p): 2147466839 from c=1."""
-        _, c1 = _lcg_children(np.array([1], dtype=np.uint64), LEHMER)
-        assert int(c1[0]) == M31 - 1 - 16807 == 2147466839
+        """Branch 1 returns p - 1 - (a c mod p). With a = -1, state 1 goes
+        to p - 1 on branch 2 and to 0 on branch 1, and p - 1 goes back to 1
+        on branch 2 and to p - 2 on branch 1."""
+        c2, c1 = _lcg_children(np.array([1, M61 - 1], dtype=np.uint64), ZERO)
+        assert c2.tolist() == [M61 - 1, 1]
+        assert c1.tolist() == [0, M61 - 2]
 
     def test_children_match_scalar_transitions(self):
-        """The carry-free path for 2^61 - 1 and the exact uint64 product that
-        every modulus below 2^32 takes, 2^31 - 1 included, against
-        big-integer arithmetic."""
+        """The carry-free product mod 2^61 - 1 against big-integer
+        arithmetic, for the reference multiplier and for a = -1."""
         rng = rng_stream(43, 0)
-        for spec in (BIG, LEHMER):
-            cs = rng.integers(1, spec.p, size=256, dtype=np.uint64)
+        for spec in (BIG, ZERO):
+            cs = rng.integers(1, M61, size=256, dtype=np.uint64)
             c2, c1 = _lcg_children(cs, spec)
-            expect = [(spec.a_eff * c) % spec.p for c in cs.tolist()]
+            expect = [(spec.a_eff * c) % M61 for c in cs.tolist()]
             assert c2.tolist() == expect
-            assert c1.tolist() == [spec.p - 1 - b for b in expect]
-
-    def test_vectorized_path_rejects_oversized_modulus(self):
-        """States are stored as uint64, so a modulus wider than 62 bits cannot
-        be represented; it is refused when the spec is built, so neither the
-        walk's child map nor the delta stream ever sees it."""
-        with pytest.raises(TooLarge, match="modulus p"):
-            LcgSpec((1 << 89) - 1, 3)
+            assert c1.tolist() == [M61 - 1 - b for b in expect]
 
 
 class TestPeriod:
-    """The reference multipliers are primitive roots, so the pure branch-2
+    """The reference multiplier is a primitive root, so the pure branch-2
     orbit of any nonzero state runs through all p - 1 of them."""
 
     @pytest.mark.parametrize(
         "spec, factors",
-        [
-            (BIG, (2, 3, 3, 5, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321)),
-            (LEHMER, (2, 3, 3, 7, 11, 31, 151, 331)),
-        ],
-        ids=["m61", "lehmer"],
+        [(BIG, (2, 3, 3, 5, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321))],
+        ids=["m61"],
     )
     def test_reference_multipliers_are_full_period(self, spec, factors):
         """The listed primes multiply to p - 1 with cofactor 1, so a^(p-1)
         = 1 and a^((p-1)/q) != 1 for each of them pin the order of a at
         exactly p - 1, which also proves p prime."""
-        n = spec.p - 1
+        n = M61 - 1
         assert all(q > 1 and all(q % d for d in range(2, q)) for q in factors)
         assert math.prod(factors) == n
-        assert pow(spec.a_eff, n, spec.p) == 1
+        assert pow(spec.a_eff, n, M61) == 1
         for q in set(factors):
-            assert pow(spec.a_eff, n // q, spec.p) != 1, q
+            assert pow(spec.a_eff, n // q, M61) != 1, q
 
 
 def _loaded_by_import(module, then=""):
@@ -245,12 +214,11 @@ def _delta_stream_reference(spec, n, seed):
     branches = rng_stream(seed, 0).integers(1, 3, size=n)
     out = np.empty(n)
     c = _C0
-    p = spec.p
     a = spec.a_eff
     for i in range(n):
-        base = (a * c) % p
-        c = base if branches[i] == 2 else p - 1 - base
-        out[i] = c / p
+        base = (a * c) % M61
+        c = base if branches[i] == 2 else M61 - 1 - base
+        out[i] = c / M61
     return out
 
 
@@ -259,14 +227,14 @@ class TestDeltaStream:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
-        spec=st.sampled_from([BIG, LEHMER, LcgSpec(101, 2)]),
+        spec=st.sampled_from([BIG, ZERO]),
         n=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]),
         seed=st.integers(0, 2**32),
     )
     def test_matches_scalar_reference_bytewise(self, spec, n, seed):
         """The chunked closed form gives the loop's states and rounds each
         ratio as Python's int / int does, across chunk boundaries and for a
-        modulus whose chains reach state 0."""
+        multiplier whose chains reach state 0."""
         got = lcg_delta_stream(spec, n, seed)
         assert got.tobytes() == _delta_stream_reference(spec, n, seed).tobytes()
 
@@ -277,7 +245,7 @@ class TestDeltaStream:
         """c / (2^61 - 1) lies just above c 2^-61, so where c is halfway
         between two floats the ratio rounds up, not to even. The last state
         rounds to 1.0."""
-        got = _ratios(np.array([c], dtype=np.uint64), M61)
+        got = _ratios(np.array([c], dtype=np.uint64))
         assert got.tolist() == [c / M61]
 
     def test_memory_is_chunked(self):
@@ -345,8 +313,8 @@ class TestLcgTree:
 
     @pytest.mark.parametrize(
         "spec, t",
-        [(BIG, 12), (LEHMER, 10), (LcgSpec(101, 2), 12)],
-        ids=["m61", "lehmer", "small_modulus"],
+        [(BIG, 12), (ZERO, 12)],
+        ids=["m61", "reaches_state_zero"],
     )
     def test_same_decision_as_walk_kernel(self, spec, t):
         """The per-start reference and _lcg_block_worst decide every path
@@ -391,7 +359,7 @@ def _lcg_alive_reference(spec, sched, t, lphis, rng, size):
     """Per-start loop: each start keeps its own alive mask from step to
     step, on the chain and branch draws _lcg_block_worst makes, and compares
     in the kernel's float form, lphi >= log xi_s - amps_s. Each ratio is
-    Python's int(c) / p, the rounding the kernel's _ratios must give."""
+    Python's int(c) / M61, the rounding the kernel's _ratios must give."""
     states = np.full(size, _C0, dtype=np.uint64)
     amps = np.zeros(size)
     alive = np.ones((len(lphis), size), dtype=bool)
@@ -399,7 +367,7 @@ def _lcg_alive_reference(spec, sched, t, lphis, rng, size):
         c2, c1 = _lcg_children(states, spec)
         pick = rng.integers(0, 2, size=size).astype(bool)
         states = np.where(pick, c1, c2)
-        ratios = np.array([int(c) / spec.p for c in states.tolist()])
+        ratios = np.array([int(c) / M61 for c in states.tolist()])
         with np.errstate(divide="ignore"):
             amps = amps + np.log(ratios)
         for j, lphi in enumerate(lphis):
@@ -444,11 +412,12 @@ class TestLcgWalkSurvival:
         "spec, sched, t",
         [
             (BIG, Exogenous(1e-4, DEFAULT_LCG_ALPHA), 60),
-            # reflecting a*c = p - 1 = 100 sends a chain to state 0, where
-            # amps = -inf
-            (LcgSpec(101, 2), Exogenous(1e-2, 0.5), 12),
+            # branch 1 from state 1 sends a chain to state 0, where amps =
+            # -inf; every other small state costs about 42 in log amplitude,
+            # so the barrier sits low enough for the starts to differ
+            (ZERO, Exogenous(1e-50, 0.5), 12),
         ],
-        ids=["m61", "small_modulus"],
+        ids=["m61", "reaches_state_zero"],
     )
     def test_worst_gap_matches_per_start_loop(self, spec, sched, t):
         phis = [1.0, 4.0, 16.0, 64.0]
@@ -460,7 +429,7 @@ class TestLcgWalkSurvival:
         assert 0 < alive[0].sum() < alive[-1].sum() < 2_000
         res = lcg_walk_survival(spec, sched, t, phis, 2_000, seed=3)
         assert [e.n_survivors for e in res] == reference.sum(axis=1).tolist()
-        if spec.p == 101:
+        if spec is ZERO:
             assert np.isposinf(worst).sum() > 0
 
     def test_worker_invariance(self):
@@ -485,7 +454,7 @@ class TestLcgWalkSurvival:
     def test_no_starts_or_paths_rejected(self):
         with pytest.raises(OutOfRange, match="phi0"):
             lcg_walk_survival(BIG, Exogenous(1e-2, 0.5), 10, [], 100)
-        with pytest.raises(OutOfRange, match="n_paths"):
+        with pytest.raises(OutOfRange, match="n_paths=0"):
             lcg_walk_survival(BIG, Exogenous(1e-2, 0.5), 10, [1.0], 0)
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])

@@ -58,9 +58,12 @@ class TestMeasurementSetup:
                 args[name] = value
                 with pytest.raises(OutOfRange, match=name):
                     MeasurementSetup(**args)
-        # the critical drift mu = sigma^2 must be positive too
+        # the critical drift mu = sigma^2 must be positive and finite too;
+        # sigma = 1e200 once gave mu = inf and survival (nan, nan) weights
         with pytest.raises(OutOfRange, match="sigma=1e-200"):
             MeasurementSetup((0.5, 0.5), 1e-200, 50.0)
+        with pytest.raises(OutOfRange, match=r"sigma=1e\+200"):
+            MeasurementSetup((0.5, 0.5), 1e200, 10.0)
 
     def test_critical_tuning(self):
         setup = MeasurementSetup((0.5, 0.5), 0.4, 50.0)

@@ -79,7 +79,10 @@ class TestValidation:
         ],
     )
     def test_out_of_range(self, kw):
-        with pytest.raises(OutOfRange):
+        """The error names the parameter: a dt at or above tau, 0 or NaN is
+        refused by the step rule, which names dt."""
+        (key,) = kw
+        with pytest.raises(OutOfRange, match=rf"\b{key}="):
             small_run(**kw)
 
     @pytest.mark.parametrize("tilde_mu", [math.nan, math.inf, -math.inf])

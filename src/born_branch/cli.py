@@ -46,7 +46,7 @@ from .stats import (
     start_exponent,
 )
 from .tree import count_survivors_dp, log_bigint, scan_rows_from_series
-from .walk import walk_survival
+from .walk import _log_survival_prediction, walk_survival
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,11 @@ def _targets_in_float_range(sigma: float):
         raise OutOfRange(f"sigma={sigma} puts a closed-form target beyond float range") from None
 
 
+def _check_phis(phis: list) -> None:
+    if not phis or any(v <= 0 for v in phis):
+        raise ConfigError(f"phis={phis} must be a non-empty list of positive starts")
+
+
 # ---------------------------------------------------------------- tree
 
 #: Band that the fitted survival exponent must fall in (tree and lcg).
@@ -191,11 +196,11 @@ class TreeParams:
     record_points: int = 40
 
     def __post_init__(self) -> None:
-        for key in ("t_max", "record_points"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key}={getattr(self, key)} must be >= 0")
-        if any(v <= 0 for v in self.phis):
-            raise ConfigError(f"phis={self.phis} must all be positive")
+        # record_points = 0 would record depth 0 alone and report it as final
+        for key, low in (("t_max", 0), ("record_points", 1)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key}={getattr(self, key)} must be >= {low}")
+        _check_phis(self.phis)
 
 
 def _run_tree(p: TreeParams, seed: int, workers: int | None) -> RunnerOutput:
@@ -262,6 +267,7 @@ class LcgParams:
     def __post_init__(self) -> None:
         if self.n_transitions < 1:
             raise ConfigError(f"n_transitions={self.n_transitions} must be >= 1")
+        _check_phis(self.phis)
         LcgSpec(self.a)  # refuses a multiplier the stream cannot take
 
 
@@ -310,7 +316,7 @@ def _run_lcg(p: LcgParams, seed: int, workers: int | None) -> RunnerOutput:
 
 # ---------------------------------------------------------------- walk
 
-#: Bound on |ratio / asymptotic ratio - 1| for each adjacent pair of starts.
+#: Bound on |ratio / closed-form ratio - 1| for each adjacent pair of starts.
 WALK_RATIO_REL_TOL = 0.05
 
 #: Shock law of each walk `shock` name.
@@ -329,7 +335,7 @@ class WalkExpParams:
     noise_sd: float = 0.0
 
     def __post_init__(self) -> None:
-        # the asymptotic ratio's Gaussian-bulk factor divides by t
+        # the closed form needs a positive horizon
         if self.t < 1:
             raise ConfigError(f"t={self.t} must be >= 1")
         if not self.x0s:
@@ -338,40 +344,24 @@ class WalkExpParams:
             raise ConfigError(f"shock must be one of {sorted(WALK_SHOCKS)}, got {self.shock!r}")
 
 
-def _asym_ratio(beta: float, sigma: float, d_a: float, d_b: float, t: float) -> float:
-    # first-order survival asymptotic: (d_a/d_b) e^{beta(d_a-d_b)} times the
-    # Gaussian-bulk factor exp(-(d_a^2-d_b^2)/(2 sigma^2 t))
-    return (
-        (d_a / d_b)
-        * math.exp(beta * (d_a - d_b))
-        * math.exp(-(d_a * d_a - d_b * d_b) / (2.0 * sigma * sigma * t))
-    )
-
-
 def _run_walk(p: WalkExpParams, seed: int, workers: int | None) -> RunnerOutput:
     params = WalkParams(p.mu, p.sigma, WALK_SHOCKS[p.shock])
     barrier = RandomBarrier(p.epsilon, p.noise_sd)
     log_eps = math.log(p.epsilon)
-    if len(p.x0s) > 1 and log_eps in p.x0s:
-        raise OutOfRange(f"x0={log_eps} on the barrier: a survival ratio needs starts above it")
-    # the targets are refused here, before any path is drawn: beta raises
-    # OutOfRange when sigma^2 is 0, and so does an exponent beyond float
-    # range
+    # before any path is drawn, beta refuses sigma^2 = 0 and the tilt guard
+    # an exponent beyond float range, both as OutOfRange
     beta = params.beta
-    d0 = p.x0s[0] - log_eps
     with _targets_in_float_range(p.sigma):
         tilt = [math.exp(beta * (p.x0s[i + 1] - p.x0s[i])) for i in range(len(p.x0s) - 1)]
-        asym = [
-            _asym_ratio(beta, p.sigma, p.x0s[i + 1] - log_eps, p.x0s[i] - log_eps, p.t)
-            for i in range(len(p.x0s) - 1)
-        ]
-        asym_first = [1.0] + [_asym_ratio(beta, p.sigma, x - log_eps, d0, p.t) for x in p.x0s[1:]]
     singles, ratios = walk_survival(
         params, p.x0s, barrier, p.t, p.n_paths, seed=seed, workers=workers
     )
+    # finite: the survivor screen has refused every start it predicts empty
+    log_q = [_log_survival_prediction(params, x0 - log_eps, p.t) for x0 in p.x0s]
+    closed = [math.exp(b - a) for a, b in zip(log_q, log_q[1:])]
     checks = {
-        f"ratio_x{i + 1}_over_x{i}_near_asymptotic": abs(r.ratio / a - 1.0) <= WALK_RATIO_REL_TOL
-        for i, (r, a) in enumerate(zip(ratios, asym))
+        f"ratio_x{i + 1}_over_x{i}_near_closed_form": abs(r.ratio / c - 1.0) <= WALK_RATIO_REL_TOL
+        for i, (r, c) in enumerate(zip(ratios, closed))
     }
     estimates = {
         "p_hat": {f"{x:g}": e.p_hat for x, e in zip(p.x0s, singles)},
@@ -380,13 +370,13 @@ def _run_walk(p: WalkExpParams, seed: int, workers: int | None) -> RunnerOutput:
     }
     targets = {
         "tilt_ratios": tilt,
-        "asymptotic_ratios": asym,
+        "closed_form_ratios": closed,
         "beta": beta,
     }
-    columns = ["t", "epsilon", "x0", "p_hat", "se", "asymptotic_ratio_vs_first"]
+    columns = ["t", "epsilon", "x0", "p_hat", "se", "closed_form_q"]
     rows = [
-        [p.t, p.epsilon, x0, est.p_hat, est.se, a]
-        for x0, est, a in zip(p.x0s, singles, asym_first)
+        [p.t, p.epsilon, x0, est.p_hat, est.se, math.exp(lq)]
+        for x0, est, lq in zip(p.x0s, singles, log_q)
     ]
     return RunnerOutput(estimates, targets, checks, columns, rows)
 
@@ -409,8 +399,8 @@ class DiffusionExpParams:
     def __post_init__(self) -> None:
         if self.mc_n_paths < 1:
             raise ConfigError(f"mc_n_paths={self.mc_n_paths} must be >= 1")
-        if not self.tau_grid:
-            raise ConfigError("tau_grid is empty: the ratio scan needs at least one horizon")
+        if not self.tau_grid or not all(tau > 0 for tau in self.tau_grid):
+            raise ConfigError(f"tau_grid={self.tau_grid} must be non-empty and positive")
         for key in ("d_a", "d_b", "mc_d"):
             if not getattr(self, key) > 0.0:
                 raise ConfigError(f"{key}={getattr(self, key)} must be positive")

@@ -12,11 +12,11 @@ Ops that need only survival and the endpoint (the conditioned samplers)
 therefore take one step of length tau by default.
 
 The conditioned sample is the survivors' distances above the barrier and
-nothing else: the laws it is checked against live in the tests. Its limit
-law is Gamma(2, mu/sigma^2) (density proportional to y exp(-mu y/sigma^2)),
-the Yaglom limit of drifted Brownian motion (Martinez & San Martin, J. Appl.
-Probab. 31, 1994), which the tests pin. At finite tau the survivors follow
-the method-of-images density exactly.
+nothing else: the laws it is checked against live in the tests. At finite
+tau they follow the method-of-images density exactly, for any drift. Only
+for mu > 0 is their tau -> inf law the Yaglom limit Gamma(2, mu/sigma^2)
+(density proportional to y exp(-mu y/sigma^2); Martinez & San Martin, J.
+Appl. Probab. 31, 1994), which the tests pin.
 
 The one special function the closed forms need, log(e^{x^2} erfc(x)), is
 _log_erfcx below, built from math.erfc and a continued fraction alone.
@@ -252,11 +252,10 @@ def conditioned_sample(
 ) -> np.ndarray:
     """Sorted survivor distances Y_tau above the barrier at horizon tau, from Y_0 = d.
 
-    Survivors are drawn in one exact step unless dt is given. The closed
-    form must predict at least MIN_EXPECTED_SURVIVORS survivors.
+    Any drift is taken: only the tau -> inf limit law needs mu > 0. Survivors
+    are drawn in one exact step unless dt is given. The closed form must
+    predict at least MIN_EXPECTED_SURVIVORS survivors.
     """
-    if params.mu <= 0.0:
-        raise OutOfRange("conditioned limit law needs downward drift mu > 0")
     return np.sort(_survivor_ys(params, d, tau, n_paths, seed, dt, workers))
 
 
@@ -281,14 +280,13 @@ def conditional_mean_ratio(
 ) -> MeanRatioResult:
     """Estimate E[Phi | Phi > 0] / xi at horizon tau, from Y_0 = d.
 
-    Defined for beta = mu/sigma^2 > 1. At finite tau the exact value is
-    E[e^Y] under the method-of-images density. The estimator averages
-    exp(Y_tau) over survivors, drawn in one exact step unless dt is given;
-    its SE is the plain sample error and understates the heavy right tail,
-    so treat it as a lower bound on the uncertainty.
+    At every finite tau, for any drift, it is E[e^Y] under the method-of-images
+    density. As tau -> inf it tends to (beta/(beta - 1))^2, E[e^Y] under the
+    Gamma(2, beta) limit law, for beta = mu/sigma^2 > 1 and diverges for beta
+    <= 1. The estimator averages exp(Y_tau) over survivors, drawn in one exact
+    step unless dt is given; its SE is the plain sample error and understates
+    the heavy right tail, so treat it as a lower bound on the uncertainty.
     """
-    if params.beta <= 1.0:
-        raise OutOfRange(f"beta={params.beta:.4g} <= 1: conditional mean diverges")
     ys = _survivor_ys(params, d, tau, n_paths, seed, dt, workers)
     vals = np.exp(ys)
     n_surv = int(vals.size)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffusion import _screen_survivors, survival_closed_form
+from .diffusion import _screen_survivors, log_survival_closed_form
 from .errors import OutOfRange, TooFewSurvivors
 from .model import Exogenous, RandomBarrier, ThresholdSchedule, WalkParams
 from .rng import map_blocks
@@ -32,6 +32,13 @@ from .rng import map_blocks
 #: started this many shock scales further from the barrier: -zeta(1/2) /
 #: sqrt(2 pi) (Broadie, Glasserman & Kou, Math. Finance 7, 1997).
 _MONITORING_SHIFT = 0.5826
+
+
+def _log_survival_prediction(params: WalkParams, d: float, t: int) -> float:
+    """Predicted log survival to t from d >= 0 above a fixed barrier: the motion's
+    closed form at d + 0.5826 sigma, Gaussian whatever the shock law."""
+    shifted = d + _MONITORING_SHIFT * params.sigma
+    return log_survival_closed_form(params.mu, params.sigma, shifted, float(t))
 
 
 @dataclass(frozen=True)
@@ -173,9 +180,8 @@ def walk_survival(
     if t < 0:
         raise OutOfRange(f"t={t} must be >= 0")
     if params.sigma > 0.0 and t > 0:
-        shift = _MONITORING_SHIFT * params.sigma
-        _screen_survivors(n_paths, [(f"x0={x0}", n_paths * survival_closed_form(
-            params.mu, params.sigma, x0 - log_eps + shift, float(t))) for x0 in x0s])
+        _screen_survivors(n_paths, [(f"x0={x0}", n_paths * math.exp(
+            _log_survival_prediction(params, x0 - log_eps, t))) for x0 in x0s])
     est = _start_estimates(
         partial(_block_worst, params, log_eps, noise_sd, t),
         x0s, n_paths, seed, workers,

@@ -24,6 +24,7 @@ from born_branch.cli import (
     reference_config,
     run,
 )
+from killed_density import killed_survival
 
 
 # (experiment, key, fixed value) of each check bound, and of each scale or
@@ -285,7 +286,7 @@ class TestRunSmallConfigs:
         )
         assert run(cfg, out_dir=tmp_path) == 0
         results, _, _ = read_outputs(tmp_path)
-        assert results["checks"]["ratio_x1_over_x0_near_asymptotic"] == "pass"
+        assert results["checks"]["ratio_x1_over_x0_near_closed_form"] == "pass"
         assert "tilt_ratio" not in results["checks"]
         beta = WalkParams(0.15, 1.1).beta
         assert results["targets"]["beta"] == beta
@@ -415,6 +416,73 @@ class TestRunSmallConfigs:
         assert results["estimates"]["outside_prob"] == pytest.approx(2.2e-14, rel=0.01)
 
 
+#: The benchmark's two walk shapes (about a quarter of the paths surviving
+#: at t = 40, and most of them at t = 8), as walk parameters.
+BENCH_WALKS = [
+    {"epsilon": math.exp(-2.0), "x0s": [0.0, 1.0, 2.0], "t": 40},
+    {"epsilon": math.exp(-6.0), "x0s": [0.0, 1.0], "t": 8},
+]
+
+
+class TestWalkClosedForm:
+    """The walk run judges its ratios against the closed form at the
+    discrete-monitoring distance d + 0.5826 sigma, which its survivor screen
+    reads too."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [*BENCH_WALKS, {"n_paths": 20_000}],
+        ids=["bench-t40", "bench-t8", "reference"],
+    )
+    def test_closed_form_ratios_near_exact(self, params, tmp_path):
+        """Each closed_form_ratios entry lies within 0.5% of the exact ratio
+        from killed-density propagation (the reference's n_paths is cut, as
+        the targets do not depend on it)."""
+        cfg = ExperimentConfig("walk", params)
+        run(cfg, out_dir=tmp_path)
+        results, _, _ = read_outputs(tmp_path)
+        p = cfg.params
+        q = killed_survival(p.mu, p.sigma, [x - math.log(p.epsilon) for x in p.x0s], p.t)
+        exact = q[1:] / q[:-1]
+        closed = results["targets"]["closed_form_ratios"]
+        assert len(closed) == len(exact) == len(p.x0s) - 1
+        for c, e in zip(closed, exact):
+            assert abs(c / e - 1.0) <= 0.005
+
+    @pytest.mark.parametrize("params", BENCH_WALKS, ids=["bench-t40", "bench-t8"])
+    def test_bench_shaped_runs_pass(self, params, tmp_path):
+        cfg = ExperimentConfig("walk", {**params, "n_paths": 2**15})
+        assert run(cfg, out_dir=tmp_path) == 0
+        results, _, _ = read_outputs(tmp_path)
+        assert set(results["checks"]) == {
+            f"ratio_x{i + 1}_over_x{i}_near_closed_form" for i in range(len(params["x0s"]) - 1)
+        }
+
+    def test_closed_form_q_column(self, tmp_path):
+        """Each start's row ends in its own predicted survival, bit for bit
+        the exact diffusion survival at d + 0.5826 sigma."""
+        cfg = ExperimentConfig("walk", SMALL_CONFIGS["walk"])
+        run(cfg, out_dir=tmp_path)
+        _, header, rows = read_outputs(tmp_path)
+        assert header == ["t", "epsilon", "x0", "p_hat", "se", "closed_form_q"]
+        p = cfg.params
+        assert len(rows) == len(p.x0s)
+        for row, x0 in zip(rows, p.x0s):
+            d = x0 - math.log(p.epsilon) + 0.5826 * p.sigma
+            assert float(row[-1]) == survival_closed_form(p.mu, p.sigma, d, p.t)
+
+    def test_start_on_the_barrier_runs(self, tmp_path):
+        """epsilon = 1 puts x0 = 0 on the barrier. The closed form at
+        d + 0.5826 sigma is finite there, so the run completes and writes
+        finite targets."""
+        cfg = ExperimentConfig("walk", {"epsilon": 1.0, "x0s": [0.0, 1.0], "t": 40, "n_paths": 4_000})
+        assert run(cfg, out_dir=tmp_path) in (0, 2)
+        results, _, rows = read_outputs(tmp_path)
+        (ratio,) = results["targets"]["closed_form_ratios"]
+        assert math.isfinite(ratio) and ratio > 1.0
+        assert all(0.0 < float(row[-1]) < 1.0 for row in rows)
+
+
 class TestDeterminism:
     """Byte-identical outputs modulo runtime and timestamp."""
 
@@ -541,6 +609,7 @@ class TestMain:
             ("walk", {"parameters": {"n_paths": "1000"}}, "n_paths"),
             ("tree", {"parameters": {"t_max": 20.5}}, "t_max"),
             ("tree", {"parameters": {"t_max": 20, "record_points": -1}}, "record_points"),
+            ("tree", {"parameters": {"t_max": 30, "record_points": 0}}, "record_points"),
             ("tree", {"experiment": ["tree"]}, "experiment"),
             ("tree", {"parameters": "abc"}, "parameters"),
             ("tree", {"parameters": {"t_max": -3}}, "t_max"),
@@ -553,14 +622,17 @@ class TestMain:
             ("walk", {"parameters": {"x0s": [0.0, math.nan]}}, "x0s"),
             ("measure", {"parameters": {"tau": 10**400}}, "tau"),
             ("walk", {"parameters": {"noise_sd": -0.5}}, "noise_sd"),
-            ("walk", {"parameters": {"epsilon": 1.0, "x0s": [0.0, 1.0]}}, "x0=0.0"),
             ("lcg", {"parameters": {"a": (1 << 61) - 1}}, "a=2305843009213693951"),
             ("lcg", {"parameters": {"a": 1 << 61}}, "a=2305843009213693952"),
             ("diffusion", {"parameters": {"tau_grid": [], "mc_n_paths": 2000}}, "tau_grid"),
+            ("diffusion", {"parameters": {"tau_grid": [5.0, 0.0]}}, "tau_grid"),
             ("walk", {"parameters": {"t": 0, "n_paths": 2000}}, "t"),
             ("walk", {"parameters": {"x0s": []}}, "x0s"),
             ("lcg", {"parameters": {"n_transitions": 0}}, "n_transitions"),
             ("tree", {"parameters": {"phis": [1.0, 2.0, -1.0]}}, "phis"),
+            ("tree", {"parameters": {"phis": []}}, "phis"),
+            ("lcg", {"parameters": {"phis": []}}, "phis"),
+            ("lcg", {"parameters": {"phis": [1.0, -4.0]}}, "phis"),
             ("walk", {"parameters": {"sigma": 1e-9}}, "sigma"),
             ("diffusion", {"parameters": {"sigma": 1e-9}}, "sigma"),
             ("walk", {"parameters": {"sigma": 1e-200}}, "sigma"),
@@ -579,15 +651,17 @@ class TestMain:
             ("diffusion", {"parameters": {"sigma": 1e150}}, "survivors"),
         ],
         ids=["seed-str", "workers-str", "workers-zero", "int-param-str",
-             "int-param-float", "record-points-negative", "experiment-list",
+             "int-param-float", "record-points-negative", "record-points-zero",
+             "experiment-list",
              "parameters-str", "t-max-negative", "deltas-off-simplex",
              "mc-paths-zero", "mc-paths-negative", "tau-nan", "epsilon-nan",
              "epsilon-infinity", "list-entry-nan", "int-beyond-float-range",
-             "noise-sd-negative", "start-on-barrier",
+             "noise-sd-negative",
              "lcg-multiplier-reduces-to-0", "lcg-multiplier-reduces-to-1",
-             "tau-grid-empty", "walk-t-zero",
+             "tau-grid-empty", "tau-grid-entry-zero", "walk-t-zero",
              "walk-x0s-empty",
-             "n-transitions-zero", "tree-late-bad-start",
+             "n-transitions-zero", "tree-late-bad-start", "tree-phis-empty",
+             "lcg-phis-empty", "lcg-late-bad-start",
              "walk-tilt-beyond-float-range", "diffusion-tilt-beyond-float-range",
              "walk-sigma-squared-underflows", "measure-sigma-squared-underflows",
              "diffusion-sigma-squared-overflows", "measure-sigma-squared-overflows",

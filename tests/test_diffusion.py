@@ -455,9 +455,17 @@ class TestConditionedSample:
         with pytest.raises(TooFewSurvivors, match=f"from {n - 1} paths: d=3.0 expects 50"):
             conditioned_sample(DiffusionParams(1.0, 1.0), 3.0, 8.0, n - 1, seed=2)
 
-    def test_validation(self):
-        with pytest.raises(OutOfRange):
-            conditioned_sample(DiffusionParams(-0.5, 1.0), 3.0, 1.0, 100)
+    @pytest.mark.parametrize("mu", [-0.5, 0.0])
+    def test_no_downward_drift_matches_image_law(self, mu):
+        """Only the tau -> inf limit law needs mu > 0: at finite tau the
+        survivors of an upward or driftless motion (d = 1, tau = 4) follow
+        the method-of-images law within the 0.1% KS critical value."""
+        n = 50_000
+        ys = conditioned_sample(DiffusionParams(mu, 1.0), 1.0, 4.0, n, seed=5)
+        q = image_survival(mu, 1.0, 1.0, 4.0)
+        assert abs(ys.size / n - q) <= 4.0 * math.sqrt(q * (1 - q) / n)
+        ks = kstest(ys, image_cdf(mu, 1.0, 1.0, 4.0)).statistic
+        assert ks < 1.95 / math.sqrt(ys.size)
 
     @pytest.mark.parametrize("d", BAD_DISTANCES)
     def test_distance_validation(self, d, monkeypatch):
@@ -490,11 +498,16 @@ class TestConditionalMeanRatio:
         )
         assert abs(res.estimate - oracle) <= 4.0 * res.se
 
-    def test_divergent_below_beta_one(self):
-        """beta = 1 exactly is already divergent: the Gamma(2, 1) tail of
-        e^Y is not integrable."""
-        with pytest.raises(OutOfRange, match="beta=1 <= 1: conditional mean diverges"):
-            conditional_mean_ratio(DiffusionParams(1.0, 1.0), 3.0, 1.0, 100)
+    def test_finite_horizon_below_beta_one(self):
+        """The mean diverges only as tau -> inf: at beta = 0.5 (mu = 0.5,
+        sigma = 1, d = 3, tau = 4) it is E[e^Y] under the image density,
+        34.68 by quadrature, and the estimate lands within 4 SEs."""
+        mu, sigma, d, tau = 0.5, 1.0, 3.0, 4.0
+        num, _ = quad(lambda y: math.exp(y) * image_density(mu, sigma, d, tau)(y), 0.0, 60.0)
+        oracle = num / image_survival(mu, sigma, d, tau)
+        assert oracle == pytest.approx(34.68, rel=1e-3)
+        res = conditional_mean_ratio(DiffusionParams(mu, sigma), d, tau, 400_000, seed=8)
+        assert abs(res.estimate - oracle) <= 4.0 * res.se
 
     def test_too_few_survivors_precheck(self):
         with pytest.raises(TooFewSurvivors):

@@ -36,7 +36,7 @@ from .model import (
     WalkParams, _alpha_feasible, alpha_for_unit_beta, endogenous_alpha,
 )
 from .population import BURN_IN, endogenous_population
-from .rng import map_blocks
+from .rng import BIT_GENERATOR, map_blocks
 from .stats import (
     binomial_count_fraction,
     binomial_interval_logprob,
@@ -628,6 +628,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
         "estimates": _jsonable(result.estimates),
         "targets": _jsonable(result.targets),
         "checks": {k: "pass" if ok else "fail" for k, ok in result.checks.items()},
+        "rng": {"bit_generator": BIT_GENERATOR.__name__, "numpy": np.__version__},
         "runtime_seconds": runtime,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }

@@ -170,7 +170,7 @@ def _lcg_block_worst(
     worst = np.full(size, -np.inf)
     for s in range(1, t + 1):
         c2, c1 = _lcg_children(states, spec)
-        pick = rng.integers(0, 2, size=size).astype(bool)
+        pick = rng.integers(0, 2, size=size, dtype=bool)
         states = np.where(pick, c1, c2)
         with np.errstate(divide="ignore"):
             amps = amps + np.log(_ratios(states))

@@ -1,9 +1,10 @@
-"""Reproducible counter-based random streams and block-deterministic dispatch.
+"""Reproducible keyed random streams and block-deterministic dispatch.
 
-Every stochastic op in the package draws from Philox streams keyed by
-(seed, stream_id). Monte Carlo work is pre-partitioned into fixed-size
-blocks, one stream per block, and reduced in block order, so results are
-bit-identical for any worker count.
+Every stochastic op in the package draws from SFC64 streams keyed by
+(seed, stream_id), and this module builds every bit generator the package
+uses. Monte Carlo work is pre-partitioned into fixed-size blocks, one
+stream per block, and reduced in block order, so results are bit-identical
+for any worker count.
 """
 from __future__ import annotations
 
@@ -23,14 +24,25 @@ BLOCK_SIZE = 1 << 14
 T = TypeVar("T")
 
 
+#: The bit generator behind every stream, named in each run's results.json.
+BIT_GENERATOR = np.random.SFC64
+
+
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
     """Return an independent, platform-stable generator for (seed, stream_id).
 
-    Streams with distinct ids are statistically independent; the same pair
-    always reproduces the same sequence.
+    The stream is SFC64 seeded by SeedSequence(seed mod 2^64) with the
+    spawn key (stream_id mod 2^64,), numpy's way of deriving independent
+    child streams. Both are taken mod 2^64 as whole words, so distinct
+    pairs give distinct keys; the same pair always reproduces the same
+    sequence. A seed or stream_id that is not an integer (bool included)
+    raises OutOfRange.
     """
-    key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    for name, value in (("seed", seed), ("stream_id", stream_id)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise OutOfRange(f"{name}={value!r} must be an integer")
+    seq = np.random.SeedSequence(int(seed) & _MASK64, spawn_key=(int(stream_id) & _MASK64,))
+    return np.random.Generator(BIT_GENERATOR(seq))
 
 
 def block_sizes(n: int) -> list[int]:

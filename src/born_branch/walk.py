@@ -133,7 +133,7 @@ def _ratio_estimate(x_b: float, k_a: int, k_b: int, n: int) -> RatioEstimate:
     if k_b == 0:
         raise TooFewSurvivors(f"no survivors from x_b={x_b} in {n} paths")
     p_a, p_b, p_ab = k_a / n, k_b / n, min(k_a, k_b) / n
-    ratio = p_a / p_b
+    ratio = k_a / k_b
     var_a = p_a * (1.0 - p_a) / n
     var_b = p_b * (1.0 - p_b) / n
     cov = (p_ab - p_a * p_b) / n

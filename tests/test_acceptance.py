@@ -284,8 +284,8 @@ def test_criterion_05_euler_survival_unbiased_on_grid():
     against the closed form is below 3 in magnitude. The half-step bridge
     correction inside the stepper is what keeps the Euler scheme unbiased
     here; without it the d = 2, tau = 5 cell alone would sit several
-    standard errors high. Calibration gives max |z| = 1.37. Budget 120 s;
-    measured about 30 s.
+    standard errors high. Calibration gives max |z| = 2.14. Budget 120 s;
+    measured about 30-40 s.
     """
     t0 = time.perf_counter()
     zs = []
@@ -312,18 +312,18 @@ def test_criterion_06_conditioned_law_is_not_shifted_exponential():
     """The survivor overshoot law is the image law, not a shifted exponential.
 
     mu = sigma = 1, barrier at log epsilon = -3, start x = 0, tau = 8,
-    1e6 paths at dt = 0.01 give 18224 survivors (>= 1e4 required). The
+    1e6 paths at dt = 0.01 give 18460 survivors (>= 1e4 required). The
     diffusion module documents the Gamma(2, mu/sigma^2) law as the limit
     (the Yaglom limit of drifted Brownian motion); at tau = 8 the exact
     law of the survivors is the method-of-images density, whose CDF
     tests/image_law.py writes in closed form. Required: KS distance to
     that exact CDF below 0.02, and the memorylessness probe P(Y > 2m | Y >
     m), with m the sample median, within 0.05 of the exact law's value.
-    Measured: KS 0.0046; probe 0.267 against exact 0.265 (a memoryless
+    Measured: KS 0.0079; probe 0.260 against exact 0.263 (a memoryless
     law would give 0.5). The KS distance to the best-fit shifted
     exponential (shift at the smallest survivor, rate from the mean excess
-    over it), 0.152, is printed next to it. With the bridge kill
-    removed from batch_survive the KS distance is 0.0238, so the check
+    over it), 0.157, is printed next to it. With the bridge kill
+    removed from batch_survive the KS distance is 0.0211, so the check
     fails. Budget 180 s.
     """
     t0 = time.perf_counter()
@@ -367,14 +367,15 @@ def test_criterion_07_conditional_mean_ratio_constants():
     target is E[e^Y | survival] under the exact absorbed law at the same
     (mu, sigma, d, tau): the quadrature of e^y against the image density
     over the image survival probability, 7.7720 and 3.9255. Required:
-    each estimate within 10% of its target. Measured 7.652 +- 0.214 and
-    3.981 +- 0.081, 1.5% and 1.4% off. Neither E[e^Y] under an Exp(beta)
+    each estimate within 10% of its target. Measured 7.416 +- 0.274 and
+    3.826 +- 0.078, 4.6% and 2.5% off. Neither E[e^Y] under an Exp(beta)
     overshoot law, beta/(beta - 1) = 5 and 2, nor the Gamma(2, beta)
     stationary value (beta/(beta - 1))^2 = 25 and 4 is the finite-tau
-    value. Scaling the drift step in batch_survive by 0.9 moves both
-    estimates by over 20%, and dropping the survivor mask by over 70%, so
-    the check fails; a missing bridge kill moves them by only -6.0% and
-    -3.1%, which criterion 06 catches instead. Budget 120 s.
+    value. Scaling the drift step in batch_survive by 0.9 moves the
+    estimates by +24% and +21%, and dropping the survivor mask by -84%
+    and -70%, so the check fails; a missing bridge kill moves them by only
+    -4.6% and -4.4% (8.9% and 6.8% below the targets), which criterion 06
+    catches instead. Budget 120 s.
     """
     t0 = time.perf_counter()
     verdicts = []
@@ -424,11 +425,11 @@ def test_criterion_08_endogenous_growth_and_scale_invariance():
     particle system deviates from it. The same ansatz with the Gamma(2,
     beta) survivor law in place of the exponential gives sigma^2 / (1 -
     sqrt(eps)) - tilde_mu = 0.809, which the system does not reach either.
-    At seed 81 and tau = 100 the slope is 0.427, 0.581, 0.681 and 0.678 at
-    N = 1e3, 1e4, 1e5 and 3e5: it settles near 0.68 as N grows, and no
-    documented law gives that value, so no corrected target can be
-    computed here. Budget 300 s; measured about 75 s for the two runs on
-    a 2-core machine.
+    At seed 81 and tau = 100 the slope is 0.526, 0.669, 0.665 and 0.623 at
+    N = 1e3, 1e4, 1e5 and 3e5: from N = 1e4 on it stays between 0.6 and
+    0.7, and no documented law gives that value, so no corrected target
+    can be computed here. Budget 300 s; measured about 40-50 s for the two
+    runs on a 2-core machine.
     """
     t0 = time.perf_counter()
     run_a = endogenous_population(
@@ -569,14 +570,15 @@ def test_criterion_12_lcg_shock_moments_and_walk_exponent():
     within 1 +- 0.01, var(log delta) within 2% of 1, and the walk exponent
     under the tuning alpha = e^{-11/12} within [0.85, 1.15]. For U ~
     Uniform(0, 1), -log U is Exp(1), so Var(log U) = 1; 1/12 is the
-    variance of U itself. The stream gives KS 0.00061, mean 0.99984 and
-    variance 1.0009.
+    variance of U itself. The stream gives KS 0.00103, mean 1.00116 and
+    variance 0.99822.
 
     The exponent clause stays red, and the docs do not settle what it
     should check. DEFAULT_LCG_ALPHA = e^{-11/12} assumed Var(log delta) =
     1/12: the drift 1 - 11/12 over that variance is 1. With the true unit
     variance the drift-over-variance exponent is 1/12, and the walk over
-    starts {1, 4, 16, 64} measures 0.122 +- 0.004. mu/sigma^2 = 1 would
+    starts {1, 4, 16, 64} measures 0.121 (over seeds 121-130, mean 0.120
+    and standard deviation 0.0014). mu/sigma^2 = 1 would
     need alpha = 1, which Exogenous refuses. The exact tilt equals 1 at
     alpha = e^{-1/2}, but there survival to t = 200 is about e^{-38.6},
     out of reach of 20,000 paths. Budget 180 s.

@@ -9,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import born_branch
@@ -521,11 +522,11 @@ class TestDeterminism:
         stream's 10^6 ratios feed three of them, so any change in a state or
         in the rounding of a ratio shows here."""
         pinned = {
-            "ks_uniform": 0.0006104810325358312,
-            "mean_neg_log_delta": 0.9998410390886453,
-            "var_log_delta": 1.0009069255190706,
-            "beta_hat": 0.12512400569654605,
-            "p_hat": {"1": 0.1759, "4": 0.2128, "16": 0.25165, "64": 0.29655},
+            "ks_uniform": 0.0010319090278237408,
+            "mean_neg_log_delta": 1.0011601557088197,
+            "var_log_delta": 0.9982181903081758,
+            "beta_hat": 0.12404933643500815,
+            "p_hat": {"1": 0.17915, "4": 0.21725, "16": 0.25945, "64": 0.29955},
         }
         series = []
         for workers in ("1", "2"):
@@ -547,11 +548,13 @@ class TestDeterminism:
             "estimates",
             "targets",
             "checks",
+            "rng",
             "runtime_seconds",
             "timestamp",
         }
         assert results["experiment"] == "demo_intro"
         assert len(results["config_hash"]) == 16
+        assert results["rng"] == {"bit_generator": "SFC64", "numpy": np.__version__}
 
 
 class TestMain:

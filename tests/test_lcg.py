@@ -349,10 +349,10 @@ class _PathBits:
         self.index = np.arange(size)
         self.step = 0
 
-    def integers(self, low, high, size):
+    def integers(self, low, high, size, dtype):
         bits = (self.index >> self.step) & 1
         self.step += 1
-        return bits
+        return bits.astype(dtype)
 
 
 def _lcg_alive_reference(spec, sched, t, lphis, rng, size):
@@ -365,7 +365,7 @@ def _lcg_alive_reference(spec, sched, t, lphis, rng, size):
     alive = np.ones((len(lphis), size), dtype=bool)
     for s in range(1, t + 1):
         c2, c1 = _lcg_children(states, spec)
-        pick = rng.integers(0, 2, size=size).astype(bool)
+        pick = rng.integers(0, 2, size=size, dtype=bool)
         states = np.where(pick, c1, c2)
         ratios = np.array([int(c) / M61 for c in states.tolist()])
         with np.errstate(divide="ignore"):

@@ -21,11 +21,10 @@ _MASK64 = (1 << 64) - 1
 #: drawn number, is independent of the worker count.
 BLOCK_SIZE = 1 << 14
 
-T = TypeVar("T")
-
-
 #: The bit generator behind every stream, named in each run's results.json.
 BIT_GENERATOR = np.random.SFC64
+
+T = TypeVar("T")
 
 
 def rng_stream(seed: int, stream_id: int) -> np.random.Generator:
